@@ -21,12 +21,12 @@ from .rewards import (BoundConstants, CostSpec, GrowthReport, RewardKind, Varian
                       quadratic_costs, reward, terminal_reward)
 from .solver import (LawFlow, Policy, ValueReport, constant_policy, evaluate,
                      girsanov_evaluate, propagate, solve_hjb)
-from .fixed_point import EquilibriumResult, FixedPointConfig, residual, solve_mfg
+from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .certify import (SWEEP_COLUMNS, EpsilonNashCertificate, SandwichReport,
                       epsilon_nash_certificate, phi_sweep, sandwich_report)
 from .nplayer import (PRICE_MODES, DeviationGain, SimConfig, SimResult, deviation_gain,
                       impact_aware_reward, simulate)
-from .streams import normals, substream
+from .streams import substream
 
 __version__ = "0.1.0"
 
@@ -43,11 +43,11 @@ __all__ = [
     "quadratic_costs", "reward", "terminal_reward",
     "LawFlow", "Policy", "ValueReport", "constant_policy", "evaluate",
     "girsanov_evaluate", "propagate", "solve_hjb",
-    "EquilibriumResult", "FixedPointConfig", "residual", "solve_mfg",
+    "EquilibriumResult", "FixedPointConfig", "solve_mfg",
     "SWEEP_COLUMNS", "EpsilonNashCertificate", "SandwichReport",
     "epsilon_nash_certificate", "phi_sweep", "sandwich_report",
     "PRICE_MODES", "DeviationGain", "SimConfig", "SimResult", "deviation_gain",
     "impact_aware_reward", "simulate",
-    "normals", "substream",
+    "substream",
     "__version__",
 ]

@@ -222,7 +222,7 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
         row["converged_f1"] = row["converged_f2"] = False
         row["error"] = ""
         try:
-            p = dataclasses.replace(params, phi=phi, tau=1.0 - phi)
+            p = dataclasses.replace(params, phi=phi)
             eps = young_eps if young_eps_fn is None else float(young_eps_fn(phi))
             rep = sandwich_report(grids, bounds, p, costs, law0, fp, young_eps=eps,
                                   denom_exp=denom_exp, seed=seed,

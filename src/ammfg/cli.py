@@ -18,8 +18,7 @@ from .certify import epsilon_nash_certificate, phi_sweep, sandwich_report
 from .errors import ConfigError, NumericalError, UsageError
 from .fixed_point import solve_mfg
 from .grids import make_path, zero_path
-from .rewards import (RewardKind, Variant, bound_constant, check_growth_bound,
-                      reward, terminal_reward)
+from .rewards import RewardKind, Variant, bound_constant, check_growth_bound, reward
 from .solver import evaluate, girsanov_evaluate, solve_hjb
 from .nplayer import simulate
 from .streams import substream
@@ -47,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override grids.seed")
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override one configuration value (repeatable)")
-        p.add_argument("--workers", type=int, help="worker threads (default: logical cores)")
+        p.add_argument("--workers", type=int,
+                       help="override run.workers, the sweep's worker threads (default 1)")
 
     p = sub.add_parser("solve", help="solve one mean field equilibrium")
     p.add_argument("--kind", choices=[v.value for v in Variant],
@@ -79,6 +79,8 @@ def _load(args) -> tuple[cfgmod.RunConfig, str, int, str, int]:
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"grids.seed={args.seed}")
+    if args.workers is not None:
+        overrides.append(f"run.workers={args.workers}")
     if getattr(args, "kind", None):
         overrides.append(f"reward.kind={args.kind}")
     if getattr(args, "n", None):
@@ -88,10 +90,7 @@ def _load(args) -> tuple[cfgmod.RunConfig, str, int, str, int]:
     cfg = cfgmod.load_config(args.config, overrides)
     cfgmod.validate(cfg)
     out_dir = args.out or os.environ.get("AMMFG_OUT") or cfg.out_dir
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise ConfigError([f"--workers must be >= 1, got {workers}"])
-    return cfg, cfgmod.config_hash(cfg), cfg.seed, out_dir, workers
+    return cfg, cfgmod.config_hash(cfg), cfg.seed, out_dir, cfg.workers
 
 
 def _bundle(cfg):
@@ -172,7 +171,6 @@ def _cmd_simulate(args) -> int:
         "mode_discrepancy": sim.mode_discrepancy,
         "k_min_increment": sim.k_min_increment,
         "floored_steps": sim.floored_steps,
-        "depleted_reps": sim.depleted_reps,
         "equilibrium": artifacts.equilibrium_summary(eq),
     }
     print(artifacts.write_sim_summary(doc, out_dir, h, seed))
@@ -208,10 +206,9 @@ def _audit_ordering(cfg, b, n_samples, seed) -> dict:
     path, t, x, a = _sample_points(b, n_samples, seed, "ordering")
     params, costs = b["params"], b["costs"]
     consts = bound_constant(params, costs, b["bounds"], b["grids"].horizon, cfg.denom_exp)
-    kinds = {v: RewardKind(v, cfg.young_eps, cfg.denom_exp) for v in Variant}
-    f1 = reward(kinds[Variant.LOWER], t, x, a, path, params, costs)
-    f = reward(kinds[Variant.ORIGINAL], t, x, a, path, params, costs)
-    f2 = reward(kinds[Variant.UPPER], t, x, a, path, params, costs, consts)
+    f1, f, f2 = (reward(RewardKind(v, cfg.young_eps, cfg.denom_exp), t, x, a, path,
+                        params, costs, consts)
+                 for v in (Variant.LOWER, Variant.ORIGINAL, Variant.UPPER))
     slack = float(max(np.max(f1 - f), np.max(f - f2)))
     return {"property": "ordering", "pass": slack <= 1e-9, "max_slack": slack,
             "n_samples": int(t.size)}
@@ -224,9 +221,9 @@ def _audit_concavity(cfg, b, n_samples, seed) -> dict:
     da = max(1e-4, 0.05 * (bounds.a_max - max(bounds.a_min, 0.0)))
     mid = 0.5 * (max(bounds.a_min, 0.0) + bounds.a_max)
     worst = -np.inf
+    args = (path, params, costs, consts)
     for v in Variant:
         kind = RewardKind(v, cfg.young_eps, cfg.denom_exp)
-        args = (path, params, costs, consts if v is Variant.UPPER else None)
         lo = reward(kind, t, x, mid - da, *args)
         ce = reward(kind, t, x, mid, *args)
         hi = reward(kind, t, x, mid + da, *args)

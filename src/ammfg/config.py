@@ -4,7 +4,8 @@ A run is fully determined by (config, seed); the sha256 hash of the
 canonicalized key=value listing is embedded in every output artifact so
 results can be traced back to the exact configuration that produced them.
 Validation is collect-all: every violation is reported in one ConfigError
-rather than one at a time.
+rather than one at a time. Each parameter rule lives in the value object the
+parameter builds; validate only adds the rules that span objects.
 """
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ import hashlib
 import io
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .grids import ControlBounds, Grids, InitialLaw
+from .errors import AdmissibilityError, ConfigError, DomainError, UsageError
+from .grids import ControlBounds, Grids, InitialLaw, admissible
 from .fixed_point import FixedPointConfig
-from .nplayer import PRICE_MODES, SimConfig
-from .pool import PHI_FLOOR, PoolParams
-from .rewards import CostSpec, RewardKind, Variant, check_cost_growth, quadratic_costs
+from .nplayer import SimConfig
+from .pool import PoolParams
+from .rewards import CostSpec, RewardKind, check_cost_growth, quadratic_costs
 
 
 @dataclass
@@ -147,79 +148,6 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     return cfg
 
 
-def validate(cfg: RunConfig) -> None:
-    """Collect every violation; raise ConfigError listing them all."""
-    bad: list[str] = []
-    if cfg.x0 <= 0:
-        bad.append(f"pool.x0 must be > 0, got {cfg.x0}")
-    if cfg.k0 <= 0:
-        bad.append(f"pool.k0 must be > 0, got {cfg.k0}")
-    if not PHI_FLOOR <= cfg.phi <= 1.0:
-        bad.append(f"pool.phi must lie in [{PHI_FLOOR}, 1], got {cfg.phi}")
-    if cfg.sigma0 < 0:
-        bad.append(f"pool.sigma0 must be >= 0, got {cfg.sigma0}")
-    if cfg.sigma < 0:
-        bad.append(f"pool.sigma must be >= 0, got {cfg.sigma}")
-    if cfg.running_cost < 0 or cfg.terminal_cost < 0:
-        bad.append("costs.running_cost and costs.terminal_cost must be >= 0")
-    if cfg.c1 <= 0:
-        bad.append(f"costs.c1 must be > 0, got {cfg.c1}")
-    if cfg.horizon <= 0:
-        bad.append(f"grids.horizon must be > 0, got {cfg.horizon}")
-    if cfg.n_t < 1:
-        bad.append(f"grids.n_t must be >= 1, got {cfg.n_t}")
-    if not cfg.x_min < cfg.x_max:
-        bad.append(f"grids.x_min must be < x_max, got [{cfg.x_min}, {cfg.x_max}]")
-    if cfg.n_x < 2:
-        bad.append(f"grids.n_x must be >= 2, got {cfg.n_x}")
-    if cfg.n_a < 1:
-        bad.append(f"grids.n_a must be >= 1, got {cfg.n_a}")
-    if cfg.n_particles < 1:
-        bad.append(f"grids.n_particles must be >= 1, got {cfg.n_particles}")
-    if cfg.n_quad < 5:
-        bad.append(f"grids.n_quad must be >= 5, got {cfg.n_quad}")
-    if cfg.a_min > cfg.a_max:
-        bad.append(f"controls.a_min must be <= a_max, got [{cfg.a_min}, {cfg.a_max}]")
-    elif cfg.a_min > 0 or cfg.a_max < 0:
-        bad.append(f"control interval must contain 0, got [{cfg.a_min}, {cfg.a_max}]")
-    m = max(abs(cfg.a_min), abs(cfg.a_max))
-    if cfg.horizon > 0 and cfg.x0 > 0 and m >= cfg.x0 / cfg.horizon:
-        bad.append(f"controls: magnitude {m} must be < x0/horizon = {cfg.x0 / cfg.horizon}"
-                   " (the pool could deplete)")
-    if cfg.kind not in [v.value for v in Variant]:
-        bad.append(f"reward.kind must be one of f, f1, f2, got {cfg.kind!r}")
-    if cfg.young_eps <= 0:
-        bad.append(f"reward.young_eps must be > 0, got {cfg.young_eps}")
-    if cfg.denom_exp not in (1, 2):
-        bad.append(f"reward.denom_exp must be 1 or 2, got {cfg.denom_exp}")
-    if not 0.0 < cfg.damping <= 1.0:
-        bad.append(f"fixed_point.damping must be in (0, 1], got {cfg.damping}")
-    if cfg.tol <= 0:
-        bad.append(f"fixed_point.tol must be > 0, got {cfg.tol}")
-    if cfg.max_iters < 1:
-        bad.append(f"fixed_point.max_iters must be >= 1, got {cfg.max_iters}")
-    if cfg.law_std < 0:
-        bad.append(f"law0.law_std must be >= 0, got {cfg.law_std}")
-    if cfg.n_traders < 1:
-        bad.append(f"sim.n_traders must be >= 1, got {cfg.n_traders}")
-    if cfg.n_reps < 1:
-        bad.append(f"sim.n_reps must be >= 1, got {cfg.n_reps}")
-    if cfg.price_mode not in PRICE_MODES:
-        bad.append(f"sim.price_mode must be one of {PRICE_MODES}, got {cfg.price_mode!r}")
-    if cfg.p_min <= 0:
-        bad.append(f"sim.p_min must be > 0, got {cfg.p_min}")
-    if cfg.workers < 0:
-        bad.append(f"run.workers must be >= 0, got {cfg.workers}")
-    if not bad:
-        # growth sanity of the cost pair on the configured state range
-        try:
-            check_cost_growth(cost_spec(cfg), grids(cfg))
-        except ValueError as exc:
-            bad.append(str(exc))
-    if bad:
-        raise ConfigError(bad)
-
-
 def canonical_text(cfg: RunConfig) -> str:
     # [run] holds plumbing (workers, out_dir) that must not change results,
     # so it stays out of the hash: same config+seed, same bytes, any workers.
@@ -273,3 +201,47 @@ def sim_config(cfg: RunConfig) -> SimConfig:
     return SimConfig(n_traders=cfg.n_traders, n_reps=cfg.n_reps,
                      price_mode=cfg.price_mode, use_mid_price=cfg.use_mid_price,
                      p_min=cfg.p_min)
+
+
+_BUILDERS = {"pool": pool_params, "costs": cost_spec, "grids": grids, "controls": bounds,
+             "reward": reward_kind, "fixed_point": fixed_point_config, "law0": law0,
+             "sim": sim_config}
+
+# builder arguments whose name differs from their config key
+_KEYS = {"costs": {"running": "running_cost", "terminal": "terminal_cost"},
+         "reward": {"tag": "kind"},
+         "law0": {"mean": "law_mean", "std": "law_std"}}
+
+
+def validate(cfg: RunConfig) -> None:
+    """Collect every violation; raise ConfigError listing them all.
+
+    Every section is built into its value object, and each problem the object
+    reports is named by its section.key. The rules that span objects
+    (admissibility, cost growth) or belong to none (run.workers) follow.
+    """
+    bad: list[str] = []
+    built = {}
+    for section, build in _BUILDERS.items():
+        try:
+            built[section] = build(cfg)
+        except (AdmissibilityError, DomainError, UsageError) as exc:
+            keys = _KEYS.get(section, {})
+            for problem in exc.problems:
+                name, _, rest = problem.partition(" ")
+                bad.append(f"{section}.{keys.get(name, name)} {rest}")
+    if {"pool", "grids", "controls"} <= built.keys():
+        ctrl, x0, horizon = built["controls"], built["pool"].x0, built["grids"].horizon
+        if not admissible(ctrl, x0, horizon)[0]:
+            key = "a_max" if ctrl.a_max >= -ctrl.a_min else "a_min"
+            bad.append(f"controls.{key}: magnitude {ctrl.magnitude} must be < "
+                       f"x0/horizon = {x0 / horizon} (the pool could deplete)")
+    if {"costs", "grids"} <= built.keys():
+        try:
+            check_cost_growth(built["costs"], built["grids"])
+        except DomainError as exc:
+            bad.append(f"costs.c1: {exc}")
+    if cfg.workers < 1:
+        bad.append(f"run.workers must be >= 1, got {cfg.workers}")
+    if bad:
+        raise ConfigError(bad)

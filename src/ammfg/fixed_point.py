@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path
+from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path, zero_path
 from .errors import DomainError, UsageError
 from .pool import PoolParams
 from .rewards import CostSpec, RewardKind
@@ -32,12 +30,15 @@ class FixedPointConfig:
     max_iters: int = 200
 
     def __post_init__(self):
+        problems = []
         if not 0.0 < self.damping <= 1.0:
-            raise DomainError(f"damping must be in (0, 1], got {self.damping}")
+            problems.append(f"damping must be in (0, 1], got {self.damping}")
         if self.tol <= 0:
-            raise DomainError(f"tol must be > 0, got {self.tol}")
+            problems.append(f"tol must be > 0, got {self.tol}")
         if self.max_iters < 1:
-            raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
+            problems.append(f"max_iters must be >= 1, got {self.max_iters}")
+        if problems:
+            raise DomainError(problems)
 
 
 @dataclass
@@ -53,11 +54,6 @@ class EquilibriumResult:
     flow: LawFlow | None = None
 
 
-def residual(current: MeanControlPath, proposed: MeanControlPath) -> float:
-    """sup_t |m - m_hat| on a shared time grid (UsageError on mismatch)."""
-    return current.sup_distance(proposed)
-
-
 def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: PoolParams,
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
               seed: int | None = None, init: MeanControlPath | None = None,
@@ -71,7 +67,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     """
     seed = grids.seed if seed is None else seed
     if init is None:
-        path = make_path(np.zeros(grids.n_t + 1), grids, bounds, params.x0)
+        path = zero_path(grids, bounds, params.x0)
     else:
         if init.times.shape != (grids.n_t + 1,):
             raise UsageError("init path does not match the time grid")
@@ -85,7 +81,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
         induced, _ = propagate(policy, grids, bounds, params, law0, seed=seed)
         mixed = (1.0 - fp.damping) * path.values + fp.damping * induced.values
         nxt = make_path(mixed, grids, bounds, params.x0)
-        res = residual(path, nxt)
+        res = path.sup_distance(nxt)
         residuals.append(res)
         path = nxt
         iterations += 1
@@ -97,7 +93,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     # pass through the map to confirm the iterate is actually stationary
     policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
     induced, flow = propagate(policy, grids, bounds, params, law0, seed=seed)
-    post = fp.damping * residual(path, induced)
+    post = fp.damping * path.sup_distance(induced)
     value = evaluate(policy, path, kind, grids, bounds, params, costs, law0,
                      seed=seed, reward_fn=reward_fn)
     return EquilibriumResult(kind=kind, path=path, policy=policy, value=value,

@@ -41,7 +41,7 @@ class Grids:
         if self.n_t < 1:
             problems.append(f"n_t must be >= 1, got {self.n_t}")
         if not self.x_min < self.x_max:
-            problems.append(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+            problems.append(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_x < 2:
             problems.append(f"n_x must be >= 2, got {self.n_x}")
         if self.n_a < 1:
@@ -51,7 +51,7 @@ class Grids:
         if self.n_quad < 5:
             problems.append(f"n_quad must be >= 5, got {self.n_quad}")
         if problems:
-            raise UsageError("; ".join(problems))
+            raise UsageError(problems)
 
     @property
     def dt(self) -> float:
@@ -72,12 +72,14 @@ class ControlBounds:
     a_max: float = 0.5
 
     def __post_init__(self):
+        problems = []
         if not self.a_min <= self.a_max:
-            raise AdmissibilityError(f"a_min must be <= a_max, got [{self.a_min}, {self.a_max}]")
+            problems.append(f"a_min must be <= a_max, got [{self.a_min}, {self.a_max}]")
         if self.a_min > 0 or self.a_max < 0:
-            raise AdmissibilityError(
-                f"control interval must contain 0, got [{self.a_min}, {self.a_max}]"
-            )
+            problems.append(f"a_min must be <= 0 <= a_max (the control interval must "
+                            f"contain 0), got [{self.a_min}, {self.a_max}]")
+        if problems:
+            raise AdmissibilityError(problems)
 
     @property
     def magnitude(self) -> float:

@@ -49,14 +49,17 @@ class SimConfig:
     p_min: float = 1e-6
 
     def __post_init__(self):
+        problems = []
         if self.n_traders < 1:
-            raise DomainError(f"n_traders must be >= 1, got {self.n_traders}")
+            problems.append(f"n_traders must be >= 1, got {self.n_traders}")
         if self.n_reps < 1:
-            raise DomainError(f"n_reps must be >= 1, got {self.n_reps}")
+            problems.append(f"n_reps must be >= 1, got {self.n_reps}")
         if self.price_mode not in PRICE_MODES:
-            raise DomainError(f"price_mode must be one of {PRICE_MODES}, got {self.price_mode!r}")
+            problems.append(f"price_mode must be one of {PRICE_MODES}, got {self.price_mode!r}")
         if self.p_min <= 0:
-            raise DomainError(f"p_min must be > 0, got {self.p_min}")
+            problems.append(f"p_min must be > 0, got {self.p_min}")
+        if problems:
+            raise DomainError(problems)
 
 
 @dataclass
@@ -71,7 +74,6 @@ class SimResult:
     mode_discrepancy: float          # max over reps/steps of |P_agg - P_seq|
     k_min_increment: float           # min over reps/steps of sequential k increments
     floored_steps: int               # price-floor activations, traded mode
-    depleted_reps: int
 
 
 def _chunks(n_reps: int, n_traders: int, n_t: int) -> list[tuple[int, int]]:
@@ -182,7 +184,7 @@ def simulate(policy: Policy, cfg: SimConfig, grids: Grids, bounds: ControlBounds
         k_path_aggregate=first["k_path_aggregate"],
         k_path_sequential=first["k_path_sequential"],
         mode_discrepancy=mode_gap, k_min_increment=k_min_inc,
-        floored_steps=floored, depleted_reps=0,
+        floored_steps=floored,
     )
 
 
@@ -222,10 +224,11 @@ def impact_aware_reward(n_traders: int, params: PoolParams, costs: CostSpec,
 
     The crowd's drift coefficient splits as m(t)*kernel(t); a single trader
     among n contributes a/n of the flow, so its perceived drift term is
-    x*kernel(t)*(m(t)*(n-1)/n + a/n). Transaction and inventory costs are
-    unchanged. Feeding this to the solver yields the finite-N best response
-    used as the deviant in the gain experiments; the gain it buys shrinks
-    like 1/n as the crowd grows.
+    x*kernel(t)*(m(t)*(n-1)/n + a/n). Inventory costs are unchanged, and the
+    transaction cost is always the original lam (kind supplies only denom_exp),
+    because the N-trader market charges the real fee. Feeding this to the
+    solver yields the finite-N best response used as the deviant in the gain
+    experiments; the gain it buys shrinks like 1/n as the crowd grows.
     """
     def fn(t, x, a, path):
         kern = drift_kernel(t, path, params)

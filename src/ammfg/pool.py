@@ -27,9 +27,17 @@ from .errors import DomainError, ReserveDepletionError
 PHI_FLOOR = 1e-6
 
 
-def _check_phi(phi: float) -> None:
-    if not (PHI_FLOOR <= phi <= 1.0):
-        raise DomainError(f"phi must lie in [{PHI_FLOOR}, 1], got {phi}")
+def _phi_problems(phi) -> list[str]:
+    phi = np.asarray(phi, dtype=float)
+    if np.all((phi >= PHI_FLOOR) & (phi <= 1.0)):
+        return []
+    return [f"phi must lie in [{PHI_FLOOR}, 1], got {phi}"]
+
+
+def _check_phi(phi) -> None:
+    problems = _phi_problems(phi)
+    if problems:
+        raise DomainError(problems)
 
 
 @dataclass(frozen=True)
@@ -41,7 +49,6 @@ class PoolParams:
     x0 : initial risky-token reserve, > 0.
     k0 : initial invariant, > 0 (so the numeraire reserve is k0/x0).
     phi : fee retention, 1 - tau, in (0, 1].
-    tau : fee rate; must equal 1 - phi.
     sigma0 : additive price-noise volatility (N-player simulation only).
     sigma : trader inventory volatility, > 0 for the stochastic solvers.
     """
@@ -49,22 +56,22 @@ class PoolParams:
     x0: float
     k0: float
     phi: float
-    tau: float = None  # type: ignore[assignment]
     sigma0: float = 0.0
     sigma: float = 0.5
 
     def __post_init__(self):
-        if self.tau is None:
-            object.__setattr__(self, "tau", 1.0 - self.phi)
-        if self.x0 <= 0 or self.k0 <= 0:
-            raise DomainError(f"reserves must be positive, got x0={self.x0}, k0={self.k0}")
-        _check_phi(self.phi)
-        if abs((1.0 - self.tau) - self.phi) > 1e-12:
-            raise DomainError(f"tau={self.tau} inconsistent with phi={self.phi}")
-        if self.sigma0 < 0:
-            raise DomainError(f"sigma0 must be >= 0, got {self.sigma0}")
-        if self.sigma < 0:
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
+        problems = [f"{name} must be > 0, got {v}"
+                    for name, v in (("x0", self.x0), ("k0", self.k0)) if v <= 0]
+        problems += _phi_problems(self.phi)
+        problems += [f"{name} must be >= 0, got {v}"
+                     for name, v in (("sigma0", self.sigma0), ("sigma", self.sigma)) if v < 0]
+        if problems:
+            raise DomainError(problems)
+
+    @property
+    def tau(self) -> float:
+        """Fee rate 1 - phi."""
+        return 1.0 - self.phi
 
     @property
     def y0(self) -> float:
@@ -120,9 +127,8 @@ def spread_factor(phi):
     Algebraically equal to (1-phi)^2/(2*phi): strictly positive below
     phi = 1, zero at phi = 1, strictly decreasing on (0, 1].
     """
+    _check_phi(phi)
     phi = np.asarray(phi, dtype=float)
-    if np.any(phi < PHI_FLOOR) or np.any(phi > 1.0):
-        raise DomainError("phi out of range for spread_factor")
     out = (1.0 - phi) ** 2 / (2.0 * phi)
     return float(out) if out.ndim == 0 else out
 

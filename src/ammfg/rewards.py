@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, UsageError
-from .grids import ControlBounds, Grids, MeanControlPath, make_path
+from .grids import ControlBounds, Grids, MeanControlPath, admissible, make_path
 from .pool import PoolParams, spread_factor
 from .streams import substream
 
@@ -57,10 +57,13 @@ class RewardKind:
     denom_exp: int = 2
 
     def __post_init__(self):
+        problems = []
         if self.young_eps <= 0:
-            raise DomainError(f"young_eps must be > 0, got {self.young_eps}")
+            problems.append(f"young_eps must be > 0, got {self.young_eps}")
         if self.denom_exp not in (1, 2):
-            raise DomainError(f"denom_exp must be 1 or 2, got {self.denom_exp}")
+            problems.append(f"denom_exp must be 1 or 2, got {self.denom_exp}")
+        if problems:
+            raise DomainError(problems)
 
     @property
     def tag(self) -> str:
@@ -72,7 +75,7 @@ class RewardKind:
         for v in Variant:
             if v.value == tag:
                 return cls(v, young_eps, denom_exp)
-        raise UsageError(f"unknown reward tag {tag!r}; expected one of f, f1, f2")
+        raise UsageError(f"tag must be one of f, f1, f2, got {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,10 @@ class CostSpec:
 
 def quadratic_costs(running: float = 0.5, terminal: float = 0.5, c1: float = 1.0) -> CostSpec:
     """h = running*x^2, l = terminal*x^2. The defaults pair with c1 = 1."""
+    problems = [f"{name} must be >= 0, got {v}"
+                for name, v in (("running", running), ("terminal", terminal)) if v < 0]
+    if problems:
+        raise DomainError(problems)
     return CostSpec(h=lambda t, x: running * np.square(x),
                     l=lambda x: terminal * np.square(x), c1=c1)
 
@@ -134,8 +141,8 @@ class BoundConstants:
 def bound_constant(params: PoolParams, costs: CostSpec, bounds: ControlBounds,
                    horizon: float, denom_exp: int = 2) -> BoundConstants:
     m = bounds.magnitude
-    eps0 = params.x0 - horizon * m
-    if eps0 <= 0:
+    ok, eps0 = admissible(bounds, params.x0, horizon)
+    if not ok:
         raise AdmissibilityError(
             f"bounds magnitude {m} inadmissible for x0={params.x0}, T={horizon}"
         )

@@ -17,6 +17,7 @@ simulation layer.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -25,9 +26,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, UsageError
 from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path
 from .pool import PoolParams
-from .rewards import (BoundConstants, CostSpec, RewardKind, Variant, bound_constant,
-                      gamma, lambda_lower, lambda_orig, lambda_upper, reward,
-                      terminal_reward)
+from .rewards import CostSpec, RewardKind, bound_constant, reward, terminal_reward
 from .streams import substream
 
 
@@ -79,25 +78,15 @@ class Policy:
 
 @dataclass(frozen=True)
 class LawFlow:
-    """Particle trajectories (n_t+1, n_particles) plus optional path weights."""
+    """Particle trajectories (n_t+1, n_particles) and the share that hit the grid edges."""
 
     times: np.ndarray
     particles: np.ndarray
-    weights: np.ndarray | None = None
     exit_fraction: float = 0.0
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.particles)):
             raise NumericalError("non-finite particle states")
-        if self.weights is not None:
-            n = self.weights.size
-            mean = float(np.mean(self.weights))
-            se = float(np.std(self.weights) / np.sqrt(n)) if n > 1 else 0.0
-            if se > 0 and abs(mean - 1.0) > 3.0 * se:
-                warnings.warn(
-                    f"importance weights average {mean:.6g} (3se={3 * se:.2g} from 1)",
-                    stacklevel=2,
-                )
 
 
 @dataclass(frozen=True)
@@ -149,16 +138,16 @@ def _check_path(path: MeanControlPath, grids: Grids) -> None:
         raise UsageError("flow path does not match the time grid")
 
 
-def _lam_table(kind: RewardKind, path: MeanControlPath, a: np.ndarray,
-               params: PoolParams, consts: BoundConstants) -> np.ndarray:
-    """Transaction-cost term on (time node, control node)."""
-    t = path.times[:, None]
-    if kind.variant is Variant.ORIGINAL:
-        return lambda_orig(a[None, :], t, path, params, kind)
-    if kind.variant is Variant.LOWER:
-        return lambda_lower(a[None, :], t, path, params, kind)
-    lam = lambda_upper(a, params, consts, kind)
-    return np.broadcast_to(lam, (path.times.size, a.size)).copy()
+def _running_reward(reward_fn, kind: RewardKind, grids: Grids, bounds: ControlBounds,
+                    params: PoolParams, costs: CostSpec):
+    """reward_fn, else the built-in reward of ``kind``, as f(t, x, a, path).
+
+    The bound constants are formed either way, so inadmissible control
+    bounds are refused before any work is done.
+    """
+    consts = bound_constant(params, costs, bounds, grids.horizon, kind.denom_exp)
+    return reward_fn or functools.partial(reward, kind, params=params, costs=costs,
+                                          consts=consts)
 
 
 def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
@@ -166,16 +155,17 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
               reward_fn=None) -> Policy:
     """Backward induction for the best response to ``path``.
 
-    reward_fn, when given, replaces the built-in running reward; it is called
-    as reward_fn(t, x_col, a_row, path) and must broadcast to (n_x, n_a).
-    The terminal reward is always -l(x).
+    reward_fn, when given, replaces the built-in running reward. It is called
+    once per solve, as reward_fn(t, x, a, path) with t of shape (n_t+1, 1, 1),
+    x of shape (1, n_x, 1) and a of shape (1, 1, n_a), and its result must
+    broadcast to (n_t+1, n_x, n_a). The terminal reward is always -l(x).
     """
     _check_path(path, grids)
+    f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
     t = grids.t_nodes()
     x = grids.x_nodes()
     a = bounds.grid(grids.n_a)
     dt = grids.dt
-    consts = bound_constant(params, costs, bounds, grids.horizon, kind.denom_exp)
 
     # tie-break order: smallest |a| first, then smaller a; argmax picks the
     # first maximal entry, so scanning in this order implements the rule
@@ -185,11 +175,9 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     z, w = _quad_nodes(grids.n_quad)
     shift = dt * a_ord[None, :, None] + params.sigma * np.sqrt(dt) * z[None, None, :]
     plan = _InterpPlan(x, x[:, None, None] + shift)
-
-    if reward_fn is None:
-        gam = gamma(t, path, params)
-        base = x[None, :] * gam[:, None] - costs.h(t[:, None], x[None, :])
-        lam = _lam_table(kind, path, a, params, consts)[:, order]
+    reward_dt = dt * np.broadcast_to(
+        f(t[:, None, None], x[None, :, None], a_ord[None, None, :], path),
+        (grids.n_t + 1, grids.n_x, grids.n_a))
 
     values = np.empty((grids.n_t + 1, grids.n_x))
     controls = np.empty((grids.n_t, grids.n_x))
@@ -199,15 +187,7 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     cells = np.arange(grids.n_x - 1)
     da = a[1] - a[0] if grids.n_a > 1 else 0.0
     for k in range(grids.n_t - 1, -1, -1):
-        cont = (plan.apply(values[k + 1]) * w).sum(axis=2)
-        if reward_fn is None:
-            q = (base[k][:, None] + lam[k][None, :]) * dt + cont
-        else:
-            fk = np.broadcast_to(
-                np.asarray(reward_fn(t[k], x[:, None], a_ord[None, :], path), dtype=float),
-                (grids.n_x, grids.n_a),
-            )
-            q = fk * dt + cont
+        q = reward_dt[k] + (plan.apply(values[k + 1]) * w).sum(axis=2)
         best = order[np.argmax(q, axis=1)]
         q_nat = np.empty_like(q)
         q_nat[:, order] = q
@@ -280,12 +260,6 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
     return path, flow
 
 
-def _running_rewards(kind, t_k, xk, ak, path, params, costs, consts, reward_fn):
-    if reward_fn is not None:
-        return np.asarray(reward_fn(t_k, xk, ak, path), dtype=float)
-    return reward(kind, t_k, xk, ak, path, params, costs, consts)
-
-
 def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Grids,
              bounds: ControlBounds, params: PoolParams, costs: CostSpec,
              law0: InitialLaw, seed: int | None = None, reward_fn=None,
@@ -295,12 +269,14 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
     Left-endpoint sampling of the running reward (O(dt) bias, declared in
     bias_budget together with the O(dx^2) interpolation term). Two calls with
     the same grids/seed share every random number, so estimates for different
-    reward kinds are paired.
+    reward kinds are paired. reward_fn, when given, replaces the built-in
+    running reward; it is called once per step, with a scalar t and x, a of
+    shape (n_particles,).
     """
     _check_path(path, grids)
+    f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
     seed = grids.seed if seed is None else seed
     n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
-    consts = bound_constant(params, costs, bounds, grids.horizon, kind.denom_exp)
     xs = np.clip(law0.sample(n, substream(seed, stream_label + "-x0")),
                  grids.x_min, grids.x_max)
     noise = substream(seed, stream_label).standard_normal((n_t, n))
@@ -309,7 +285,7 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
     t = grids.t_nodes()
     for k in range(n_t):
         a = policy.control_at(k, xs)
-        total += _running_rewards(kind, t[k], xs, a, path, params, costs, consts, reward_fn) * dt
+        total += f(t[k], xs, a, path) * dt
         xs = np.clip(xs + a * dt + scale * noise[k], grids.x_min, grids.x_max)
     total += terminal_reward(xs, costs)
     if not np.all(np.isfinite(total)):
@@ -331,14 +307,15 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
     driftless path, and weights each path by
     exp(sum (a/sigma) dW - 1/2 sum (a/sigma)^2 dt). Requires sigma > 0.
     Agreement with evaluate (within combined Monte Carlo error) is the
-    package's independent check that drift handling is correct.
+    package's independent check that drift handling is correct. reward_fn is
+    called as in evaluate.
     """
     _check_path(path, grids)
     if params.sigma <= 0:
         raise DomainError("girsanov_evaluate needs sigma > 0")
+    f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
     seed = grids.seed if seed is None else seed
     n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
-    consts = bound_constant(params, costs, bounds, grids.horizon, kind.denom_exp)
     xs = np.clip(law0.sample(n, substream(seed, "girsanov-x0")),
                  grids.x_min, grids.x_max)
     noise = substream(seed, "girsanov").standard_normal((n_t, n))
@@ -348,7 +325,7 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
     sig = params.sigma
     for k in range(n_t):
         a = policy.control_at(k, xs)
-        total += _running_rewards(kind, t[k], xs, a, path, params, costs, consts, reward_fn) * dt
+        total += f(t[k], xs, a, path) * dt
         dw = np.sqrt(dt) * noise[k]
         logw += (a / sig) * dw - 0.5 * (a / sig) ** 2 * dt
         xs = xs + sig * dw

@@ -20,8 +20,3 @@ def substream(seed: int, *labels: object) -> np.random.Generator:
     digest = hashlib.sha256(material).digest()
     key = np.frombuffer(digest, dtype=np.uint64)[:2]  # Philox-4x64 keys are 128-bit
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def normals(seed: int, shape: tuple[int, ...], *labels: object) -> np.ndarray:
-    """Standard-normal block from the (seed, *labels) stream."""
-    return substream(seed, *labels).standard_normal(shape)

@@ -30,7 +30,7 @@ FP = FixedPointConfig(damping=0.5, tol=1e-3, max_iters=200)
 
 
 def with_phi(phi: float) -> PoolParams:
-    return dataclasses.replace(PARAMS, phi=phi, tau=1.0 - phi)
+    return dataclasses.replace(PARAMS, phi=phi)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,7 @@ def test_criterion_08_swap_mechanics():
         x = float(rng.uniform(50.0, 200.0))
         y = float(rng.uniform(5e3, 2e4))
         phi = 1.0 if combo % 5 == 0 else float(rng.uniform(0.5, 1.0))
-        params = PoolParams(x0=x, k0=x * y, phi=phi, tau=1.0 - phi)
+        params = PoolParams(x0=x, k0=x * y, phi=phi)
         state = PoolState(x, y)
         deltas = rng.uniform(1e-4, 0.05, 50) * x
         agg = price_after_aggregate(params, deltas)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ammfg import config as cfgmod
+from ammfg import cli, config as cfgmod
 from ammfg.cli import run
 from ammfg.errors import ConfigError
 from ammfg.fixed_point import FixedPointConfig
@@ -199,6 +199,29 @@ def test_cli_sweep_worker_count_invisible(small_ini, tmp_path):
     assert len(lines) == 5
 
 
+def test_cli_workers_come_from_config(small_ini, tmp_path, monkeypatch):
+    ini = tmp_path / "workers.ini"
+    ini.write_text(SMALL_INI + "\n[run]\nworkers = 3\n")
+    seen = []
+
+    def fake_sweep(phis, **kwargs):
+        seen.append(kwargs["workers"])
+        return []
+
+    monkeypatch.setattr(cli, "phi_sweep", fake_sweep)
+    argv = ["sweep", "--phis", "0.9", "--config", str(ini), "--out", str(tmp_path / "o")]
+    assert run(argv) == 0
+    assert run(argv + ["--workers", "1"]) == 0
+    assert seen == [3, 1]
+
+
+def test_cli_workers_below_one_refused(small_ini, capsys):
+    for flags in (["--set", "run.workers=0"], ["--workers", "0"]):
+        assert run(["sweep", "--phis", "0.9", "--config", small_ini, *flags]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "run.workers" in err
+
+
 def test_cli_sweep_bad_phis(small_ini, capsys):
     assert run(["sweep", "--phis", "0.9,zebra", "--config", small_ini]) == 1
     assert run(["sweep", "--phis", ",", "--config", small_ini]) == 1
@@ -226,7 +249,6 @@ def test_cli_simulate(small_ini, tmp_path):
     assert doc["price_mode"] == "aggregate"
     assert len(doc["mean_control"]) == 21
     assert doc["equilibrium"]["converged"] is True
-    assert doc["depleted_reps"] == 0
     assert isinstance(doc["profit_mean"], float)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from ammfg import (DomainError, FixedPointConfig, Grids, InitialLaw,
                    PoolParams, RewardKind, UsageError, Variant, make_path,
-                   residual, solve_mfg, zero_path)
+                   solve_mfg, zero_path)
 
 FP = FixedPointConfig(damping=0.5, tol=1e-3, max_iters=60)
 
@@ -24,9 +24,9 @@ def test_residual_is_sup_distance(grids_small, bounds_default):
     vals = np.zeros(21)
     vals[7] = 0.25
     b = make_path(vals, grids_small, bounds_default, 100.0)
-    assert residual(a, b) == 0.25
+    assert a.sup_distance(b) == 0.25
     with pytest.raises(UsageError):
-        residual(a, zero_path(Grids(n_t=5, n_x=11), bounds_default, 100.0))
+        a.sup_distance(zero_path(Grids(n_t=5, n_x=11), bounds_default, 100.0))
 
 
 @pytest.mark.parametrize("tag", ["f", "f1", "f2"])

@@ -186,8 +186,6 @@ def test_pool_params_validation():
     assert p.tau == pytest.approx(0.003, abs=1e-15)
     assert p.y0 == pytest.approx(1e4, rel=1e-15)
     with pytest.raises(DomainError):
-        PoolParams(x0=100.0, k0=1e6, phi=0.997, tau=0.01)
-    with pytest.raises(DomainError):
         PoolParams(x0=-1.0, k0=1e6, phi=0.997)
     with pytest.raises(DomainError):
         PoolParams(x0=100.0, k0=1e6, phi=1.2)
