@@ -206,13 +206,11 @@ SWEEP_COLUMNS = ["phi", "spread_factor", "V_f1", "V_f1_se", "V_f", "V_f_se",
 def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
               young_eps: float = 1.0, denom_exp: int = 2, seed: int | None = None,
-              solve_original: bool = True, workers: int = 1,
-              young_eps_fn=None) -> list[dict]:
+              solve_original: bool = True, workers: int = 1) -> list[dict]:
     """Sandwich at each fee level; per-level failures land in the row.
 
-    young_eps_fn(phi), when given, overrides young_eps per level (used for
-    the scaled-Young sweeps). Rows come back in the order of ``phis``
-    regardless of worker count; all levels share the same seed.
+    Rows come back in the order of ``phis`` regardless of worker count; all
+    levels share the same seed.
     """
     phis = [float(p) for p in phis]
 
@@ -223,8 +221,7 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
         row["error"] = ""
         try:
             p = dataclasses.replace(params, phi=phi)
-            eps = young_eps if young_eps_fn is None else float(young_eps_fn(phi))
-            rep = sandwich_report(grids, bounds, p, costs, law0, fp, young_eps=eps,
+            rep = sandwich_report(grids, bounds, p, costs, law0, fp, young_eps=young_eps,
                                   denom_exp=denom_exp, seed=seed,
                                   solve_original=solve_original)
             row.update({

@@ -19,7 +19,7 @@ from .errors import ConfigError, NumericalError, UsageError
 from .fixed_point import solve_mfg
 from .grids import make_path, zero_path
 from .rewards import RewardKind, Variant, bound_constant, check_growth_bound, reward
-from .solver import evaluate, girsanov_evaluate, solve_hjb
+from .solver import _stderr, evaluate, girsanov_evaluate, solve_hjb
 from .nplayer import simulate
 from .streams import substream
 
@@ -164,8 +164,7 @@ def _cmd_simulate(args) -> int:
         "n_reps": sim.profits.shape[0],
         "price_mode": cfg.price_mode,
         "profit_mean": float(profits.mean()),
-        "profit_stderr": float(profits.std(ddof=1) / np.sqrt(profits.size))
-        if profits.size > 1 else 0.0,
+        "profit_stderr": _stderr(profits),
         "mean_control": sim.mean_control,
         "price_path": sim.price_path,
         "mode_discrepancy": sim.mode_discrepancy,

@@ -9,13 +9,15 @@ reported on every run:
   reserves in one shot (the mean-field convention; the invariant drifts
   *below* k0 under net buying because the two-stage formula rebates fees on
   outflows);
-* sequential: the pool state is updated step by step with the fee charged on
-  whichever token is the input side, so the invariant never decreases.
+* sequential: the pool state is updated step by step on a venue that charges
+  the fee on whichever token is the input side (pool.execute_swap on risky
+  inflows, pool.buy_swap on outflows), so the invariant never decreases.
 
 An additive common price noise sigma0*W^0 rides on top of either mode, with
-a configurable floor. Traders' numeraire legs fill at the mid-price quote
-(1+phi^2)/(2*phi) times the observed price (or at the price itself when
-use_mid_price is off); terminal inventory is valued at the observed price.
+a configurable floor. Traders' numeraire legs fill at the mid quote of
+pool.bid_ask_mid, (1+phi^2)/(2*phi) times the observed price (or at the price
+itself when use_mid_price is off); terminal inventory is valued at the
+observed price. Every pool formula lives in pool.py.
 Profit per trader: Y_T + X_T*P_T - integral h(t, X) dt - l(X_T).
 
 deviation_gain estimates, with common random numbers within each paired
@@ -32,9 +34,10 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, NumericalError
 from .grids import ControlBounds, Grids, InitialLaw, admissible
-from .pool import PoolParams
+from .pool import (PoolParams, PoolState, bid_ask_mid, buy_swap, execute_swap,
+                   price_after_aggregate, spot_price)
 from .rewards import CostSpec, RewardKind, drift_kernel, lambda_orig
-from .solver import Policy
+from .solver import Policy, _stderr
 from .streams import substream
 
 PRICE_MODES = ("aggregate", "sequential")
@@ -77,114 +80,100 @@ class SimResult:
 
 
 def _chunks(n_reps: int, n_traders: int, n_t: int) -> list[tuple[int, int]]:
-    per = max(1, int(10_000_000 // max(1, n_traders * n_t)))
+    # ~10^7 floats a chunk: the (m, n, n_t) noise plus about eight (n_t+1, m)
+    # arrays of per-step bookkeeping and its post-loop temporaries
+    per = max(1, int(10_000_000 // max(1, (n_traders + 8) * n_t)))
     return [(s, min(s + per, n_reps)) for s in range(0, n_reps, per)]
 
 
 def simulate(policy: Policy, cfg: SimConfig, grids: Grids, bounds: ControlBounds,
              params: PoolParams, costs: CostSpec, law0: InitialLaw,
-             deviant_policy: Policy | None = None, seed: int | None = None,
-             n_reps: int | None = None) -> SimResult:
+             deviant_policy: Policy | None = None, seed: int | None = None) -> SimResult:
     """Run cfg.n_reps independent markets of cfg.n_traders each."""
     ok, _ = admissible(bounds, params.x0, grids.horizon)
     if not ok:
         raise AdmissibilityError("control bounds inadmissible: reserves could deplete")
     seed = grids.seed if seed is None else seed
-    n_reps = cfg.n_reps if n_reps is None else n_reps
-    n, n_t, dt = cfg.n_traders, grids.n_t, grids.dt
+    n, n_reps, n_t, dt, phi = cfg.n_traders, cfg.n_reps, grids.n_t, grids.dt, params.phi
     t = grids.t_nodes()
     sqdt = np.sqrt(dt)
-    mid_factor = (1.0 + params.phi**2) / (2.0 * params.phi) if cfg.use_mid_price else 1.0
 
     profits = np.empty((n_reps, n))
     mean_control = np.zeros(n_t + 1)
     mode_gap = 0.0
     k_min_inc = np.inf
     floored = 0
-    first: dict[str, np.ndarray] = {}
 
     for lo, hi in _chunks(n_reps, n, n_t):
         m = hi - lo
-        x0s = np.empty((m, n))
+        xs = np.empty((m, n))
         xi = np.empty((m, n, n_t))
         xi0 = np.empty((m, n_t))
         for r in range(lo, hi):
             rng = substream(seed, "sim", r)
-            x0s[r - lo] = law0.sample(n, rng)
+            xs[r - lo] = law0.sample(n, rng)
             xi[r - lo] = rng.standard_normal((n, n_t))
             xi0[r - lo] = rng.standard_normal(n_t)
 
-        xs = x0s.copy()
         ys = np.zeros((m, n))
         hcost = np.zeros((m, n))
-        flow = np.zeros(m)                    # per-capita cumulative flow
-        px = np.full(m, params.x0)            # sequential pool reserves
-        py = np.full(m, params.k0 / params.x0)
+        seq = PoolState(np.full(m, params.x0), np.full(m, params.y0))
         w0 = np.zeros(m)
-        track = lo == 0
-        if track:
-            for key in ("price_path", "price_aggregate", "price_sequential",
-                        "k_path_aggregate", "k_path_sequential"):
-                first[key] = np.empty(n_t + 1)
+        # per step (rows) and replication: per-capita cumulative flow, the
+        # sequential pool's price and invariant, the traded price before the floor
+        flow, p_seq, k_seq, raw = np.zeros((4, n_t + 1, m))
 
         for k in range(n_t + 1):
-            p_agg = params.k0 / ((params.x0 - params.phi * flow) * (params.x0 - flow))
-            p_seq = py / px
-            mode_gap = max(mode_gap, float(np.max(np.abs(p_agg - p_seq))))
-            base = p_agg if cfg.price_mode == "aggregate" else p_seq
-            noisy = base + params.sigma0 * w0
-            low = noisy < cfg.p_min
-            floored += int(np.sum(low))
-            noisy = np.where(low, cfg.p_min, noisy)
-            if track:
-                first["price_path"][k] = noisy[0]
-                first["price_aggregate"][k] = p_agg[0]
-                first["price_sequential"][k] = p_seq[0]
-                first["k_path_aggregate"][k] = (params.x0 - flow[0]) * params.k0 \
-                    / (params.x0 - params.phi * flow[0])
-                first["k_path_sequential"][k] = px[0] * py[0]
+            p_seq[k], k_seq[k] = spot_price(seq), seq.k
+            base = (price_after_aggregate(params, -flow[k]) if cfg.price_mode == "aggregate"
+                    else p_seq[k])
+            raw[k] = base + params.sigma0 * w0
+            price = np.maximum(raw[k], cfg.p_min)
             if k == n_t:
-                profits[lo:hi] = ys + xs * noisy[:, None] - hcost - costs.l(xs)
-                mean_control[k] += a.mean(axis=1).sum()  # repeat last interval's controls
                 break
 
             a = policy.control_at(k, xs)
             if deviant_policy is not None:
                 a[:, 0] = deviant_policy.control_at(k, xs[:, 0])
-            mean_control[k] += a.mean(axis=1).sum()
             m_k = a.mean(axis=1)
+            mean_control[k] += m_k.sum()
 
-            ys -= a * (mid_factor * noisy[:, None]) * dt
+            fill = bid_ask_mid(price, phi)[2] if cfg.use_mid_price else price
+            ys -= a * fill[:, None] * dt
             hcost += costs.h(t[k], xs) * dt
             xs = xs + a * dt + params.sigma * sqdt * xi[:, :, k]
 
-            # pool updates from the step's net per-capita flow
-            delta = -m_k * dt                  # pool-side risky delta
-            kk = px * py
-            if np.any(px + np.minimum(delta, params.phi * delta) <= 0):
-                raise NumericalError("sequential pool reserve depleted")
-            py_new = np.where(
-                delta >= 0,
-                kk / (px + params.phi * delta),
-                py + (kk / (px + delta) - py) / params.phi,
-            )
-            px = px + delta
-            k_min_inc = min(k_min_inc, float(np.min(px * py_new - kk)))
-            py = py_new
-            flow = flow + m_k * dt
+            # the step's net per-capita flow meets a venue that charges the fee
+            # on the input side: the crowd's net sales (risky inflows) go
+            # through execute_swap, its net purchases through buy_swap
+            delta = -m_k * dt
+            inflow = delta >= 0
+            sold = execute_swap(seq, np.where(inflow, delta, 0.0), phi).new_state
+            bought = buy_swap(seq, np.where(inflow, 0.0, -delta), phi).new_state
+            seq = PoolState(np.where(inflow, sold.x, bought.x),
+                            np.where(inflow, sold.y, bought.y))
+            flow[k + 1] = flow[k] + m_k * dt
             w0 = w0 + sqdt * xi0[:, k]
+
+        profits[lo:hi] = ys + xs * price[:, None] - hcost - costs.l(xs)
+        mean_control[n_t] += m_k.sum()  # repeat last interval's controls
+        p_agg = price_after_aggregate(params, -flow)
+        mode_gap = max(mode_gap, float(np.max(np.abs(p_agg - p_seq))))
+        k_min_inc = min(k_min_inc, float(np.min(np.diff(k_seq, axis=0))))
+        floored += int(np.sum(raw < cfg.p_min))
+        if lo == 0:  # the first replication's paths
+            raw0, p_agg0, p_seq0, k_seq0, flow0 = (
+                v[:, 0].copy() for v in (raw, p_agg, p_seq, k_seq, flow))
 
     if not np.all(np.isfinite(profits)):
         raise NumericalError("non-finite trader profits")
     mean_control /= n_reps
     return SimResult(
         profits=profits, mean_control=mean_control,
-        price_path=first["price_path"], price_aggregate=first["price_aggregate"],
-        price_sequential=first["price_sequential"],
-        k_path_aggregate=first["k_path_aggregate"],
-        k_path_sequential=first["k_path_sequential"],
-        mode_discrepancy=mode_gap, k_min_increment=k_min_inc,
-        floored_steps=floored,
+        price_path=np.maximum(raw0, cfg.p_min), price_aggregate=p_agg0,
+        price_sequential=p_seq0, k_path_sequential=k_seq0,
+        k_path_aggregate=execute_swap(params.initial_state(), -flow0, phi).new_state.k,
+        mode_discrepancy=mode_gap, k_min_increment=k_min_inc, floored_steps=floored,
     )
 
 
@@ -199,23 +188,20 @@ class DeviationGain:
 
 def deviation_gain(policy: Policy, deviant_policy: Policy, cfg: SimConfig, grids: Grids,
                    bounds: ControlBounds, params: PoolParams, costs: CostSpec,
-                   law0: InitialLaw, n_reps: int | None = None,
-                   seed: int | None = None) -> DeviationGain:
+                   law0: InitialLaw, seed: int | None = None) -> DeviationGain:
     """Paired estimate of trader 1's profit change from deviating.
 
     Both arms replay identical noise per replication; a deviant equal to the
     conformist policy therefore yields exactly zero gain.
     """
     dev = simulate(policy, cfg, grids, bounds, params, costs, law0,
-                   deviant_policy=deviant_policy, seed=seed, n_reps=n_reps)
+                   deviant_policy=deviant_policy, seed=seed)
     conf = simulate(policy, cfg, grids, bounds, params, costs, law0,
-                    deviant_policy=None, seed=seed, n_reps=n_reps)
+                    deviant_policy=None, seed=seed)
     gains = dev.profits[:, 0] - conf.profits[:, 0]
-    r = gains.size
-    mean = float(gains.mean())
-    se = float(gains.std(ddof=1) / np.sqrt(r)) if r > 1 else 0.0
+    mean, se = float(gains.mean()), _stderr(gains)
     return DeviationGain(gain=mean, stderr=se, ci_low=mean - 1.96 * se,
-                         ci_high=mean + 1.96 * se, n_reps=r)
+                         ci_high=mean + 1.96 * se, n_reps=gains.size)
 
 
 def impact_aware_reward(n_traders: int, params: PoolParams, costs: CostSpec,

@@ -83,13 +83,13 @@ class PoolParams:
 
 @dataclass(frozen=True)
 class PoolState:
-    """Reserves (x, y); the invariant is derived, never stored separately."""
+    """Reserves (x, y), scalars or a batch of pools; k is derived, never stored."""
 
     x: float
     y: float
 
     def __post_init__(self):
-        if self.x <= 0 or self.y <= 0:
+        if np.any(self.x <= 0) or np.any(self.y <= 0):
             raise ReserveDepletionError(f"reserves must stay positive, got x={self.x}, y={self.y}")
 
     @property
@@ -112,13 +112,12 @@ def spot_price(state: PoolState) -> float:
 def bid_ask_mid(price: float, phi: float) -> tuple[float, float, float]:
     """Quotes around a spot price: (phi*P, P/phi, (1+phi^2)/(2*phi)*P).
 
+    The mid is the price at which the N-player simulator's traders fill.
     Ordering bid <= P <= mid <= ask holds for all phi in (0, 1], with
-    equalities exactly at phi = 1.
+    equalities exactly at phi = 1. Accepts array ``price``.
     """
     _check_phi(phi)
-    bid = phi * price
-    ask = price / phi
-    return bid, ask, 0.5 * (bid + ask)
+    return phi * price, price / phi, (1.0 + phi**2) / (2.0 * phi) * price
 
 
 def spread_factor(phi):
@@ -144,11 +143,12 @@ def execute_swap(state: PoolState, delta_in: float, phi: float) -> SwapResult:
     Negative delta_in (net outflow of the risky token, the direction induced
     by a buying crowd) is accepted whenever both x + phi*delta_in and
     x + delta_in stay positive; the same formula then *shrinks* the invariant,
-    which is the aggregate-flow convention, not a fee-charging venue. See
-    the sequential mode of the N-player simulator for the venue-side variant.
+    which is the aggregate-flow convention, not a fee-charging venue. The
+    N-player simulator's sequential venue charges the fee on the input side:
+    this function on inflows, :func:`buy_swap` on outflows.
     """
     _check_phi(phi)
-    if state.x + phi * delta_in <= 0 or state.x + delta_in <= 0:
+    if np.any(state.x + phi * delta_in <= 0) or np.any(state.x + delta_in <= 0):
         raise ReserveDepletionError(
             f"swap of {delta_in} would deplete reserve x={state.x} (phi={phi})"
         )
@@ -168,9 +168,9 @@ def buy_swap(state: PoolState, amount_out: float, phi: float) -> SwapResult:
     withdrawn; ``fee_paid`` is in numeraire units.
     """
     _check_phi(phi)
-    if amount_out < 0:
+    if np.any(amount_out < 0):
         raise DomainError("amount_out must be >= 0; use execute_swap for inflows")
-    if state.x - amount_out <= 0:
+    if np.any(state.x - amount_out <= 0):
         raise ReserveDepletionError(
             f"withdrawal of {amount_out} would deplete reserve x={state.x}"
         )

@@ -72,10 +72,16 @@ class RewardKind:
 
     @classmethod
     def from_tag(cls, tag: str, young_eps: float = 1.0, denom_exp: int = 2) -> "RewardKind":
-        for v in Variant:
-            if v.value == tag:
-                return cls(v, young_eps, denom_exp)
-        raise UsageError(f"tag must be one of f, f1, f2, got {tag!r}")
+        """Build from a tag; an unknown tag is reported with the knobs' problems."""
+        variant = next((v for v in Variant if v.value == tag), None)
+        if variant is not None:
+            return cls(variant, young_eps, denom_exp)
+        problems = [f"tag must be one of f, f1, f2, got {tag!r}"]
+        try:
+            cls(Variant.ORIGINAL, young_eps, denom_exp)
+        except DomainError as exc:
+            problems += exc.problems
+        raise UsageError(problems)
 
 
 @dataclass(frozen=True)
@@ -99,20 +105,24 @@ def quadratic_costs(running: float = 0.5, terminal: float = 0.5, c1: float = 1.0
     """h = running*x^2, l = terminal*x^2. The defaults pair with c1 = 1."""
     problems = [f"{name} must be >= 0, got {v}"
                 for name, v in (("running", running), ("terminal", terminal)) if v < 0]
+    try:
+        costs = CostSpec(h=lambda t, x: running * np.square(x),
+                         l=lambda x: terminal * np.square(x), c1=c1)
+    except DomainError as exc:
+        problems += exc.problems
     if problems:
         raise DomainError(problems)
-    return CostSpec(h=lambda t, x: running * np.square(x),
-                    l=lambda x: terminal * np.square(x), c1=c1)
+    return costs
 
 
-def check_cost_growth(costs: CostSpec, grids: Grids, n_t_samples: int = 16) -> float:
-    """Max of (|h|+|l|)/(c1*exp(c1*|x|)) over a (t, x) sample grid.
+def check_cost_growth(costs: CostSpec, grids: Grids) -> float:
+    """Max of (|h|+|l|)/(c1*exp(c1*|x|)) over the x-grid at 16 times in [0, T].
 
     Raises DomainError if the bound fails anywhere on the grid.
     """
     x = grids.x_nodes()
     ratios = []
-    for t in np.linspace(0.0, grids.horizon, n_t_samples):
+    for t in np.linspace(0.0, grids.horizon, 16):
         num = np.abs(costs.h(t, x)) + np.abs(costs.l(x))
         ratios.append(num / (costs.c1 * np.exp(costs.c1 * np.abs(x))))
     worst = float(np.max(ratios))

@@ -133,6 +133,17 @@ class _InterpPlan:
         return values[self.idx] * (1.0 - self.frac) + values[self.idx + 1] * self.frac
 
 
+def _stderr(samples: np.ndarray) -> float:
+    """Standard error of the mean of i.i.d. samples; 0 for a single sample."""
+    n = samples.size
+    return float(samples.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
+def _bias_budget(grids: Grids, value: float) -> float:
+    """Discretization allowance O(dt + dx^2), scaled by the value magnitude."""
+    return (grids.dt + _uniform_spacing(grids.x_nodes())**2) * max(1.0, abs(value))
+
+
 def _check_path(path: MeanControlPath, grids: Grids) -> None:
     if path.times.shape != (grids.n_t + 1,) or abs(path.times[-1] - grids.horizon) > 1e-12:
         raise UsageError("flow path does not match the time grid")
@@ -262,8 +273,7 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
 
 def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Grids,
              bounds: ControlBounds, params: PoolParams, costs: CostSpec,
-             law0: InitialLaw, seed: int | None = None, reward_fn=None,
-             stream_label: str = "evaluate") -> ValueReport:
+             law0: InitialLaw, seed: int | None = None, reward_fn=None) -> ValueReport:
     """Strong-form Monte Carlo estimate of the policy's objective.
 
     Left-endpoint sampling of the running reward (O(dt) bias, declared in
@@ -277,9 +287,8 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
     f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
     seed = grids.seed if seed is None else seed
     n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
-    xs = np.clip(law0.sample(n, substream(seed, stream_label + "-x0")),
-                 grids.x_min, grids.x_max)
-    noise = substream(seed, stream_label).standard_normal((n_t, n))
+    xs = np.clip(law0.sample(n, substream(seed, "evaluate-x0")), grids.x_min, grids.x_max)
+    noise = substream(seed, "evaluate").standard_normal((n_t, n))
     total = np.zeros(n)
     scale = params.sigma * np.sqrt(dt)
     t = grids.t_nodes()
@@ -291,10 +300,8 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
     if not np.all(np.isfinite(total)):
         raise NumericalError("non-finite path objective in evaluate")
     value = float(total.mean())
-    stderr = float(total.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    dx = _uniform_spacing(grids.x_nodes())
-    budget = (dt + dx**2) * max(1.0, abs(value))
-    return ValueReport(value=value, stderr=stderr, n_paths=n, bias_budget=budget)
+    return ValueReport(value=value, stderr=_stderr(total), n_paths=n,
+                       bias_budget=_bias_budget(grids, value))
 
 
 def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
@@ -335,12 +342,9 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
     if not np.all(np.isfinite(est)):
         raise NumericalError("non-finite weighted objective in girsanov_evaluate")
     value = float(est.mean())
-    stderr = float(est.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    dx = _uniform_spacing(grids.x_nodes())
-    return ValueReport(value=value, stderr=stderr, n_paths=n,
-                       bias_budget=(dt + dx**2) * max(1.0, abs(value)),
-                       weight_mean=float(weights.mean()),
-                       weight_stderr=float(weights.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
+    return ValueReport(value=value, stderr=_stderr(est), n_paths=n,
+                       bias_budget=_bias_budget(grids, value),
+                       weight_mean=float(weights.mean()), weight_stderr=_stderr(weights))
 
 
 def constant_policy(level: float, grids: Grids, bounds: ControlBounds) -> Policy:

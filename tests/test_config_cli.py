@@ -86,6 +86,24 @@ def test_validate_collects_every_violation():
         assert frag in joined
 
 
+def test_validate_bad_kind_keeps_reward_problems():
+    cfg = cfgmod.load_config(None, ["reward.kind=zz", "reward.young_eps=-1",
+                                    "reward.denom_exp=3"])
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.validate(cfg)
+    joined = "\n".join(exc.value.violations)
+    for frag in ("reward.kind", "reward.young_eps", "reward.denom_exp"):
+        assert frag in joined
+
+
+def test_validate_negative_cost_keeps_c1_problem():
+    cfg = cfgmod.load_config(None, ["costs.running_cost=-1", "costs.c1=-2"])
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.validate(cfg)
+    joined = "\n".join(exc.value.violations)
+    assert "costs.running_cost" in joined and "costs.c1" in joined
+
+
 def test_validate_control_interval():
     cfg = cfgmod.load_config(None, ["controls.a_min=0.1"])
     with pytest.raises(ConfigError, match="contain 0"):

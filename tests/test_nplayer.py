@@ -5,9 +5,10 @@ from ammfg.errors import AdmissibilityError, DomainError
 from ammfg.grids import ControlBounds, Grids, InitialLaw, make_path
 from ammfg.nplayer import (DeviationGain, SimConfig, deviation_gain,
                            impact_aware_reward, simulate)
-from ammfg.pool import PoolParams
+from ammfg.pool import (PoolParams, buy_swap, execute_swap, price_after_aggregate,
+                        spot_price)
 from ammfg.rewards import RewardKind, Variant, quadratic_costs
-from ammfg.solver import constant_policy
+from ammfg.solver import Policy, constant_policy
 
 BOUNDS = ControlBounds(0.0, 0.5)
 COSTS = quadratic_costs(0.5, 0.5, 1.0)
@@ -69,8 +70,8 @@ def test_replications_are_keyed_not_batched(grids_small, params_default):
     pol = constant_policy(0.1, grids_small, BOUNDS)
     law = InitialLaw(0.0, 1.0)
     five = simulate(pol, cfg, grids_small, BOUNDS, params_default, COSTS, law, seed=5)
-    three = simulate(pol, cfg, grids_small, BOUNDS, params_default, COSTS, law,
-                     seed=5, n_reps=3)
+    three = simulate(pol, SimConfig(n_traders=3, n_reps=3), grids_small, BOUNDS,
+                     params_default, COSTS, law, seed=5)
     np.testing.assert_array_equal(five.profits[:3], three.profits)
     np.testing.assert_array_equal(five.price_path, three.price_path)
 
@@ -135,6 +136,38 @@ def test_sequential_mode_price_path():
     np.testing.assert_array_equal(res.price_path, res.price_sequential)
 
 
+def test_pool_paths_replay_through_pool_formulas():
+    # the crowd buys for the first half of the horizon and sells for the
+    # second, so both legs of the sequential venue run; replaying the mean
+    # flow through the scalar pool functions rebuilds every pool path exactly
+    g = Grids(horizon=1.0, n_t=40, x_min=-3.0, x_max=3.0, n_x=61, n_a=11,
+              n_particles=100, seed=3)
+    bounds = ControlBounds(-0.5, 0.5)
+    params = PoolParams(100.0, 1e6, 0.9, sigma=0.5, sigma0=0.0)
+    rows = np.where(np.arange(g.n_t)[:, None] < g.n_t // 2, 0.4, -0.3)
+    pol = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(),
+                 controls=rows * np.ones((g.n_t, g.n_x)))
+    res = simulate(pol, SimConfig(n_traders=3, n_reps=1, price_mode="sequential"),
+                   g, bounds, params, COSTS, InitialLaw(0.0, 1.0), seed=2)
+    steps = res.mean_control[:-1]
+    assert np.sum(steps > 0) == np.sum(steps < 0) == 20
+    state = params.initial_state()
+    prices, ks, flow = [spot_price(state)], [state.k], [0.0]
+    for m in steps:
+        delta = -m * g.dt
+        swap = (execute_swap(state, delta, params.phi) if delta >= 0
+                else buy_swap(state, -delta, params.phi))
+        state = swap.new_state
+        prices.append(spot_price(state))
+        ks.append(state.k)
+        flow.append(flow[-1] + m * g.dt)
+    np.testing.assert_array_equal(res.price_sequential, prices)
+    np.testing.assert_array_equal(res.k_path_sequential, ks)
+    np.testing.assert_array_equal(res.price_aggregate,
+                                  price_after_aggregate(params, -np.array(flow)))
+    np.testing.assert_array_equal(res.price_path, res.price_sequential)
+
+
 def test_price_floor_engages(grids_small):
     params = PoolParams(100.0, 1e6, 0.997, sigma=0.0, sigma0=1e6)
     pol = constant_policy(0.0, grids_small, BOUNDS)
@@ -147,9 +180,8 @@ def test_price_floor_engages(grids_small):
 
 def test_deviation_gain_null(grids_small, params_default):
     pol = constant_policy(0.2, grids_small, BOUNDS)
-    out = deviation_gain(pol, pol, SimConfig(n_traders=3, n_reps=8), grids_small,
-                         BOUNDS, params_default, COSTS, InitialLaw(0.0, 1.0),
-                         n_reps=7, seed=21)
+    out = deviation_gain(pol, pol, SimConfig(n_traders=3, n_reps=7), grids_small,
+                         BOUNDS, params_default, COSTS, InitialLaw(0.0, 1.0), seed=21)
     assert isinstance(out, DeviationGain)
     assert out.gain == 0.0 and out.stderr == 0.0
     assert out.ci_low == 0.0 and out.ci_high == 0.0

@@ -1,4 +1,5 @@
-"""Property tests: the reward sandwich and the swap invariant identities.
+"""Property tests: the reward sandwich, the swap invariant identities, and the
+array forms of the pool formulas the N-player simulator runs on.
 
 Hypothesis draws the inputs; the example budget is bounded so the suite's
 run time stays fixed.
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ammfg import (ControlBounds, Grids, PoolParams, PoolState, RewardKind, Variant,
-                   bound_constant, buy_swap, execute_swap, make_path, quadratic_costs,
-                   reward)
+                   bid_ask_mid, bound_constant, buy_swap, execute_swap, make_path,
+                   quadratic_costs, reward)
 
 G = Grids(n_t=10, n_x=11)
 COSTS = quadratic_costs()
@@ -75,3 +76,29 @@ def test_buy_swap_identities(xy, phi, share):
     assert (x - out) * (y + phi * pay) == pytest.approx(k, rel=1e-12)
     assert res.fee_paid == pytest.approx((1.0 - phi) * pay, rel=1e-12, abs=1e-9)
     assert res.new_state.k >= k * (1.0 - 1e-12)
+
+
+def _swap_fields(res):
+    return res.delta_out, res.new_state.x, res.new_state.y, res.fee_paid
+
+
+@PROPERTY
+@given(pools=st.lists(st.tuples(st.floats(10.0, 1e3), st.floats(10.0, 1e6),
+                                st.floats(-0.9, 0.9)), min_size=1, max_size=16),
+       phi=st.floats(0.01, 1.0))
+def test_array_pool_formulas_match_scalar_calls(pools, phi):
+    """A batch of pools moves exactly as each pool would alone, bit for bit."""
+    x, y, share = map(np.array, zip(*pools))
+    state = PoolState(x, y)
+    delta = share * x
+    cases = [(execute_swap(state, delta, phi),
+              [execute_swap(PoolState(a, b), s * a, phi) for a, b, s in pools]),
+             (buy_swap(state, np.abs(delta), phi),
+              [buy_swap(PoolState(a, b), abs(s * a), phi) for a, b, s in pools])]
+    for batch, singles in cases:
+        for got, want in zip(_swap_fields(batch), zip(*map(_swap_fields, singles))):
+            np.testing.assert_array_equal(got, want)
+    quotes = bid_ask_mid(y / x, phi)
+    singles = [bid_ask_mid(b / a, phi) for a, b, _ in pools]
+    for got, want in zip(quotes, zip(*singles)):
+        np.testing.assert_array_equal(got, want)

@@ -189,10 +189,6 @@ def test_evaluate_common_random_numbers(grids_small, bounds_default,
     b = evaluate(pol, path, RewardKind(Variant.ORIGINAL), grids_small,
                  bounds_default, params_default, costs_default, law, seed=4)
     assert a == b
-    c = evaluate(pol, path, RewardKind(Variant.ORIGINAL), grids_small,
-                 bounds_default, params_default, costs_default, law, seed=4,
-                 stream_label="other")
-    assert c.value != a.value
 
 
 def test_paired_kinds_share_noise(grids_small, bounds_default, params_default,
