@@ -22,9 +22,11 @@ Profit per trader: Y_T + X_T*P_T - integral h(t, X) dt - l(X_T).
 
 deviation_gain estimates, with common random numbers within each paired
 replication, how much trader 1 gains by switching policies while everyone
-else stays put. Replication r draws its noise from a stream keyed by
-(seed, r): results are bitwise reproducible under any batching, and the two
-arms of a pair share every draw.
+else stays put. Both arms run in one pass: replication r draws its noise
+once, from a stream keyed by (seed, r), and the n-1 conformist traders, whose
+inventories do not depend on the price, are moved once for both arms. Only
+trader 1, the pool and the price carry an arm axis. simulate is the one-arm
+case of the same loop. Results are bitwise reproducible under any batching.
 """
 from __future__ import annotations
 
@@ -79,49 +81,82 @@ class SimResult:
     floored_steps: int               # price-floor activations, traded mode
 
 
-def _chunks(n_reps: int, n_traders: int, n_t: int) -> list[tuple[int, int]]:
-    # ~10^7 floats a chunk: the (m, n, n_t) noise plus about eight (n_t+1, m)
-    # arrays of per-step bookkeeping and its post-loop temporaries
-    per = max(1, int(10_000_000 // max(1, (n_traders + 8) * n_t)))
+def _chunks(n_reps: int, n_traders: int, n_t: int, n_arms: int) -> list[tuple[int, int]]:
+    # ~10^7 floats a chunk: the (n_t, m, n) noise, which every arm shares, plus
+    # per arm about eight (n_t+1, m) arrays of per-step bookkeeping and its
+    # post-loop temporaries
+    per = max(1, int(10_000_000 // max(1, (n_traders + 8 * n_arms) * n_t)))
     return [(s, min(s + per, n_reps)) for s in range(0, n_reps, per)]
 
 
-def simulate(policy: Policy, cfg: SimConfig, grids: Grids, bounds: ControlBounds,
-             params: PoolParams, costs: CostSpec, law0: InitialLaw,
-             deviant_policy: Policy | None = None, seed: int | None = None) -> SimResult:
-    """Run cfg.n_reps independent markets of cfg.n_traders each."""
+def _venue(seq: PoolState, delta: np.ndarray, phi: float) -> PoolState:
+    """The sequential venue after a net per-capita flow ``delta`` per pool.
+
+    The fee is charged on the input side: the crowd's net sales (risky
+    inflows) go through execute_swap, its net purchases through buy_swap. A
+    leg that no pool takes is not called. When both run, each runs on the
+    whole batch with the other leg's amount zeroed: gathering and scattering
+    the two subsets costs more than the half of the formulas it would skip.
+    """
+    inflow = delta >= 0
+    if inflow.all():
+        return execute_swap(seq, delta, phi).new_state
+    if not inflow.any():
+        return buy_swap(seq, -delta, phi).new_state
+    sold = execute_swap(seq, np.where(inflow, delta, 0.0), phi).new_state
+    bought = buy_swap(seq, np.where(inflow, 0.0, -delta), phi).new_state
+    return PoolState(np.where(inflow, sold.x, bought.x), np.where(inflow, sold.y, bought.y))
+
+
+def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfig,
+                   grids: Grids, bounds: ControlBounds, params: PoolParams, costs: CostSpec,
+                   law0: InitialLaw, seed: int | None) -> tuple[SimResult, np.ndarray]:
+    """One pass over the replications for several arms that differ only in trader 1.
+
+    Trader 1 follows trader1_policies[j] in arm j; the other n-1 traders follow
+    ``policy`` in every arm. Their inventories do not depend on the price, so
+    the crowd's draws, controls, inventories and running costs are computed
+    once and shared, while trader 1, the pool and the price carry an arm axis.
+    Returns arm 0's SimResult and trader 1's profits in every arm, (arms, n_reps).
+    """
     ok, _ = admissible(bounds, params.x0, grids.horizon)
     if not ok:
         raise AdmissibilityError("control bounds inadmissible: reserves could deplete")
     seed = grids.seed if seed is None else seed
     n, n_reps, n_t, dt, phi = cfg.n_traders, cfg.n_reps, grids.n_t, grids.dt, params.phi
+    n_arms = len(trader1_policies)
     t = grids.t_nodes()
     sqdt = np.sqrt(dt)
 
     profits = np.empty((n_reps, n))
-    mean_control = np.zeros(n_t + 1)
+    trader1 = np.empty((n_arms, n_reps))
+    step_means = np.empty((n_t, n_reps))  # arm 0's mean control, per step and replication
     mode_gap = 0.0
     k_min_inc = np.inf
     floored = 0
 
-    for lo, hi in _chunks(n_reps, n, n_t):
+    for lo, hi in _chunks(n_reps, n, n_t, n_arms):
         m = hi - lo
-        xs = np.empty((m, n))
-        xi = np.empty((m, n, n_t))
-        xi0 = np.empty((m, n_t))
+        x_start = np.empty((m, n))
+        noise = np.empty((n_t, m, n))  # step-major, so each step reads one block
+        xi0 = np.empty((n_t, m))
         for r in range(lo, hi):
             rng = substream(seed, "sim", r)
-            xs[r - lo] = law0.sample(n, rng)
-            xi[r - lo] = rng.standard_normal((n, n_t))
-            xi0[r - lo] = rng.standard_normal(n_t)
+            x_start[r - lo] = law0.sample(n, rng)
+            noise[:, r - lo] = rng.standard_normal((n, n_t)).T
+            xi0[:, r - lo] = rng.standard_normal(n_t)
+        noise *= params.sigma * sqdt
 
-        ys = np.zeros((m, n))
-        hcost = np.zeros((m, n))
-        seq = PoolState(np.full(m, params.x0), np.full(m, params.y0))
+        # the crowd (traders 2..n) once; trader 1 per arm
+        xc, x1 = x_start[:, 1:].copy(), np.tile(x_start[:, 0], (n_arms, 1))
+        yc, hc = np.zeros((2, m, n - 1))
+        y1, h1 = np.zeros((2, n_arms, m))
+        a = np.empty((n_arms, m, n))
+        seq = PoolState(np.full((n_arms, m), params.x0), np.full((n_arms, m), params.y0))
         w0 = np.zeros(m)
-        # per step (rows) and replication: per-capita cumulative flow, the
+        # per step (rows), arm and replication: per-capita cumulative flow, the
         # sequential pool's price and invariant, the traded price before the floor
-        flow, p_seq, k_seq, raw = np.zeros((4, n_t + 1, m))
+        flow, p_seq, k_seq, raw = np.zeros((4, n_t + 1, n_arms, m))
 
         for k in range(n_t + 1):
             p_seq[k], k_seq[k] = spot_price(seq), seq.k
@@ -132,31 +167,34 @@ def simulate(policy: Policy, cfg: SimConfig, grids: Grids, bounds: ControlBounds
             if k == n_t:
                 break
 
-            a = policy.control_at(k, xs)
-            if deviant_policy is not None:
-                a[:, 0] = deviant_policy.control_at(k, xs[:, 0])
-            m_k = a.mean(axis=1)
-            mean_control[k] += m_k.sum()
+            crowd = policy.control_at(k, xc)
+            a[:, :, 1:] = crowd
+            for j, own in enumerate(trader1_policies):
+                a[j, :, 0] = own.control_at(k, x1[j])
+            a1 = a[:, :, 0]
+            # each arm's mean runs over its full (m, n) row, as a one-arm run would
+            m_k = a.mean(axis=2)
+            step_means[k, lo:hi] = m_k[0]
 
             fill = bid_ask_mid(price, phi)[2] if cfg.use_mid_price else price
-            ys -= a * fill[:, None] * dt
-            hcost += costs.h(t[k], xs) * dt
-            xs = xs + a * dt + params.sigma * sqdt * xi[:, :, k]
+            yc -= crowd * fill[0][:, None] * dt
+            y1 -= a1 * fill * dt
+            hc += costs.h(t[k], xc) * dt
+            h1 += costs.h(t[k], x1) * dt
+            xc += crowd * dt
+            xc += noise[k, :, 1:]
+            x1 += a1 * dt
+            x1 += noise[k, :, 0]
 
-            # the step's net per-capita flow meets a venue that charges the fee
-            # on the input side: the crowd's net sales (risky inflows) go
-            # through execute_swap, its net purchases through buy_swap
-            delta = -m_k * dt
-            inflow = delta >= 0
-            sold = execute_swap(seq, np.where(inflow, delta, 0.0), phi).new_state
-            bought = buy_swap(seq, np.where(inflow, 0.0, -delta), phi).new_state
-            seq = PoolState(np.where(inflow, sold.x, bought.x),
-                            np.where(inflow, sold.y, bought.y))
+            seq = _venue(seq, -m_k * dt, phi)
             flow[k + 1] = flow[k] + m_k * dt
-            w0 = w0 + sqdt * xi0[:, k]
+            w0 = w0 + sqdt * xi0[k]
 
-        profits[lo:hi] = ys + xs * price[:, None] - hcost - costs.l(xs)
-        mean_control[n_t] += m_k.sum()  # repeat last interval's controls
+        profits[lo:hi, 1:] = yc + xc * price[0][:, None] - hc - costs.l(xc)
+        trader1[:, lo:hi] = y1 + x1 * price - h1 - costs.l(x1)
+        profits[lo:hi, 0] = trader1[0, lo:hi]
+        # the statistics SimResult reports are arm 0's
+        flow, p_seq, k_seq, raw = flow[:, 0], p_seq[:, 0], k_seq[:, 0], raw[:, 0]
         p_agg = price_after_aggregate(params, -flow)
         mode_gap = max(mode_gap, float(np.max(np.abs(p_agg - p_seq))))
         k_min_inc = min(k_min_inc, float(np.min(np.diff(k_seq, axis=0))))
@@ -165,16 +203,28 @@ def simulate(policy: Policy, cfg: SimConfig, grids: Grids, bounds: ControlBounds
             raw0, p_agg0, p_seq0, k_seq0, flow0 = (
                 v[:, 0].copy() for v in (raw, p_agg, p_seq, k_seq, flow))
 
-    if not np.all(np.isfinite(profits)):
+    if not (np.all(np.isfinite(profits)) and np.all(np.isfinite(trader1))):
         raise NumericalError("non-finite trader profits")
-    mean_control /= n_reps
+    # one reduction over every replication, so chunk boundaries leave no trace;
+    # the terminal node repeats the last interval's controls
+    mean_control = step_means.mean(axis=1)
+    mean_control = np.append(mean_control, mean_control[-1])
     return SimResult(
         profits=profits, mean_control=mean_control,
         price_path=np.maximum(raw0, cfg.p_min), price_aggregate=p_agg0,
         price_sequential=p_seq0, k_path_sequential=k_seq0,
         k_path_aggregate=execute_swap(params.initial_state(), -flow0, phi).new_state.k,
         mode_discrepancy=mode_gap, k_min_increment=k_min_inc, floored_steps=floored,
-    )
+    ), trader1
+
+
+def simulate(policy: Policy, cfg: SimConfig, grids: Grids, bounds: ControlBounds,
+             params: PoolParams, costs: CostSpec, law0: InitialLaw,
+             deviant_policy: Policy | None = None, seed: int | None = None) -> SimResult:
+    """Run cfg.n_reps independent markets of cfg.n_traders each."""
+    own = policy if deviant_policy is None else deviant_policy
+    return _simulate_arms(policy, [own], cfg, grids, bounds, params, costs, law0,
+                          seed)[0]
 
 
 @dataclass(frozen=True)
@@ -194,11 +244,9 @@ def deviation_gain(policy: Policy, deviant_policy: Policy, cfg: SimConfig, grids
     Both arms replay identical noise per replication; a deviant equal to the
     conformist policy therefore yields exactly zero gain.
     """
-    dev = simulate(policy, cfg, grids, bounds, params, costs, law0,
-                   deviant_policy=deviant_policy, seed=seed)
-    conf = simulate(policy, cfg, grids, bounds, params, costs, law0,
-                    deviant_policy=None, seed=seed)
-    gains = dev.profits[:, 0] - conf.profits[:, 0]
+    _, trader1 = _simulate_arms(policy, [deviant_policy, policy], cfg, grids, bounds, params,
+                                costs, law0, seed)
+    gains = trader1[0] - trader1[1]
     mean, se = float(gains.mean()), _stderr(gains)
     return DeviationGain(gain=mean, stderr=se, ci_low=mean - 1.96 * se,
                          ci_high=mean + 1.96 * se, n_reps=gains.size)

@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ammfg import nplayer
 from ammfg.errors import AdmissibilityError, DomainError
 from ammfg.grids import ControlBounds, Grids, InitialLaw, make_path
-from ammfg.nplayer import (DeviationGain, SimConfig, deviation_gain,
-                           impact_aware_reward, simulate)
-from ammfg.pool import (PoolParams, buy_swap, execute_swap, price_after_aggregate,
-                        spot_price)
+from ammfg.nplayer import (PRICE_MODES, DeviationGain, SimConfig, SimResult,
+                           deviation_gain, impact_aware_reward, simulate)
+from ammfg.pool import (PoolParams, bid_ask_mid, buy_swap, execute_swap,
+                        price_after_aggregate, spot_price)
 from ammfg.rewards import RewardKind, Variant, quadratic_costs
-from ammfg.solver import Policy, constant_policy
+from ammfg.solver import Policy, constant_policy, solve_hjb
+from ammfg.streams import substream
 
 BOUNDS = ControlBounds(0.0, 0.5)
 COSTS = quadratic_costs(0.5, 0.5, 1.0)
@@ -235,3 +239,158 @@ def test_impact_aware_reward_golden():
     assert float(f_inf(0.5, 1.2, 0.25, path)) == pytest.approx(mf, rel=1e-8)
     out = f2(0.5, np.array([1.2, -0.4]), np.array([0.25, 0.0]), path)
     assert np.asarray(out).shape == (2,)
+
+
+GRIDS = Grids(horizon=1.0, n_t=20, x_min=-3.0, x_max=3.0, n_x=61, n_a=11,
+              n_particles=100, n_quad=5, seed=101)
+PARAMS = PoolParams(100.0, 1e6, 0.997, sigma=0.5)
+LAW = InitialLaw(0.0, 1.0)
+
+
+def _best_response(grids, params):
+    """The solver's best response to a constant crowd: a policy with switch cells."""
+    path = make_path(np.full(grids.n_t + 1, 0.2), grids, BOUNDS, params.x0)
+    return solve_hjb(path, RewardKind(Variant.ORIGINAL), grids, BOUNDS, params, COSTS)
+
+
+def _smooth_policy(grids, level=0.23, bounds=BOUNDS):
+    """Controls that vary continuously in t and x, so sums of them round.
+
+    A bang-bang policy's controls are sums of 0 and 0.5, which are exact in
+    any order and would hide a change in the order of the crowd's mean.
+    """
+    x, t = grids.x_nodes(), grids.t_nodes()
+    rows = level - 0.07 * x[None, :] + 0.1 * t[:-1, None]
+    return Policy(t_nodes=t, x_nodes=x, controls=np.clip(rows, bounds.a_min, bounds.a_max))
+
+
+def _chunked(monkeypatch, size):
+    monkeypatch.setattr(nplayer, "_chunks", lambda n_reps, *_: [
+        (s, min(s + size, n_reps)) for s in range(0, n_reps, size)])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("price_mode", PRICE_MODES)
+def test_results_do_not_depend_on_chunking(monkeypatch, price_mode):
+    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
+    cfg = SimConfig(n_traders=5, n_reps=9, price_mode=price_mode)
+    runs = []
+    for size in (9, 4, 1):
+        _chunked(monkeypatch, size)
+        runs.append(simulate(crowd, cfg, GRIDS, BOUNDS, PARAMS, COSTS, LAW,
+                             deviant_policy=dev, seed=13))
+    for other in runs[1:]:
+        for field in dataclasses.fields(SimResult):
+            assert _same_bits(getattr(runs[0], field.name), getattr(other, field.name)), field.name
+
+
+def _replication_loop(policy, deviant, cfg, grids, params, seed):
+    """Profits and mean control from a plain loop over replications.
+
+    The reference for the vectorised simulator: the same draws and the same
+    per-trader arithmetic, one market at a time, with scalar pool calls and
+    no chunks or arms.
+    """
+    n, n_t, dt, phi = cfg.n_traders, grids.n_t, grids.dt, params.phi
+    t, sqdt = grids.t_nodes(), np.sqrt(dt)
+    profits, step_means = np.empty((cfg.n_reps, n)), np.empty((n_t, cfg.n_reps))
+    for r in range(cfg.n_reps):
+        rng = substream(seed, "sim", r)
+        xs = LAW.sample(n, rng)
+        xi, xi0 = rng.standard_normal((n, n_t)), rng.standard_normal(n_t)
+        ys, hcost = np.zeros(n), np.zeros(n)
+        seq, flow, w0 = params.initial_state(), 0.0, 0.0
+        for k in range(n_t + 1):
+            base = (price_after_aggregate(params, -flow) if cfg.price_mode == "aggregate"
+                    else spot_price(seq))
+            price = max(base + params.sigma0 * w0, cfg.p_min)
+            if k == n_t:
+                break
+            a = policy.control_at(k, xs)
+            if deviant is not None:
+                a[0] = deviant.control_at(k, xs[:1])[0]
+            fill = bid_ask_mid(price, phi)[2] if cfg.use_mid_price else price
+            ys -= a * fill * dt
+            hcost += COSTS.h(t[k], xs) * dt
+            xs = xs + a * dt + params.sigma * sqdt * xi[:, k]
+            step_means[k, r] = a.mean()
+            delta = -step_means[k, r] * dt
+            swap = (execute_swap(seq, delta, phi) if delta >= 0
+                    else buy_swap(seq, -delta, phi))
+            seq, flow, w0 = swap.new_state, flow - delta, w0 + sqdt * xi0[k]
+        profits[r] = ys + xs * price - hcost - COSTS.l(xs)
+    mean_control = step_means.mean(axis=1)
+    return profits, np.append(mean_control, mean_control[-1])
+
+
+@pytest.mark.parametrize("price_mode", PRICE_MODES)
+@pytest.mark.parametrize("use_mid_price", [True, False])
+def test_simulate_matches_replication_loop(price_mode, use_mid_price):
+    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
+    # a crowd that sells when long: within one step some pools take the
+    # execute_swap leg and others the buy_swap leg
+    wide = ControlBounds(-0.5, 0.5)
+    mixed = _smooth_policy(GRIDS, level=-0.05, bounds=wide)
+    params = dataclasses.replace(PARAMS, sigma0=2.0)
+    cfg = SimConfig(n_traders=12, n_reps=5, price_mode=price_mode,
+                    use_mid_price=use_mid_price)
+    for policy, deviant, bounds in ((crowd, None, BOUNDS), (crowd, dev, BOUNDS),
+                                    (dev, crowd, BOUNDS), (mixed, None, wide)):
+        res = simulate(policy, cfg, GRIDS, bounds, params, COSTS, LAW,
+                       deviant_policy=deviant, seed=19)
+        profits, mean_control = _replication_loop(policy, deviant, cfg, GRIDS, params, 19)
+        assert _same_bits(res.profits, profits)
+        assert _same_bits(res.mean_control, mean_control)
+
+
+FUSED_CASES = {
+    "aggregate": {},
+    "aggregate-fill-at-price": dict(use_mid_price=False),
+    "sequential": dict(price_mode="sequential"),
+    "sequential-fill-at-price": dict(price_mode="sequential", use_mid_price=False),
+    "price-floor": dict(sigma0=300.0, p_min=50.0),
+    "several-chunks": dict(chunk=3),
+    "n_traders=1": dict(n_traders=1),
+    "n_t=1": dict(n_t=1),
+    "sigma=0": dict(sigma=0.0),
+    "phi=1": dict(phi=1.0),
+    "n_a=1": dict(n_a=1),
+}
+
+
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_deviation_gain_equals_two_pass_reference(monkeypatch, case):
+    # one pass that draws each replication once must give the paired
+    # difference of two separate simulate runs, bit for bit
+    spec = dict(FUSED_CASES[case])
+    if "chunk" in spec:
+        _chunked(monkeypatch, spec.pop("chunk"))
+    split = {cls: {k: spec.pop(k) for k in list(spec) if k in cls.__dataclass_fields__}
+             for cls in (Grids, PoolParams)}
+    grids = dataclasses.replace(GRIDS, **split[Grids])
+    params = dataclasses.replace(PARAMS, **split[PoolParams])
+    cfg = SimConfig(**{"n_traders": 4, "n_reps": 9, **spec})
+    crowd, dev = _smooth_policy(grids), _best_response(grids, params)
+    args = (cfg, grids, BOUNDS, params, COSTS, LAW)
+
+    with_dev = simulate(crowd, *args, deviant_policy=dev, seed=17)
+    ref = with_dev.profits[:, 0] - simulate(crowd, *args, seed=17).profits[:, 0]
+    draws = []
+
+    def counting(*key):
+        draws.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(nplayer, "substream", counting)
+    out = deviation_gain(crowd, dev, *args, seed=17)
+
+    assert len(draws) == cfg.n_reps
+    assert _same_bits(out.gain, float(ref.mean()))
+    assert _same_bits(out.stderr, float(ref.std(ddof=1) / np.sqrt(ref.size)))
+    assert out.stderr > 0
+    if case == "price-floor":
+        assert with_dev.floored_steps > 0
