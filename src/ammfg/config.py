@@ -84,6 +84,7 @@ _SECTIONS: dict[str, tuple[str, ...]] = {
 }
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_SECTION_OF = {key: sec for sec, keys in _SECTIONS.items() for key in keys}
 
 
 def _coerce(name: str, raw: str):
@@ -102,15 +103,8 @@ def _coerce(name: str, raw: str):
     return raw
 
 
-def _field_section(name: str) -> str:
-    for sec, keys in _SECTIONS.items():
-        if name in keys:
-            return sec
-    raise KeyError(name)
-
-
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
-    """Defaults, then the INI file, then key=value overrides (section.key=v)."""
+    """Defaults, then the INI file, then key=value overrides (key or its section.key)."""
     cfg = RunConfig()
     problems: list[str] = []
     if path is not None:
@@ -135,9 +129,12 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
             problems.append(f"override {item!r} is not key=value")
             continue
         dotted, raw = item.split("=", 1)
-        key = dotted.split(".")[-1].strip()
-        if key not in _FIELD_TYPES:
+        section, _, key = (part.strip() for part in dotted.rpartition("."))
+        if key not in _SECTION_OF:
             problems.append(f"unknown override key {dotted!r}")
+            continue
+        if section not in ("", _SECTION_OF[key]):
+            problems.append(f"override {dotted!r}: {key} belongs to [{_SECTION_OF[key]}]")
             continue
         try:
             setattr(cfg, key, _coerce(key, raw))

@@ -81,11 +81,10 @@ class SimResult:
     floored_steps: int               # price-floor activations, traded mode
 
 
-def _chunks(n_reps: int, n_traders: int, n_t: int, n_arms: int) -> list[tuple[int, int]]:
-    # ~10^7 floats a chunk: the (n_t, m, n) noise, which every arm shares, plus
-    # per arm about eight (n_t+1, m) arrays of per-step bookkeeping and its
-    # post-loop temporaries
-    per = max(1, int(10_000_000 // max(1, (n_traders + 8 * n_arms) * n_t)))
+def _chunks(n_reps: int, n_traders: int, n_t: int) -> list[tuple[int, int]]:
+    # ~10^7 floats a chunk of the (n_t, m, n) noise, which every arm shares;
+    # the rest of a chunk's state holds one step, not a path
+    per = max(1, int(10_000_000 // max(1, n_traders * n_t)))
     return [(s, min(s + per, n_reps)) for s in range(0, n_reps, per)]
 
 
@@ -134,8 +133,9 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
     mode_gap = 0.0
     k_min_inc = np.inf
     floored = 0
+    first = np.empty((5, n_t + 1))  # replication 0: raw, p_agg, p_seq, k_seq, flow
 
-    for lo, hi in _chunks(n_reps, n, n_t, n_arms):
+    for lo, hi in _chunks(n_reps, n, n_t):
         m = hi - lo
         x_start = np.empty((m, n))
         noise = np.empty((n_t, m, n))  # step-major, so each step reads one block
@@ -153,17 +153,19 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
         y1, h1 = np.zeros((2, n_arms, m))
         a = np.empty((n_arms, m, n))
         seq = PoolState(np.full((n_arms, m), params.x0), np.full((n_arms, m), params.y0))
+        flow = np.zeros((n_arms, m))  # per-capita cumulative flow
         w0 = np.zeros(m)
-        # per step (rows), arm and replication: per-capita cumulative flow, the
-        # sequential pool's price and invariant, the traded price before the floor
-        flow, p_seq, k_seq, raw = np.zeros((4, n_t + 1, n_arms, m))
 
         for k in range(n_t + 1):
-            p_seq[k], k_seq[k] = spot_price(seq), seq.k
-            base = (price_after_aggregate(params, -flow[k]) if cfg.price_mode == "aggregate"
-                    else p_seq[k])
-            raw[k] = base + params.sigma0 * w0
-            price = np.maximum(raw[k], cfg.p_min)
+            p_seq, k_seq = spot_price(seq), seq.k
+            p_agg = price_after_aggregate(params, -flow)
+            raw = (p_agg if cfg.price_mode == "aggregate" else p_seq) + params.sigma0 * w0
+            price = np.maximum(raw, cfg.p_min)
+            # the statistics SimResult reports are arm 0's
+            mode_gap = max(mode_gap, float(np.max(np.abs(p_agg[0] - p_seq[0]))))
+            floored += int(np.sum(raw[0] < cfg.p_min))
+            if lo == 0:
+                first[:, k] = raw[0, 0], p_agg[0, 0], p_seq[0, 0], k_seq[0, 0], flow[0, 0]
             if k == n_t:
                 break
 
@@ -187,21 +189,13 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
             x1 += noise[k, :, 0]
 
             seq = _venue(seq, -m_k * dt, phi)
-            flow[k + 1] = flow[k] + m_k * dt
+            k_min_inc = min(k_min_inc, float(np.min(seq.k[0] - k_seq[0])))
+            flow += m_k * dt
             w0 = w0 + sqdt * xi0[k]
 
         profits[lo:hi, 1:] = yc + xc * price[0][:, None] - hc - costs.l(xc)
         trader1[:, lo:hi] = y1 + x1 * price - h1 - costs.l(x1)
         profits[lo:hi, 0] = trader1[0, lo:hi]
-        # the statistics SimResult reports are arm 0's
-        flow, p_seq, k_seq, raw = flow[:, 0], p_seq[:, 0], k_seq[:, 0], raw[:, 0]
-        p_agg = price_after_aggregate(params, -flow)
-        mode_gap = max(mode_gap, float(np.max(np.abs(p_agg - p_seq))))
-        k_min_inc = min(k_min_inc, float(np.min(np.diff(k_seq, axis=0))))
-        floored += int(np.sum(raw < cfg.p_min))
-        if lo == 0:  # the first replication's paths
-            raw0, p_agg0, p_seq0, k_seq0, flow0 = (
-                v[:, 0].copy() for v in (raw, p_agg, p_seq, k_seq, flow))
 
     if not (np.all(np.isfinite(profits)) and np.all(np.isfinite(trader1))):
         raise NumericalError("non-finite trader profits")
@@ -211,9 +205,9 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
     mean_control = np.append(mean_control, mean_control[-1])
     return SimResult(
         profits=profits, mean_control=mean_control,
-        price_path=np.maximum(raw0, cfg.p_min), price_aggregate=p_agg0,
-        price_sequential=p_seq0, k_path_sequential=k_seq0,
-        k_path_aggregate=execute_swap(params.initial_state(), -flow0, phi).new_state.k,
+        price_path=np.maximum(first[0], cfg.p_min), price_aggregate=first[1],
+        price_sequential=first[2], k_path_sequential=first[3],
+        k_path_aggregate=execute_swap(params.initial_state(), -first[4], phi).new_state.k,
         mode_discrepancy=mode_gap, k_min_increment=k_min_inc, floored_steps=floored,
     ), trader1
 

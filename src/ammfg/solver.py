@@ -34,6 +34,7 @@ from .streams import substream
 class Policy:
     """Feedback control table a*(t_k, x_j) with the value surface behind it.
 
+    x_nodes is a uniform grid of at least 2 nodes, read by index arithmetic.
     controls has shape (n_t, n_x): row k applies on [t_k, t_{k+1}). values
     has shape (n_t+1, n_x) with values[n_t] the terminal reward; it is None
     for hand-built policies that never went through the solver.
@@ -55,20 +56,24 @@ class Policy:
     values: np.ndarray | None = None
     switches: np.ndarray | None = None
 
+    def __post_init__(self):
+        _uniform_spacing(np.asarray(self.x_nodes, dtype=float))
+
     def control_at(self, k: int, x) -> np.ndarray:
         """Policy at step k, piecewise linear in x, clamped at the grid edges."""
-        if self.switches is None:
-            return np.interp(x, self.x_nodes, self.controls[k])
         nodes = self.x_nodes
         c = self.controls[k]
         u = (np.asarray(x, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
         u = np.clip(u, 0.0, len(nodes) - 1.0)
         j = np.minimum(u.astype(np.int64), len(nodes) - 2)
         frac = u - j
+        left, right = c[j], c[j + 1]
+        ramp = left * (1.0 - frac) + right * frac
+        if self.switches is None:
+            return ramp
+        # a NaN switch compares false, so only the isnan test routes to the ramp
         sw = self.switches[k][j]
-        ramp = c[j] * (1.0 - frac) + c[j + 1] * frac
-        sharp = np.where(frac < sw, c[j], c[j + 1])
-        return np.where(np.isnan(sw), ramp, sharp)
+        return np.where(frac < sw, left, np.where(np.isnan(sw), ramp, right))
 
     def value_at_start(self, x) -> np.ndarray:
         if self.values is None:
@@ -113,6 +118,8 @@ def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _uniform_spacing(nodes: np.ndarray) -> float:
+    if nodes.size < 2:
+        raise UsageError("state grid needs at least 2 nodes")
     d = np.diff(nodes)
     if not np.allclose(d, d[0], rtol=1e-9, atol=0):
         raise UsageError("state grid must be uniform")
@@ -127,7 +134,6 @@ class _InterpPlan:
         u = (np.clip(points, x_nodes[0], x_nodes[-1]) - x_nodes[0]) / dx
         self.idx = np.minimum(u.astype(np.int64), len(x_nodes) - 2)
         self.frac = u - self.idx
-        self.shape = points.shape
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return values[self.idx] * (1.0 - self.frac) + values[self.idx + 1] * self.frac
@@ -181,13 +187,12 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     # tie-break order: smallest |a| first, then smaller a; argmax picks the
     # first maximal entry, so scanning in this order implements the rule
     order = np.lexsort((a, np.abs(a)))
-    a_ord = a[order]
 
     z, w = _quad_nodes(grids.n_quad)
-    shift = dt * a_ord[None, :, None] + params.sigma * np.sqrt(dt) * z[None, None, :]
+    shift = dt * a[None, :, None] + params.sigma * np.sqrt(dt) * z[None, None, :]
     plan = _InterpPlan(x, x[:, None, None] + shift)
     reward_dt = dt * np.broadcast_to(
-        f(t[:, None, None], x[None, :, None], a_ord[None, None, :], path),
+        f(t[:, None, None], x[None, :, None], a[None, None, :], path),
         (grids.n_t + 1, grids.n_x, grids.n_a))
 
     values = np.empty((grids.n_t + 1, grids.n_x))
@@ -199,10 +204,8 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     da = a[1] - a[0] if grids.n_a > 1 else 0.0
     for k in range(grids.n_t - 1, -1, -1):
         q = reward_dt[k] + (plan.apply(values[k + 1]) * w).sum(axis=2)
-        best = order[np.argmax(q, axis=1)]
-        q_nat = np.empty_like(q)
-        q_nat[:, order] = q
-        values[k] = q_nat[rows, best]
+        best = order[np.argmax(q[:, order], axis=1)]
+        values[k] = q[rows, best]
         controls[k] = a[best]
         # sub-grid vertex of the parabola through the argmax and its
         # neighbours; only at strict interior maxima, so exact ties and
@@ -213,8 +216,8 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
         # into a two-cycle above tolerance.
         interior = (best > 0) & (best < grids.n_a - 1)
         if da > 0 and np.any(interior):
-            lo = q_nat[rows, np.maximum(best - 1, 0)]
-            hi = q_nat[rows, np.minimum(best + 1, grids.n_a - 1)]
+            lo = q[rows, np.maximum(best - 1, 0)]
+            hi = q[rows, np.minimum(best + 1, grids.n_a - 1)]
             denom = 2.0 * values[k] - lo - hi
             strict = interior & (lo < values[k]) & (hi < values[k]) & (denom > 0)
             offset = np.where(strict, (hi - lo) / np.where(denom > 0, 2.0 * denom, 1.0), 0.0)
@@ -226,8 +229,8 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
         jump = (bl != br) & (np.abs(a[bl] - a[br]) > 1.5 * da)
         if np.any(jump):
             idx = cells[jump]
-            dl = q_nat[idx, bl[idx]] - q_nat[idx, br[idx]]
-            dr = q_nat[idx + 1, bl[idx]] - q_nat[idx + 1, br[idx]]
+            dl = q[idx, bl[idx]] - q[idx, br[idx]]
+            dr = q[idx + 1, bl[idx]] - q[idx + 1, br[idx]]
             span = dl - dr
             s = np.where(span > 0, dl / np.where(span > 0, span, 1.0), 0.5)
             switches[k, idx] = np.clip(s, 0.0, 1.0)

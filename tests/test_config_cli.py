@@ -70,6 +70,17 @@ def test_load_collects_every_problem(tmp_path):
     assert "pool.bogus" in joined
 
 
+def test_override_section_must_own_its_key(tmp_path, capsys):
+    # the section of a dotted override is checked, not dropped: pool.n_t
+    # would otherwise set grids.n_t
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.load_config(None, ["pool.n_t=5", "nonsense.phi=0.5"])
+    joined = "\n".join(exc.value.violations)
+    assert "n_t belongs to [grids]" in joined and "phi belongs to [pool]" in joined
+    assert run(["solve", "--set", "pool.n_t=5", "--out", str(tmp_path)]) == 1
+    assert "n_t belongs to [grids]" in capsys.readouterr().err
+
+
 def test_load_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         cfgmod.load_config("/nonexistent/run.ini")

@@ -253,14 +253,14 @@ def _best_response(grids, params):
     return solve_hjb(path, RewardKind(Variant.ORIGINAL), grids, BOUNDS, params, COSTS)
 
 
-def _smooth_policy(grids, level=0.23, bounds=BOUNDS):
+def _smooth_policy(grids, level=0.23, bounds=BOUNDS, trend=0.1):
     """Controls that vary continuously in t and x, so sums of them round.
 
     A bang-bang policy's controls are sums of 0 and 0.5, which are exact in
     any order and would hide a change in the order of the crowd's mean.
     """
     x, t = grids.x_nodes(), grids.t_nodes()
-    rows = level - 0.07 * x[None, :] + 0.1 * t[:-1, None]
+    rows = level - 0.07 * x[None, :] + trend * t[:-1, None]
     return Policy(t_nodes=t, x_nodes=x, controls=np.clip(rows, bounds.a_min, bounds.a_max))
 
 
@@ -289,7 +289,7 @@ def test_results_do_not_depend_on_chunking(monkeypatch, price_mode):
 
 
 def _replication_loop(policy, deviant, cfg, grids, params, seed):
-    """Profits and mean control from a plain loop over replications.
+    """Every SimResult field from a plain loop over replications, by name.
 
     The reference for the vectorised simulator: the same draws and the same
     per-trader arithmetic, one market at a time, with scalar pool calls and
@@ -298,6 +298,9 @@ def _replication_loop(policy, deviant, cfg, grids, params, seed):
     n, n_t, dt, phi = cfg.n_traders, grids.n_t, grids.dt, params.phi
     t, sqdt = grids.t_nodes(), np.sqrt(dt)
     profits, step_means = np.empty((cfg.n_reps, n)), np.empty((n_t, cfg.n_reps))
+    first = {name: [] for name in ("price_path", "price_aggregate", "price_sequential",
+                                   "k_path_aggregate", "k_path_sequential")}
+    gap, k_inc, floored = 0.0, np.inf, 0
     for r in range(cfg.n_reps):
         rng = substream(seed, "sim", r)
         xs = LAW.sample(n, rng)
@@ -305,9 +308,14 @@ def _replication_loop(policy, deviant, cfg, grids, params, seed):
         ys, hcost = np.zeros(n), np.zeros(n)
         seq, flow, w0 = params.initial_state(), 0.0, 0.0
         for k in range(n_t + 1):
-            base = (price_after_aggregate(params, -flow) if cfg.price_mode == "aggregate"
-                    else spot_price(seq))
-            price = max(base + params.sigma0 * w0, cfg.p_min)
+            p_agg, p_seq = price_after_aggregate(params, -flow), spot_price(seq)
+            raw = (p_agg if cfg.price_mode == "aggregate" else p_seq) + params.sigma0 * w0
+            price = max(raw, cfg.p_min)
+            gap, floored = max(gap, abs(p_agg - p_seq)), floored + int(raw < cfg.p_min)
+            if r == 0:
+                k_agg = execute_swap(params.initial_state(), -flow, phi).new_state.k
+                for name, v in zip(first, (price, p_agg, p_seq, k_agg, seq.k)):
+                    first[name].append(v)
             if k == n_t:
                 break
             a = policy.control_at(k, xs)
@@ -321,10 +329,13 @@ def _replication_loop(policy, deviant, cfg, grids, params, seed):
             delta = -step_means[k, r] * dt
             swap = (execute_swap(seq, delta, phi) if delta >= 0
                     else buy_swap(seq, -delta, phi))
+            k_inc = min(k_inc, float(swap.new_state.k - seq.k))
             seq, flow, w0 = swap.new_state, flow - delta, w0 + sqdt * xi0[k]
         profits[r] = ys + xs * price - hcost - COSTS.l(xs)
     mean_control = step_means.mean(axis=1)
-    return profits, np.append(mean_control, mean_control[-1])
+    return dict(profits=profits, mean_control=np.append(mean_control, mean_control[-1]),
+                mode_discrepancy=float(gap), k_min_increment=k_inc, floored_steps=floored,
+                **{name: np.array(v, dtype=float) for name, v in first.items()})
 
 
 @pytest.mark.parametrize("price_mode", PRICE_MODES)
@@ -335,16 +346,26 @@ def test_simulate_matches_replication_loop(price_mode, use_mid_price):
     # execute_swap leg and others the buy_swap leg
     wide = ControlBounds(-0.5, 0.5)
     mixed = _smooth_policy(GRIDS, level=-0.05, bounds=wide)
+    # a crowd that buys, then sells: the two price modes part most mid-horizon
+    round_trip = _smooth_policy(GRIDS, level=0.2, bounds=wide, trend=-0.4)
     params = dataclasses.replace(PARAMS, sigma0=2.0)
     cfg = SimConfig(n_traders=12, n_reps=5, price_mode=price_mode,
                     use_mid_price=use_mid_price)
-    for policy, deviant, bounds in ((crowd, None, BOUNDS), (crowd, dev, BOUNDS),
-                                    (dev, crowd, BOUNDS), (mixed, None, wide)):
-        res = simulate(policy, cfg, GRIDS, bounds, params, COSTS, LAW,
-                       deviant_policy=deviant, seed=19)
-        profits, mean_control = _replication_loop(policy, deviant, cfg, GRIDS, params, 19)
-        assert _same_bits(res.profits, profits)
-        assert _same_bits(res.mean_control, mean_control)
+    # common noise this loud pushes the traded price below p_min
+    floor = (dataclasses.replace(PARAMS, sigma0=300.0), dataclasses.replace(cfg, p_min=50.0))
+    for policy, deviant, bounds, prm, c in ((crowd, None, BOUNDS, params, cfg),
+                                            (crowd, dev, BOUNDS, params, cfg),
+                                            (dev, crowd, BOUNDS, params, cfg),
+                                            (mixed, None, wide, params, cfg),
+                                            (round_trip, None, wide, params, cfg),
+                                            (crowd, dev, BOUNDS, *floor)):
+        res = simulate(policy, c, GRIDS, bounds, prm, COSTS, LAW, deviant_policy=deviant,
+                       seed=19)
+        ref = _replication_loop(policy, deviant, c, GRIDS, prm, 19)
+        assert ref.keys() == {f.name for f in dataclasses.fields(SimResult)}
+        for name, want in ref.items():
+            assert _same_bits(getattr(res, name), want), name
+    assert res.floored_steps > 0
 
 
 FUSED_CASES = {

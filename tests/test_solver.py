@@ -133,6 +133,16 @@ def test_control_at_switch_semantics():
     np.testing.assert_allclose(plain.control_at(0, np.array([0.5])), [0.2])
 
 
+def test_policy_refuses_non_uniform_or_short_grids():
+    # control_at reads x_nodes by uniform index arithmetic
+    with pytest.raises(UsageError, match="uniform"):
+        Policy(t_nodes=np.array([0.0, 1.0]), x_nodes=np.array([0.0, 1.0, 3.0]),
+               controls=np.zeros((1, 3)))
+    with pytest.raises(UsageError, match="at least 2"):
+        Policy(t_nodes=np.array([0.0, 1.0]), x_nodes=np.array([0.0]),
+               controls=np.zeros((1, 1)))
+
+
 def test_value_at_start_requires_surface():
     pol = constant_policy(0.1, Grids(n_t=3, n_x=5), B)
     with pytest.raises(UsageError):
