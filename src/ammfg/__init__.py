@@ -11,16 +11,14 @@ mean field approximation takes over.
 """
 from .errors import (AdmissibilityError, ConfigError, DomainError, NumericalError,
                      ReserveDepletionError, UsageError)
-from .pool import (PHI_FLOOR, PoolParams, PoolState, SwapResult, bid_ask_mid, buy_swap,
-                   execute_swap, price_after_aggregate, spot_price, spread_factor)
+from .pool import (PoolParams, PoolState, bid_ask_mid, buy_swap, execute_swap,
+                   price_after_aggregate, spot_price, spread_factor)
 from .grids import (ControlBounds, Grids, InitialLaw, MeanControlPath, admissible,
                     make_path, zero_path)
-from .rewards import (BoundConstants, CostSpec, GrowthReport, RewardKind, Variant,
-                      bound_constant, check_cost_growth, check_growth_bound, d_factor,
-                      drift_kernel, gamma, lambda_lower, lambda_orig, lambda_upper,
-                      quadratic_costs, reward, terminal_reward)
-from .solver import (LawFlow, Policy, ValueReport, constant_policy, evaluate,
-                     girsanov_evaluate, propagate, solve_hjb)
+from .rewards import (CostSpec, RewardKind, Variant, bound_constant, check_cost_growth,
+                      check_growth_bound, quadratic_costs, reward, terminal_reward)
+from .solver import (Policy, ValueReport, constant_policy, evaluate, girsanov_evaluate,
+                     propagate, solve_hjb)
 from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .certify import (SWEEP_COLUMNS, EpsilonNashCertificate, SandwichReport,
                       epsilon_nash_certificate, phi_sweep, sandwich_report)
@@ -33,16 +31,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityError", "ConfigError", "DomainError", "NumericalError",
     "ReserveDepletionError", "UsageError",
-    "PHI_FLOOR", "PoolParams", "PoolState", "SwapResult", "bid_ask_mid", "buy_swap",
-    "execute_swap", "price_after_aggregate", "spot_price", "spread_factor",
+    "PoolParams", "PoolState", "bid_ask_mid", "buy_swap", "execute_swap",
+    "price_after_aggregate", "spot_price", "spread_factor",
     "ControlBounds", "Grids", "InitialLaw", "MeanControlPath", "admissible",
     "make_path", "zero_path",
-    "BoundConstants", "CostSpec", "GrowthReport", "RewardKind", "Variant",
-    "bound_constant", "check_cost_growth", "check_growth_bound", "d_factor",
-    "drift_kernel", "gamma", "lambda_lower", "lambda_orig", "lambda_upper",
-    "quadratic_costs", "reward", "terminal_reward",
-    "LawFlow", "Policy", "ValueReport", "constant_policy", "evaluate",
-    "girsanov_evaluate", "propagate", "solve_hjb",
+    "CostSpec", "RewardKind", "Variant", "bound_constant", "check_cost_growth",
+    "check_growth_bound", "quadratic_costs", "reward", "terminal_reward",
+    "Policy", "ValueReport", "constant_policy", "evaluate", "girsanov_evaluate",
+    "propagate", "solve_hjb",
     "EquilibriumResult", "FixedPointConfig", "solve_mfg",
     "SWEEP_COLUMNS", "EpsilonNashCertificate", "SandwichReport",
     "epsilon_nash_certificate", "phi_sweep", "sandwich_report",

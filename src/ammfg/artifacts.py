@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .certify import SWEEP_COLUMNS, SandwichReport
+from .certify import SWEEP_COLUMNS
 from .fixed_point import EquilibriumResult
 from .grids import MeanControlPath
 from .solver import Policy
@@ -39,12 +39,16 @@ def _open_csv(path: str, cfg_hash: str, seed: int):
     return fh
 
 
-def write_json(doc: dict, path: str, cfg_hash: str, seed: int) -> None:
+def write_json(doc: dict, out_dir: str, name: str, cfg_hash: str, seed: int) -> str:
+    """Write ``doc`` as out_dir/name with the stamp keys; returns the file path."""
+    os.makedirs(out_dir, exist_ok=True)
     payload = {"config_hash": cfg_hash, "seed": int(seed)}
     payload.update(_jsonable(doc))
-    with open(path, "w") as fh:
+    p = os.path.join(out_dir, name)
+    with open(p, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return p
 
 
 def write_path_csv(path_obj: MeanControlPath, path: str, cfg_hash: str, seed: int) -> None:
@@ -78,34 +82,19 @@ def equilibrium_summary(result: EquilibriumResult) -> dict:
         "value_stderr": float(result.value.stderr),
         "n_paths": int(result.value.n_paths),
         "bias_budget": float(result.value.bias_budget),
-        "exit_fraction": float(result.flow.exit_fraction),
+        "exit_fraction": float(result.exit_fraction),
     }
 
 
 def write_equilibrium(result: EquilibriumResult, out_dir: str, cfg_hash: str,
                       seed: int) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    p = os.path.join(out_dir, "equilibrium.csv")
-    write_path_csv(result.path, p, cfg_hash, seed)
-    paths.append(p)
-    p = os.path.join(out_dir, "policy.csv")
-    write_policy_csv(result.policy, p, cfg_hash, seed)
-    paths.append(p)
-    p = os.path.join(out_dir, "equilibrium.json")
-    write_json(equilibrium_summary(result), p, cfg_hash, seed)
-    paths.append(p)
-    return paths
-
-
-def write_sandwich(report: SandwichReport, certificate: dict | None, out_dir: str,
-                   cfg_hash: str, seed: int) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    doc = report.to_dict()
-    doc["certificate"] = certificate
-    p = os.path.join(out_dir, "sandwich.json")
-    write_json(doc, p, cfg_hash, seed)
-    return p
+    path_csv = os.path.join(out_dir, "equilibrium.csv")
+    policy_csv = os.path.join(out_dir, "policy.csv")
+    write_path_csv(result.path, path_csv, cfg_hash, seed)
+    write_policy_csv(result.policy, policy_csv, cfg_hash, seed)
+    return [path_csv, policy_csv, write_json(equilibrium_summary(result), out_dir,
+                                             "equilibrium.json", cfg_hash, seed)]
 
 
 def write_sweep(rows: Iterable[dict], out_dir: str, cfg_hash: str, seed: int) -> str:
@@ -129,18 +118,4 @@ def write_sweep(rows: Iterable[dict], out_dir: str, cfg_hash: str, seed: int) ->
                 else:
                     out.append(val)
             writer.writerow(out)
-    return p
-
-
-def write_sim_summary(doc: dict, out_dir: str, cfg_hash: str, seed: int) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    p = os.path.join(out_dir, "sim_summary.json")
-    write_json(doc, p, cfg_hash, seed)
-    return p
-
-
-def write_check_report(doc: dict, out_dir: str, cfg_hash: str, seed: int) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    p = os.path.join(out_dir, "check_report.json")
-    write_json(doc, p, cfg_hash, seed)
     return p

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[cfgmod.RunConfig, str, int, str, int]:
+def _load(args) -> tuple[cfgmod.RunConfig, str, str]:
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"grids.seed={args.seed}")
@@ -83,14 +83,14 @@ def _load(args) -> tuple[cfgmod.RunConfig, str, int, str, int]:
         overrides.append(f"run.workers={args.workers}")
     if getattr(args, "kind", None):
         overrides.append(f"reward.kind={args.kind}")
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         overrides.append(f"sim.n_traders={args.n}")
-    if getattr(args, "reps", None):
+    if getattr(args, "reps", None) is not None:
         overrides.append(f"sim.n_reps={args.reps}")
     cfg = cfgmod.load_config(args.config, overrides)
     cfgmod.validate(cfg)
     out_dir = args.out or os.environ.get("AMMFG_OUT") or cfg.out_dir
-    return cfg, cfgmod.config_hash(cfg), cfg.seed, out_dir, cfg.workers
+    return cfg, cfgmod.config_hash(cfg), out_dir
 
 
 def _bundle(cfg):
@@ -100,11 +100,11 @@ def _bundle(cfg):
 
 
 def _cmd_solve(args) -> int:
-    cfg, h, seed, out_dir, _ = _load(args)
+    cfg, h, out_dir = _load(args)
     b = _bundle(cfg)
     result = solve_mfg(cfgmod.reward_kind(cfg), fp=cfgmod.fixed_point_config(cfg),
-                       seed=seed, **b)
-    files = artifacts.write_equilibrium(result, out_dir, h, seed)
+                       seed=cfg.seed, **b)
+    files = artifacts.write_equilibrium(result, out_dir, h, cfg.seed)
     for f in files:
         print(f)
     if not result.converged:
@@ -115,14 +115,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sandwich(args) -> int:
-    cfg, h, seed, out_dir, _ = _load(args)
+    cfg, h, out_dir = _load(args)
     b = _bundle(cfg)
     report = sandwich_report(fp=cfgmod.fixed_point_config(cfg), young_eps=cfg.young_eps,
-                             denom_exp=cfg.denom_exp, seed=seed, **b)
-    cert = None
+                             denom_exp=cfg.denom_exp, seed=cfg.seed, **b)
+    doc = report.to_dict()
+    doc["certificate"] = None
     if report.converged_f1 and report.converged_f2:
-        cert = epsilon_nash_certificate(report).to_dict()
-    print(artifacts.write_sandwich(report, cert, out_dir, h, seed))
+        doc["certificate"] = epsilon_nash_certificate(report).to_dict()
+    print(artifacts.write_json(doc, out_dir, "sandwich.json", h, cfg.seed))
     if not (report.converged_f1 and report.converged_f2 and report.converged_f is not False):
         print("one or more equilibrium runs did not converge; sandwich is partial",
               file=sys.stderr)
@@ -131,7 +132,7 @@ def _cmd_sandwich(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, h, seed, out_dir, workers = _load(args)
+    cfg, h, out_dir = _load(args)
     try:
         phis = [float(tok) for tok in args.phis.split(",") if tok.strip()]
     except ValueError as exc:
@@ -140,8 +141,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--phis: need at least one value")
     b = _bundle(cfg)
     rows = phi_sweep(phis, fp=cfgmod.fixed_point_config(cfg), young_eps=cfg.young_eps,
-                     denom_exp=cfg.denom_exp, seed=seed, workers=workers, **b)
-    print(artifacts.write_sweep(rows, out_dir, h, seed))
+                     denom_exp=cfg.denom_exp, seed=cfg.seed, workers=cfg.workers, **b)
+    print(artifacts.write_sweep(rows, out_dir, h, cfg.seed))
     failed = [r for r in rows if r.get("error")]
     if failed:
         for r in failed:
@@ -153,11 +154,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg, h, seed, out_dir, _ = _load(args)
+    cfg, h, out_dir = _load(args)
     b = _bundle(cfg)
     eq = solve_mfg(cfgmod.reward_kind(cfg), fp=cfgmod.fixed_point_config(cfg),
-                   seed=seed, **b)
-    sim = simulate(eq.policy, cfgmod.sim_config(cfg), seed=seed, **b)
+                   seed=cfg.seed, **b)
+    sim = simulate(eq.policy, cfgmod.sim_config(cfg), seed=cfg.seed, **b)
     profits = sim.profits.ravel()
     doc = {
         "n_traders": cfg.n_traders,
@@ -172,7 +173,7 @@ def _cmd_simulate(args) -> int:
         "floored_steps": sim.floored_steps,
         "equilibrium": artifacts.equilibrium_summary(eq),
     }
-    print(artifacts.write_sim_summary(doc, out_dir, h, seed))
+    print(artifacts.write_json(doc, out_dir, "sim_summary.json", h, cfg.seed))
     if not eq.converged:
         print("equilibrium run did not converge; simulated policy is approximate",
               file=sys.stderr)
@@ -254,8 +255,10 @@ def _audit_girsanov(cfg, b, seed) -> dict:
 
 
 def _cmd_check(args) -> int:
-    cfg, h, seed, out_dir, _ = _load(args)
-    b = _bundle(cfg)
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    cfg, h, out_dir = _load(args)
+    b, seed = _bundle(cfg), cfg.seed
     audits = [
         _audit_growth(cfg, b, args.samples, seed),
         _audit_ordering(cfg, b, args.samples, seed),
@@ -264,7 +267,7 @@ def _cmd_check(args) -> int:
     ]
     ok = all(a["pass"] for a in audits)
     doc = {"all_pass": ok, "audits": audits}
-    print(artifacts.write_check_report(doc, out_dir, h, seed))
+    print(artifacts.write_json(doc, out_dir, "check_report.json", h, seed))
     for a in audits:
         status = "pass" if a["pass"] else "FAIL"
         print(f"{a['property']}: {status} (max slack {a['max_slack']:.3g})")

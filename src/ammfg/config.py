@@ -13,6 +13,7 @@ import configparser
 import dataclasses
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, ConfigError, DomainError, UsageError
@@ -99,7 +100,10 @@ def _coerce(name: str, raw: str):
     if ftype == "int":
         return int(raw)
     if ftype == "float":
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: expected a finite number, got {raw!r}")
+        return value
     return raw
 
 

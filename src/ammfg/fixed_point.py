@@ -20,7 +20,7 @@ from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path,
 from .errors import DomainError, UsageError
 from .pool import PoolParams
 from .rewards import CostSpec, RewardKind
-from .solver import LawFlow, Policy, ValueReport, evaluate, propagate, solve_hjb
+from .solver import Policy, ValueReport, evaluate, propagate, solve_hjb
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,13 @@ class FixedPointConfig:
 
 @dataclass
 class EquilibriumResult:
+    """The last Picard iterate with the best response to it.
+
+    residuals holds one sup-distance per Picard iteration (iterations is its
+    length); post_residual is the certification round's damped distance, and
+    exit_fraction the share of that round's particles that hit the grid edges.
+    """
+
     kind: RewardKind
     path: MeanControlPath
     policy: Policy
@@ -51,7 +58,7 @@ class EquilibriumResult:
     converged: bool = False
     iterations: int = 0
     post_residual: float = float("nan")
-    flow: LawFlow | None = None
+    exit_fraction: float = 0.0
 
 
 def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: PoolParams,
@@ -74,8 +81,6 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
         path = init
 
     residuals: list[float] = []
-    hit_tol = False
-    iterations = 0
     for _ in range(fp.max_iters):
         policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
         induced, _ = propagate(policy, grids, bounds, params, law0, seed=seed)
@@ -84,18 +89,18 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
         res = path.sup_distance(nxt)
         residuals.append(res)
         path = nxt
-        iterations += 1
         if res <= fp.tol:
-            hit_tol = True
             break
 
     # certification round: best response to the final iterate, and one more
     # pass through the map to confirm the iterate is actually stationary
     policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
-    induced, flow = propagate(policy, grids, bounds, params, law0, seed=seed)
+    induced, exit_fraction = propagate(policy, grids, bounds, params, law0, seed=seed)
     post = fp.damping * path.sup_distance(induced)
     value = evaluate(policy, path, kind, grids, bounds, params, costs, law0,
                      seed=seed, reward_fn=reward_fn)
     return EquilibriumResult(kind=kind, path=path, policy=policy, value=value,
-                             residuals=residuals, converged=hit_tol and post <= fp.tol,
-                             iterations=iterations, post_residual=post, flow=flow)
+                             residuals=residuals,
+                             converged=residuals[-1] <= fp.tol and post <= fp.tol,
+                             iterations=len(residuals), post_residual=post,
+                             exit_fraction=exit_fraction)

@@ -8,7 +8,8 @@ argmax ties break toward the control of smallest magnitude, then toward the
 smaller value.
 
 propagate pushes a particle ensemble forward under the policy
-(Euler-Maruyama) and reads off the induced mean control path. evaluate is
+(Euler-Maruyama) and reads off the induced mean control path and the share
+of particles that hit the grid edges. evaluate is
 the matching strong-form Monte Carlo estimate of the policy's objective;
 girsanov_evaluate estimates the same number under the driftless measure,
 reweighting each path by the discrete Girsanov density. The two routes agree
@@ -74,24 +75,6 @@ class Policy:
         # a NaN switch compares false, so only the isnan test routes to the ramp
         sw = self.switches[k][j]
         return np.where(frac < sw, left, np.where(np.isnan(sw), ramp, right))
-
-    def value_at_start(self, x) -> np.ndarray:
-        if self.values is None:
-            raise UsageError("policy carries no value surface")
-        return np.interp(x, self.x_nodes, self.values[0])
-
-
-@dataclass(frozen=True)
-class LawFlow:
-    """Particle trajectories (n_t+1, n_particles) and the share that hit the grid edges."""
-
-    times: np.ndarray
-    particles: np.ndarray
-    exit_fraction: float = 0.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.particles)):
-            raise NumericalError("non-finite particle states")
 
 
 @dataclass(frozen=True)
@@ -241,37 +224,36 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
 
 
 def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolParams,
-              law0: InitialLaw, seed: int | None = None) -> tuple[MeanControlPath, LawFlow]:
-    """Euler-Maruyama ensemble under the policy; returns (induced mean path, flow).
+              law0: InitialLaw, seed: int | None = None) -> tuple[MeanControlPath, float]:
+    """Euler-Maruyama ensemble under the policy; returns (mean path, exit fraction).
 
     States clamp to the grid box (matching the solver's clamped continuation
-    reads); the fraction of particles ever clamped is reported and warns
-    above 1%. The mean path's last node repeats the final interval's mean so
-    the n_t+1-node trapezoid convention applies.
+    reads); the exit fraction is the share of particles ever clamped, and it
+    warns above 1%. The mean path's last node repeats the final interval's
+    mean so the n_t+1-node trapezoid convention applies.
     """
     seed = grids.seed if seed is None else seed
     n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
-    xs = law0.sample(n, substream(seed, "law0"))
+    xs = np.clip(law0.sample(n, substream(seed, "law0")), grids.x_min, grids.x_max)
     noise = substream(seed, "propagate").standard_normal((n_t, n))
-    particles = np.empty((n_t + 1, n))
-    particles[0] = np.clip(xs, grids.x_min, grids.x_max)
     m_hat = np.empty(n_t + 1)
     ever_out = np.zeros(n, dtype=bool)
     scale = params.sigma * np.sqrt(dt)
     for k in range(n_t):
-        a = policy.control_at(k, particles[k])
+        a = policy.control_at(k, xs)
         m_hat[k] = a.mean()
-        nxt = particles[k] + a * dt + scale * noise[k]
-        ever_out |= (nxt < grids.x_min) | (nxt > grids.x_max)
-        particles[k + 1] = np.clip(nxt, grids.x_min, grids.x_max)
+        xs = xs + a * dt + scale * noise[k]
+        ever_out |= (xs < grids.x_min) | (xs > grids.x_max)
+        np.clip(xs, grids.x_min, grids.x_max, out=xs)
+    # a clamped NaN stays NaN, so the final states show any non-finite step
+    if not np.all(np.isfinite(xs)):
+        raise NumericalError("non-finite particle states")
     m_hat[n_t] = m_hat[n_t - 1]
     exit_fraction = float(ever_out.mean())
     if exit_fraction > 0.01:
         warnings.warn(f"{exit_fraction:.1%} of particles hit the state-grid edges; "
                       "widen [x_min, x_max]", stacklevel=2)
-    path = make_path(m_hat, grids, bounds, params.x0)
-    flow = LawFlow(times=grids.t_nodes(), particles=particles, exit_fraction=exit_fraction)
-    return path, flow
+    return make_path(m_hat, grids, bounds, params.x0), exit_fraction
 
 
 def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Grids,

@@ -86,6 +86,25 @@ def test_load_missing_file():
         cfgmod.load_config("/nonexistent/run.ini")
 
 
+@pytest.mark.parametrize("section,key,raw", [
+    ("pool", "sigma", "nan"), ("pool", "k0", "inf"), ("pool", "sigma0", "inf"),
+    ("fixed_point", "tol", "nan"), ("sim", "p_min", "nan"),
+    ("reward", "young_eps", "nan"), ("law0", "law_mean", "nan"),
+    ("law0", "law_std", "inf"), ("grids", "x_max", "inf"),
+    ("costs", "running_cost", "nan"), ("costs", "c1", "-inf")])
+def test_non_finite_numbers_refused(section, key, raw, tmp_path, capsys):
+    # NaN passes every range rule (its comparisons are false): law_mean=nan
+    # used to end in an IndexError, tol=nan in max_iters Picard rounds
+    with pytest.raises(ConfigError, match=f"override {key}: {key}: expected a finite"):
+        cfgmod.load_config(None, [f"{key}={raw}"])
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=f"{section}.{key}: {key}: expected a finite"):
+        cfgmod.load_config(str(ini))
+    assert run(["solve", "--set", f"{section}.{key}={raw}", "--out", str(tmp_path)]) == 1
+    assert f"{key}: expected a finite number" in capsys.readouterr().err
+
+
 def test_validate_collects_every_violation():
     cfg = cfgmod.load_config(None, ["pool.x0=-1", "pool.phi=1.5",
                                     "grids.n_quad=2", "fixed_point.damping=0"])
@@ -249,6 +268,21 @@ def test_cli_workers_below_one_refused(small_ini, capsys):
         assert run(["sweep", "--phis", "0.9", "--config", small_ini, *flags]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "run.workers" in err
+
+
+def test_cli_count_flags_below_one_refused(small_ini, tmp_path, capsys):
+    # a 0 count is an override to validate, not an absent flag
+    out = tmp_path / "o"
+    for n, reps in (("0", "0"), ("-3", "-1")):
+        assert run(["simulate", "--config", small_ini, "--n", n, "--reps", reps,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "sim.n_traders" in err and "sim.n_reps" in err
+    for samples in ("0", "-5"):
+        assert run(["check", "--config", small_ini, "--samples", samples,
+                    "--out", str(out)]) == 1
+        assert "usage error: --samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_bad_phis(small_ini, capsys):

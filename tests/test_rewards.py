@@ -9,12 +9,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ammfg import (AdmissibilityError, BoundConstants, ControlBounds, CostSpec,
-                   DomainError, Grids, PoolParams, RewardKind, UsageError,
-                   Variant, bound_constant, check_cost_growth,
-                   check_growth_bound, d_factor, drift_kernel, gamma,
-                   lambda_lower, lambda_orig, lambda_upper, make_path,
-                   quadratic_costs, reward, terminal_reward, zero_path)
+from ammfg import (AdmissibilityError, ControlBounds, CostSpec, DomainError, Grids,
+                   PoolParams, RewardKind, UsageError, Variant, bound_constant,
+                   check_cost_growth, check_growth_bound, make_path, quadratic_costs,
+                   reward, terminal_reward, zero_path)
+from ammfg.rewards import (BoundConstants, d_factor, drift_kernel, gamma, lambda_lower,
+                           lambda_orig, lambda_upper)
 
 G10 = Grids(n_t=10, n_x=11)
 B = ControlBounds(0.0, 0.5)

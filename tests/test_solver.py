@@ -12,10 +12,10 @@ and the linear form does not apply.
 import numpy as np
 import pytest
 
-from ammfg import (ControlBounds, DomainError, Grids, InitialLaw, PoolParams,
-                   Policy, RewardKind, UsageError, Variant, constant_policy,
-                   evaluate, girsanov_evaluate, make_path, propagate,
-                   quadratic_costs, solve_hjb, spread_factor, zero_path)
+from ammfg import (ControlBounds, DomainError, Grids, InitialLaw, NumericalError,
+                   PoolParams, Policy, RewardKind, UsageError, Variant,
+                   constant_policy, evaluate, girsanov_evaluate, make_path,
+                   propagate, quadratic_costs, solve_hjb, spread_factor, zero_path)
 
 B = ControlBounds(0.0, 0.5)
 
@@ -143,27 +143,33 @@ def test_policy_refuses_non_uniform_or_short_grids():
                controls=np.zeros((1, 1)))
 
 
-def test_value_at_start_requires_surface():
-    pol = constant_policy(0.1, Grids(n_t=3, n_x=5), B)
-    with pytest.raises(UsageError):
-        pol.value_at_start(0.0)
-
-
 def test_constant_policy_checks_bounds():
     with pytest.raises(UsageError):
         constant_policy(0.9, Grids(n_t=3, n_x=5), B)
 
 
 def test_propagate_deterministic_drift():
+    # sigma = 0 and a ramp a(x) = 0.25 + 0.05 x: x_{k+1} = x_k + a(x_k) dt has
+    # the closed form x_k = (x_0 + 5)(1 + 0.05 dt)^k - 5, and the mean path
+    # reads a(x_k), so every step's position is pinned
     g = Grids(n_t=10, n_x=61, n_particles=50, seed=11)
     params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.0)
-    pol = constant_policy(0.3, g, B)
-    path, flow = propagate(pol, g, B, params, InitialLaw(-1.0, 0.0))
-    np.testing.assert_allclose(path.values, 0.3)
-    np.testing.assert_allclose(flow.particles[:, 0], -1.0 + 0.3 * g.t_nodes(),
-                               atol=1e-14)
-    assert flow.exit_fraction == 0.0
-    assert flow.particles.shape == (11, 50)
+    ramp = np.tile(0.25 + 0.05 * g.x_nodes(), (g.n_t, 1))
+    pol = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(), controls=ramp)
+    path, exit_fraction = propagate(pol, g, B, params, InitialLaw(-1.0, 0.0))
+    xk = 4.0 * (1.0 + 0.05 * g.dt) ** np.arange(g.n_t) - 5.0
+    np.testing.assert_allclose(path.values[:-1], 0.25 + 0.05 * xk, rtol=0, atol=1e-14)
+    assert path.values[-1] == path.values[-2]
+    assert exit_fraction == 0.0
+
+
+def test_propagate_refuses_non_finite_states():
+    g = Grids(n_t=1, n_x=11, n_particles=20)
+    params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.0)
+    pol = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(),
+                 controls=np.full((1, g.n_x), np.nan))
+    with pytest.raises(NumericalError, match="non-finite particle states"):
+        propagate(pol, g, B, params, InitialLaw(0.0, 0.0))
 
 
 def test_propagate_warns_when_particles_leave_grid():
@@ -249,7 +255,7 @@ def test_value_surface_consistent_with_monte_carlo(grids_small, bounds_default,
                     costs_default)
     rep = evaluate(pol, path, kind, grids_small, bounds_default, params_default,
                    costs_default, law_point, seed=33)
-    anchor = float(pol.value_at_start(0.0))
+    anchor = float(np.interp(0.0, pol.x_nodes, pol.values[0]))
     assert abs(rep.value - anchor) <= 3.0 * rep.stderr + 2.0 * rep.bias_budget
 
 
