@@ -5,7 +5,8 @@ exhaustive search over the control grid. The Gaussian shock is integrated
 with Gauss-Hermite quadrature, the continuation value is piecewise-linear in
 x with clamped ends (queries beyond the grid read the edge value), and
 argmax ties break toward the control of smallest magnitude, then toward the
-smaller value.
+smaller value. On the uniform grid that expectation is one banded product
+per step: edge-padded windows of the value row times one (taps, n_a) kernel.
 
 propagate pushes a particle ensemble forward under the policy
 (Euler-Maruyama) and reads off the induced mean control path and the share
@@ -94,12 +95,6 @@ class ValueReport:
     weight_stderr: float | None = None
 
 
-def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # probabilists' Gauss-Hermite: nodes are standard-normal abscissae
-    z, w = np.polynomial.hermite_e.hermegauss(n)
-    return z, w / w.sum()
-
-
 def _uniform_spacing(nodes: np.ndarray) -> float:
     if nodes.size < 2:
         raise UsageError("state grid needs at least 2 nodes")
@@ -109,17 +104,28 @@ def _uniform_spacing(nodes: np.ndarray) -> float:
     return float(d[0])
 
 
-class _InterpPlan:
-    """Precomputed clamped-linear interpolation for a fixed query set."""
+def _expectation_kernel(x_nodes: np.ndarray, drift: np.ndarray, scale: float, n_quad: int):
+    """(reads, kernel): the Gauss-Hermite mean of V(x_j + drift[i] + scale*Z), Z standard
+    normal and V piecewise linear with clamped ends, is (V[reads] @ kernel)[j, i].
 
-    def __init__(self, x_nodes: np.ndarray, points: np.ndarray):
-        dx = _uniform_spacing(x_nodes)
-        u = (np.clip(points, x_nodes[0], x_nodes[-1]) - x_nodes[0]) / dx
-        self.idx = np.minimum(u.astype(np.int64), len(x_nodes) - 2)
-        self.frac = u - self.idx
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return values[self.idx] * (1.0 - self.frac) + values[self.idx + 1] * self.frac
+    Row j of reads (n_x, taps) is node j's window of V, edge-padded by index
+    clamping; kernel (taps, n_a) is the same at every node. Offsets are capped
+    at +-n_x cells, which changes no read.
+    """
+    z, w = np.polynomial.hermite_e.hermegauss(n_quad)  # probabilists' nodes: Z ~ N(0, 1)
+    w = w / w.sum()
+    n_x = len(x_nodes)
+    u = np.clip((drift[:, None] + scale * z) / _uniform_spacing(x_nodes), -n_x, n_x)
+    cell = np.floor(u)
+    frac = u - cell
+    lo, hi = min(int(cell.min()), 0), max(int(cell.max()) + 1, 0)
+    rows = (cell - lo).astype(np.int64)
+    cols = np.arange(len(drift))[:, None]
+    kernel = np.zeros((hi - lo + 1, len(drift)))
+    np.add.at(kernel, (rows, cols), w * (1.0 - frac))
+    np.add.at(kernel, (rows + 1, cols), w * frac)
+    reads = np.clip(np.arange(n_x)[:, None] + np.arange(lo, hi + 1), 0, n_x - 1)
+    return reads, kernel
 
 
 def _stderr(samples: np.ndarray) -> float:
@@ -162,31 +168,25 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     """
     _check_path(path, grids)
     f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
-    t = grids.t_nodes()
-    x = grids.x_nodes()
-    a = bounds.grid(grids.n_a)
-    dt = grids.dt
+    t, x, a, dt = grids.t_nodes(), grids.x_nodes(), bounds.grid(grids.n_a), grids.dt
 
     # tie-break order: smallest |a| first, then smaller a; argmax picks the
     # first maximal entry, so scanning in this order implements the rule
     order = np.lexsort((a, np.abs(a)))
 
-    z, w = _quad_nodes(grids.n_quad)
-    shift = dt * a[None, :, None] + params.sigma * np.sqrt(dt) * z[None, None, :]
-    plan = _InterpPlan(x, x[:, None, None] + shift)
-    reward_dt = dt * np.broadcast_to(
-        f(t[:, None, None], x[None, :, None], a[None, None, :], path),
-        (grids.n_t + 1, grids.n_x, grids.n_a))
-
+    # outputs before the reward lattice: freed on return, it leaves no hole below them
     values = np.empty((grids.n_t + 1, grids.n_x))
     controls = np.empty((grids.n_t, grids.n_x))
     switches = np.full((grids.n_t, grids.n_x - 1), np.nan)
+    reads, kernel = _expectation_kernel(x, dt * a, params.sigma * np.sqrt(dt), grids.n_quad)
+    running = np.broadcast_to(f(t[:, None, None], x[None, :, None], a[None, None, :], path),
+                              (grids.n_t + 1, grids.n_x, grids.n_a))
     values[-1] = terminal_reward(x, costs)
     rows = np.arange(grids.n_x)
     cells = np.arange(grids.n_x - 1)
     da = a[1] - a[0] if grids.n_a > 1 else 0.0
     for k in range(grids.n_t - 1, -1, -1):
-        q = reward_dt[k] + (plan.apply(values[k + 1]) * w).sum(axis=2)
+        q = dt * running[k] + values[k + 1][reads] @ kernel
         best = order[np.argmax(q[:, order], axis=1)]
         values[k] = q[rows, best]
         controls[k] = a[best]
@@ -198,7 +198,7 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
         # of the crowd path and the damped fixed-point iteration can lock
         # into a two-cycle above tolerance.
         interior = (best > 0) & (best < grids.n_a - 1)
-        if da > 0 and np.any(interior):
+        if da > 0 and interior.any():
             lo = q[rows, np.maximum(best - 1, 0)]
             hi = q[rows, np.minimum(best + 1, grids.n_a - 1)]
             denom = 2.0 * values[k] - lo - hi
@@ -210,14 +210,14 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
         # (Q is linear in x within a cell, so the crossing is exact)
         bl, br = best[:-1], best[1:]
         jump = (bl != br) & (np.abs(a[bl] - a[br]) > 1.5 * da)
-        if np.any(jump):
+        if jump.any():
             idx = cells[jump]
             dl = q[idx, bl[idx]] - q[idx, br[idx]]
             dr = q[idx + 1, bl[idx]] - q[idx + 1, br[idx]]
             span = dl - dr
             s = np.where(span > 0, dl / np.where(span > 0, span, 1.0), 0.5)
             switches[k, idx] = np.clip(s, 0.0, 1.0)
-        if not np.all(np.isfinite(values[k])):
+        if not np.isfinite(values[k]).all():
             raise NumericalError(f"non-finite value surface at step {k}")
     return Policy(t_nodes=t, x_nodes=x, controls=controls, values=values,
                   switches=switches)
@@ -235,19 +235,19 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
     seed = grids.seed if seed is None else seed
     n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
     xs = np.clip(law0.sample(n, substream(seed, "law0")), grids.x_min, grids.x_max)
-    noise = substream(seed, "propagate").standard_normal((n_t, n))
+    gen = substream(seed, "propagate")
     m_hat = np.empty(n_t + 1)
     ever_out = np.zeros(n, dtype=bool)
     scale = params.sigma * np.sqrt(dt)
     for k in range(n_t):
         a = policy.control_at(k, xs)
         m_hat[k] = a.mean()
-        xs = xs + a * dt + scale * noise[k]
+        # states start finite and stay clamped: only a non-finite control spoils them
+        if not np.isfinite(m_hat[k]):
+            raise NumericalError("non-finite particle states")
+        xs = xs + a * dt + scale * gen.standard_normal(n)
         ever_out |= (xs < grids.x_min) | (xs > grids.x_max)
         np.clip(xs, grids.x_min, grids.x_max, out=xs)
-    # a clamped NaN stays NaN, so the final states show any non-finite step
-    if not np.all(np.isfinite(xs)):
-        raise NumericalError("non-finite particle states")
     m_hat[n_t] = m_hat[n_t - 1]
     exit_fraction = float(ever_out.mean())
     if exit_fraction > 0.01:
@@ -273,14 +273,14 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
     seed = grids.seed if seed is None else seed
     n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
     xs = np.clip(law0.sample(n, substream(seed, "evaluate-x0")), grids.x_min, grids.x_max)
-    noise = substream(seed, "evaluate").standard_normal((n_t, n))
+    gen = substream(seed, "evaluate")
     total = np.zeros(n)
     scale = params.sigma * np.sqrt(dt)
     t = grids.t_nodes()
     for k in range(n_t):
         a = policy.control_at(k, xs)
         total += f(t[k], xs, a, path) * dt
-        xs = np.clip(xs + a * dt + scale * noise[k], grids.x_min, grids.x_max)
+        xs = np.clip(xs + a * dt + scale * gen.standard_normal(n), grids.x_min, grids.x_max)
     total += terminal_reward(xs, costs)
     if not np.all(np.isfinite(total)):
         raise NumericalError("non-finite path objective in evaluate")
@@ -310,7 +310,7 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
     n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
     xs = np.clip(law0.sample(n, substream(seed, "girsanov-x0")),
                  grids.x_min, grids.x_max)
-    noise = substream(seed, "girsanov").standard_normal((n_t, n))
+    gen = substream(seed, "girsanov")
     total = np.zeros(n)
     logw = np.zeros(n)
     t = grids.t_nodes()
@@ -318,7 +318,7 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
     for k in range(n_t):
         a = policy.control_at(k, xs)
         total += f(t[k], xs, a, path) * dt
-        dw = np.sqrt(dt) * noise[k]
+        dw = np.sqrt(dt) * gen.standard_normal(n)
         logw += (a / sig) * dw - 0.5 * (a / sig) ** 2 * dt
         xs = xs + sig * dw
     total += terminal_reward(xs, costs)

@@ -15,7 +15,8 @@ import pytest
 from ammfg import (ControlBounds, DomainError, Grids, InitialLaw, NumericalError,
                    PoolParams, Policy, RewardKind, UsageError, Variant,
                    constant_policy, evaluate, girsanov_evaluate, make_path,
-                   propagate, quadratic_costs, solve_hjb, spread_factor, zero_path)
+                   propagate, quadratic_costs, solve_hjb, solver, spread_factor,
+                   terminal_reward, zero_path)
 
 B = ControlBounds(0.0, 0.5)
 
@@ -94,6 +95,74 @@ def test_lower_kind_matches_linear_value_closed_form():
     assert np.all(np.isnan(pol.switches[:, :39]))
 
 
+def _interp_hjb(path, kind, grids, bounds, params, costs):
+    """Brute-force backward induction: np.interp at every clamped stencil point.
+
+    Returns the value surface and the argmax index per (step, node), with the
+    solver's tie-break order and without its sub-grid refinement.
+    """
+    f = solver._running_reward(None, kind, grids, bounds, params, costs)
+    t, x, a, dt = grids.t_nodes(), grids.x_nodes(), bounds.grid(grids.n_a), grids.dt
+    z, w = np.polynomial.hermite_e.hermegauss(grids.n_quad)
+    w = w / w.sum()
+    points = np.clip(x[:, None, None] + dt * a[None, :, None]
+                     + params.sigma * np.sqrt(dt) * z[None, None, :], x[0], x[-1])
+    order = np.lexsort((a, np.abs(a)))
+    values = np.empty((grids.n_t + 1, grids.n_x))
+    values[-1] = terminal_reward(x, costs)
+    best = np.empty((grids.n_t, grids.n_x), dtype=np.int64)
+    for k in range(grids.n_t - 1, -1, -1):
+        running = f(t[k], x[:, None], a[None, :], path)
+        q = dt * running + (np.interp(points, x, values[k + 1]) * w).sum(axis=2)
+        best[k] = order[np.argmax(q[:, order], axis=1)]
+        values[k] = q[np.arange(grids.n_x), best[k]]
+    return values, best
+
+
+@pytest.mark.parametrize("grid_kw, bounds, sigma", [
+    ({}, B, 0.5),                                   # desk defaults
+    ({"n_a": 10}, ControlBounds(-0.5, 0.5), 0.5),   # no zero node: near ties
+    ({"n_a": 1}, B, 0.5),
+    ({}, B, 0.0),
+    ({"n_t": 1}, B, 0.5),
+    ({"n_x": 801, "n_a": 81}, B, 0.5),
+    ({"n_t": 100, "n_x": 11}, B, 50.0),             # kernel wider than the grid
+])
+def test_banded_expectation_matches_interp_reference(grid_kw, bounds, sigma,
+                                                     costs_default):
+    g = Grids(**grid_kw)
+    params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=sigma)
+    kind = RewardKind(Variant.ORIGINAL)
+    path = zero_path(g, bounds, params.x0)
+    pol = solve_hjb(path, kind, g, bounds, params, costs_default)
+    values, best = _interp_hjb(path, kind, g, bounds, params, costs_default)
+    np.testing.assert_allclose(pol.values, values, rtol=0, atol=1e-10)
+    # the sub-grid refinement moves a control by less than half a step
+    a = bounds.grid(g.n_a)
+    da = a[1] - a[0] if g.n_a > 1 else 1.0
+    np.testing.assert_array_equal(np.rint((pol.controls - a[0]) / da), best)
+    # offsets capped at +-n_x keep the widest kernel at 2 n_x + 2 taps
+    _, kernel = solver._expectation_kernel(g.x_nodes(), g.dt * a, sigma * np.sqrt(g.dt),
+                                           g.n_quad)
+    assert len(kernel) <= 2 * g.n_x + 2
+    assert (len(kernel) > g.n_x) == (sigma == 50.0)
+
+
+@pytest.mark.parametrize("variant", [Variant.ORIGINAL, Variant.LOWER, Variant.UPPER])
+def test_controls_pinned_to_interp_reference(variant, grids_small, bounds_default,
+                                             params_default, costs_default):
+    # the small-grid best responses are bang-bang, so every control is a grid
+    # node and any change of the continuation operator that flips an argmax
+    # shows here as an exact mismatch
+    kind = RewardKind(variant)
+    path = make_path(np.full(21, 0.2), grids_small, bounds_default, params_default.x0)
+    pol = solve_hjb(path, kind, grids_small, bounds_default, params_default,
+                    costs_default)
+    _, best = _interp_hjb(path, kind, grids_small, bounds_default, params_default,
+                          costs_default)
+    np.testing.assert_array_equal(pol.controls, bounds_default.grid(grids_small.n_a)[best])
+
+
 def test_tie_break_prefers_small_magnitude_then_smaller():
     g = Grids(n_t=5, n_x=11, n_a=10)
     params = PoolParams(x0=100.0, k0=1e6, phi=0.9, sigma=0.0)
@@ -164,12 +233,16 @@ def test_propagate_deterministic_drift():
 
 
 def test_propagate_refuses_non_finite_states():
-    g = Grids(n_t=1, n_x=11, n_particles=20)
+    # refused at the step the control turns non-finite, not by a bad index
+    # at the next step's lookup
     params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.0)
-    pol = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(),
-                 controls=np.full((1, g.n_x), np.nan))
-    with pytest.raises(NumericalError, match="non-finite particle states"):
-        propagate(pol, g, B, params, InitialLaw(0.0, 0.0))
+    for n_t, first_bad in ((1, 0), (2, 0), (5, 0), (5, 4)):
+        g = Grids(n_t=n_t, n_x=11, n_particles=20)
+        controls = np.full((n_t, g.n_x), 0.1)
+        controls[first_bad:] = np.nan
+        pol = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(), controls=controls)
+        with pytest.raises(NumericalError, match="non-finite particle states"):
+            propagate(pol, g, B, params, InitialLaw(0.0, 0.0))
 
 
 def test_propagate_warns_when_particles_leave_grid():
