@@ -16,7 +16,9 @@ candidates and is a lower bound on the true supremum.
 
 All runs share one seed, so every value estimate in a report (and across the
 fee levels of a sweep) is computed on common random numbers; the reported
-standard errors are the conservative unpaired combinations.
+standard errors are the conservative unpaired combinations. The particle
+push's normals are drawn once per report, and once per sweep, whose threads
+share the read-only block.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .grids import ControlBounds, Grids, InitialLaw
 from .pool import PoolParams, spread_factor
 from .rewards import CostSpec, RewardKind, Variant
-from .solver import ValueReport, evaluate, solve_hjb
+from .solver import ValueReport, evaluate, propagate_noise, solve_hjb
 
 
 @dataclass
@@ -97,12 +99,14 @@ def _combined_se(a: ValueReport, b: ValueReport) -> float:
 def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
                     costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
                     young_eps: float = 1.0, denom_exp: int = 2,
-                    seed: int | None = None, solve_original: bool = True) -> SandwichReport:
+                    seed: int | None = None, solve_original: bool = True,
+                    noise=None) -> SandwichReport:
     """Run the full sandwich at one fee level.
 
     Refuses control intervals reaching below zero: the UPPER surrogate only
     bounds the original cost from above on a >= 0, so the bracket would be
-    silently wrong there.
+    silently wrong there. noise is the block propagate_noise(seed, grids)
+    returns, drawn here when not given; every equilibrium solve reads it.
     """
     if bounds.a_min < 0:
         raise AdmissibilityError(
@@ -110,12 +114,14 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
             "reverses for negative controls)"
         )
     seed = grids.seed if seed is None else seed
+    if noise is None:
+        noise = propagate_noise(seed, grids)
     kind_l = RewardKind(Variant.LOWER, young_eps, denom_exp)
     kind_u = RewardKind(Variant.UPPER, young_eps, denom_exp)
     kind_o = RewardKind(Variant.ORIGINAL, young_eps, denom_exp)
 
-    eq1 = solve_mfg(kind_l, grids, bounds, params, costs, law0, fp, seed=seed)
-    eq2 = solve_mfg(kind_u, grids, bounds, params, costs, law0, fp, seed=seed)
+    eq1 = solve_mfg(kind_l, grids, bounds, params, costs, law0, fp, seed=seed, noise=noise)
+    eq2 = solve_mfg(kind_u, grids, bounds, params, costs, law0, fp, seed=seed, noise=noise)
 
     candidates: dict[str, ValueReport] = {}
     direct: dict[str, float] = {}
@@ -132,7 +138,8 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
     eq_orig: EquilibriumResult | None = None
     converged_f: bool | None = None
     if solve_original:
-        eq_orig = solve_mfg(kind_o, grids, bounds, params, costs, law0, fp, seed=seed)
+        eq_orig = solve_mfg(kind_o, grids, bounds, params, costs, law0, fp, seed=seed,
+                            noise=noise)
         converged_f = eq_orig.converged
         if eq_orig.converged:
             candidates["own_fixed_point"] = eq_orig.value
@@ -210,9 +217,11 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
     """Sandwich at each fee level; per-level failures land in the row.
 
     Rows come back in the order of ``phis`` regardless of worker count; all
-    levels share the same seed.
+    levels share the same seed, and so one block of propagate normals.
     """
     phis = [float(p) for p in phis]
+    seed = grids.seed if seed is None else seed
+    noise = propagate_noise(seed, grids)
 
     def one(phi: float) -> dict:
         row = {c: float("nan") for c in SWEEP_COLUMNS}
@@ -223,7 +232,7 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
             p = dataclasses.replace(params, phi=phi)
             rep = sandwich_report(grids, bounds, p, costs, law0, fp, young_eps=young_eps,
                                   denom_exp=denom_exp, seed=seed,
-                                  solve_original=solve_original)
+                                  solve_original=solve_original, noise=noise)
             row.update({
                 "spread_factor": rep.spread,
                 "V_f1": rep.v_f1.value, "V_f1_se": rep.v_f1.stderr,

@@ -5,7 +5,9 @@ by best-responding to it: Phi(m) = propagate(solve_hjb(m)). Iterates are
 damped, m_{k+1} = (1-damping)*m_k + damping*Phi(m_k), with the Monte Carlo
 noise inside Phi frozen across iterations (common random numbers), so the
 iteration runs on a deterministic map and the residual sup_t |m_{k+1} - m_k|
-is meaningful below the Monte Carlo scale.
+is meaningful below the Monte Carlo scale. That noise is one block of
+normals (solver.propagate_noise), drawn once per solve or passed in by a
+caller that runs several solves on one seed.
 
 Convergence of this iteration is an empirical matter, not a theorem;
 a run that exhausts max_iters reports converged=False and still returns its
@@ -20,7 +22,7 @@ from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path,
 from .errors import DomainError, UsageError
 from .pool import PoolParams
 from .rewards import CostSpec, RewardKind
-from .solver import Policy, ValueReport, evaluate, propagate, solve_hjb
+from .solver import Policy, ValueReport, evaluate, propagate, propagate_noise, solve_hjb
 
 
 @dataclass(frozen=True)
@@ -64,15 +66,19 @@ class EquilibriumResult:
 def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: PoolParams,
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
               seed: int | None = None, init: MeanControlPath | None = None,
-              reward_fn=None) -> EquilibriumResult:
+              reward_fn=None, noise=None) -> EquilibriumResult:
     """Damped Picard iteration from ``init`` (default: the zero path).
 
     The returned policy is the best response to the final iterate (one extra
     solver round), and the reported value evaluates that policy against it.
     converged requires both the in-loop residual and the post-certification
-    residual damping*sup|Phi(m*) - m*| to sit at or below tol.
+    residual damping*sup|Phi(m*) - m*| to sit at or below tol. noise is the
+    block propagate_noise(seed, grids) returns, drawn here when not given;
+    every propagate call of the solve reads it.
     """
     seed = grids.seed if seed is None else seed
+    if noise is None:
+        noise = propagate_noise(seed, grids)
     if init is None:
         path = zero_path(grids, bounds, params.x0)
     else:
@@ -83,7 +89,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     residuals: list[float] = []
     for _ in range(fp.max_iters):
         policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
-        induced, _ = propagate(policy, grids, bounds, params, law0, seed=seed)
+        induced, _ = propagate(policy, grids, bounds, params, law0, seed=seed, noise=noise)
         mixed = (1.0 - fp.damping) * path.values + fp.damping * induced.values
         nxt = make_path(mixed, grids, bounds, params.x0)
         res = path.sup_distance(nxt)
@@ -95,7 +101,8 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     # certification round: best response to the final iterate, and one more
     # pass through the map to confirm the iterate is actually stationary
     policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
-    induced, exit_fraction = propagate(policy, grids, bounds, params, law0, seed=seed)
+    induced, exit_fraction = propagate(policy, grids, bounds, params, law0, seed=seed,
+                                       noise=noise)
     post = fp.damping * path.sup_distance(induced)
     value = evaluate(policy, path, kind, grids, bounds, params, costs, law0,
                      seed=seed, reward_fn=reward_fn)

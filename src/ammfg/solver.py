@@ -7,10 +7,14 @@ x with clamped ends (queries beyond the grid read the edge value), and
 argmax ties break toward the control of smallest magnitude, then toward the
 smaller value. On the uniform grid that expectation is one banded product
 per step: edge-padded windows of the value row times one (taps, n_a) kernel.
+The running reward is evaluated in blocks of ceil(sqrt(n_t+1)) time nodes,
+so the solver never holds the whole (n_t+1, n_x, n_a) reward lattice.
 
 propagate pushes a particle ensemble forward under the policy
 (Euler-Maruyama) and reads off the induced mean control path and the share
-of particles that hit the grid edges. evaluate is
+of particles that hit the grid edges. Its normals are one read-only
+(n_t, n_particles) block from propagate_noise; callers that push many times
+on one seed draw it once and pass it in. evaluate is
 the matching strong-form Monte Carlo estimate of the policy's objective;
 girsanov_evaluate estimates the same number under the driftless measure,
 reweighting each path by the discrete Girsanov density. The two routes agree
@@ -20,6 +24,7 @@ simulation layer.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -162,9 +167,12 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     """Backward induction for the best response to ``path``.
 
     reward_fn, when given, replaces the built-in running reward. It is called
-    once per solve, as reward_fn(t, x, a, path) with t of shape (n_t+1, 1, 1),
-    x of shape (1, n_x, 1) and a of shape (1, 1, n_a), and its result must
-    broadcast to (n_t+1, n_x, n_a). The terminal reward is always -l(x).
+    once per block of b = ceil(sqrt(n_t+1)) consecutive time nodes, latest
+    block first, so that every node is seen exactly once: as
+    reward_fn(t, x, a, path) with t of shape (b, 1, 1), x of shape (1, n_x, 1)
+    and a of shape (1, 1, n_a), and its result must broadcast to
+    (b, n_x, n_a). The first block called ends at t_{n_t}; the last one may be
+    shorter. The terminal reward is always -l(x).
     """
     _check_path(path, grids)
     f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
@@ -174,26 +182,37 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     # first maximal entry, so scanning in this order implements the rule
     order = np.lexsort((a, np.abs(a)))
 
-    # outputs before the reward lattice: freed on return, it leaves no hole below them
     values = np.empty((grids.n_t + 1, grids.n_x))
     controls = np.empty((grids.n_t, grids.n_x))
     switches = np.full((grids.n_t, grids.n_x - 1), np.nan)
     reads, kernel = _expectation_kernel(x, dt * a, params.sigma * np.sqrt(dt), grids.n_quad)
-    running = np.broadcast_to(f(t[:, None, None], x[None, :, None], a[None, None, :], path),
-                              (grids.n_t + 1, grids.n_x, grids.n_a))
     values[-1] = terminal_reward(x, costs)
     rows = np.arange(grids.n_x)
     cells = np.arange(grids.n_x - 1)
     da = a[1] - a[0] if grids.n_a > 1 else 0.0
+    # the reward is evaluated one block of time nodes at a time: sqrt-sized
+    # blocks hold ~sqrt(n_t) rows of the (n_t+1, n_x, n_a) lattice for
+    # ~sqrt(n_t) calls, and the reward is elementwise in t, so the bits do
+    # not depend on the blocking
+    block = math.isqrt(grids.n_t) + 1  # ceil(sqrt(n_t + 1)), at least 2
+    start = grids.n_t + 1
     for k in range(grids.n_t - 1, -1, -1):
-        q = dt * running[k] + values[k + 1][reads] @ kernel
+        if k < start:
+            stop, start = start, max(start - block, 0)
+            running = None  # one block alive at a time: drop the last before the next
+            running = np.broadcast_to(
+                f(t[start:stop, None, None], x[None, :, None], a[None, None, :], path),
+                (stop - start, grids.n_x, grids.n_a))
+        q = dt * running[k - start] + values[k + 1][reads] @ kernel
         best = order[np.argmax(q[:, order], axis=1)]
         values[k] = q[rows, best]
         controls[k] = a[best]
         # sub-grid vertex of the parabola through the argmax and its
-        # neighbours; only at strict interior maxima, so exact ties and
-        # boundary (bang-bang) solutions keep their grid point. The vertex
-        # offset is < da/2 by construction, hence stays inside the bounds.
+        # neighbours, where the argmax is interior and at least one neighbour
+        # sits strictly below it: an exact two-way tie puts the vertex at the
+        # midpoint, and boundary (bang-bang) solutions keep their grid point.
+        # The vertex offset is <= da/2 by construction, hence stays inside
+        # the bounds.
         # Without this the best-response map jumps by da under tiny changes
         # of the crowd path and the damped fixed-point iteration can lock
         # into a two-cycle above tolerance.
@@ -202,8 +221,8 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
             lo = q[rows, np.maximum(best - 1, 0)]
             hi = q[rows, np.minimum(best + 1, grids.n_a - 1)]
             denom = 2.0 * values[k] - lo - hi
-            strict = interior & (lo < values[k]) & (hi < values[k]) & (denom > 0)
-            offset = np.where(strict, (hi - lo) / np.where(denom > 0, 2.0 * denom, 1.0), 0.0)
+            refine = interior & ((lo < values[k]) | (hi < values[k])) & (denom > 0)
+            offset = np.where(refine, (hi - lo) / np.where(denom > 0, 2.0 * denom, 1.0), 0.0)
             controls[k] += offset * da
         # where the argmax jumps between neighbouring x-nodes, place the
         # switch at the indifference point of the two competing controls
@@ -223,19 +242,37 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
                   switches=switches)
 
 
+def propagate_noise(seed: int, grids: Grids) -> np.ndarray:
+    """The read-only (n_t, n_particles) normals that propagate reads, row k at step k.
+
+    Every push with one (seed, grids) reads this same block (common random
+    numbers), so a caller that pushes many times draws it once and passes it
+    to each propagate call.
+    """
+    noise = substream(seed, "propagate").standard_normal((grids.n_t, grids.n_particles))
+    noise.flags.writeable = False
+    return noise
+
+
 def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolParams,
-              law0: InitialLaw, seed: int | None = None) -> tuple[MeanControlPath, float]:
+              law0: InitialLaw, seed: int | None = None,
+              noise: np.ndarray | None = None) -> tuple[MeanControlPath, float]:
     """Euler-Maruyama ensemble under the policy; returns (mean path, exit fraction).
 
     States clamp to the grid box (matching the solver's clamped continuation
     reads); the exit fraction is the share of particles ever clamped, and it
     warns above 1%. The mean path's last node repeats the final interval's
-    mean so the n_t+1-node trapezoid convention applies.
+    mean so the n_t+1-node trapezoid convention applies. noise is the block
+    propagate_noise(seed, grids) returns, drawn here when not given.
     """
     seed = grids.seed if seed is None else seed
     n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
+    if noise is None:
+        noise = propagate_noise(seed, grids)
+    elif np.shape(noise) != (n_t, n):
+        raise UsageError(f"propagate noise has shape {np.shape(noise)}, "
+                         f"expected (n_t, n_particles) = {(n_t, n)}")
     xs = np.clip(law0.sample(n, substream(seed, "law0")), grids.x_min, grids.x_max)
-    gen = substream(seed, "propagate")
     m_hat = np.empty(n_t + 1)
     ever_out = np.zeros(n, dtype=bool)
     scale = params.sigma * np.sqrt(dt)
@@ -244,8 +281,8 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
         m_hat[k] = a.mean()
         # states start finite and stay clamped: only a non-finite control spoils them
         if not np.isfinite(m_hat[k]):
-            raise NumericalError("non-finite particle states")
-        xs = xs + a * dt + scale * gen.standard_normal(n)
+            raise NumericalError(f"non-finite particle states at step {k}")
+        xs = xs + a * dt + scale * noise[k]
         ever_out |= (xs < grids.x_min) | (xs > grids.x_max)
         np.clip(xs, grids.x_min, grids.x_max, out=xs)
     m_hat[n_t] = m_hat[n_t - 1]
@@ -279,6 +316,10 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
     t = grids.t_nodes()
     for k in range(n_t):
         a = policy.control_at(k, xs)
+        # as in propagate: a non-finite control is refused at its step, before
+        # the next step's lookup turns the spoiled states into a bad index
+        if not np.isfinite(a).all():
+            raise NumericalError(f"non-finite particle states at step {k}")
         total += f(t[k], xs, a, path) * dt
         xs = np.clip(xs + a * dt + scale * gen.standard_normal(n), grids.x_min, grids.x_max)
     total += terminal_reward(xs, costs)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ammfg import solver, streams
 from ammfg.certify import (SWEEP_COLUMNS, epsilon_nash_certificate, phi_sweep,
                            sandwich_report)
 from ammfg.errors import AdmissibilityError, UsageError
@@ -143,6 +144,25 @@ def test_phi_sweep_order_and_workers():
         assert row["error"] == ""
         assert row["converged_f1"] and row["converged_f2"]
         assert np.isfinite(row["gap"])
+
+
+def test_one_propagate_noise_draw_per_sandwich_and_sweep(monkeypatch):
+    # every Picard push of a report, and of every fee level of a sweep, reads
+    # one shared block of normals
+    keys = []
+
+    def counting(seed, *labels):
+        keys.append(labels)
+        return streams.substream(seed, *labels)
+
+    monkeypatch.setattr(solver, "substream", counting)
+    rep = sandwich_report(GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP)
+    assert keys.count(("propagate",)) == 1
+    assert rep.eq_lower.iterations + rep.eq_upper.iterations > 2
+    keys.clear()
+    phi_sweep([0.95, 0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP,
+              solve_original=False, workers=2)
+    assert keys.count(("propagate",)) == 1
 
 
 def test_phi_sweep_records_failure():

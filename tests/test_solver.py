@@ -9,6 +9,9 @@ grid solver must reproduce through its parabolic refinement. Nodes within
 reach of the state-grid edge are excluded: continuation reads clamp there
 and the linear form does not apply.
 """
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from ammfg import (ControlBounds, DomainError, Grids, InitialLaw, NumericalError
                    constant_policy, evaluate, girsanov_evaluate, make_path,
                    propagate, quadratic_costs, solve_hjb, solver, spread_factor,
                    terminal_reward, zero_path)
+from ammfg.streams import substream
 
 B = ControlBounds(0.0, 0.5)
 
@@ -188,6 +192,74 @@ def test_tie_break_prefers_small_magnitude_then_smaller():
     np.testing.assert_allclose(pol0.controls, 0.0)
 
 
+def test_exact_tie_refines_to_midpoint(grids_small, params_default, costs_default):
+    # symmetric problem on a grid without a zero node: at x = 0 the two
+    # smallest-magnitude controls +-da/2 tie exactly, and the parabola through
+    # them and their outer neighbours has its vertex at the midpoint, 0
+    g = Grids(n_t=grids_small.n_t, n_x=grids_small.n_x, n_a=10)
+    bounds = ControlBounds(-0.5, 0.5)
+    pol = solve_hjb(zero_path(g, bounds, params_default.x0), RewardKind(Variant.LOWER),
+                    g, bounds, params_default, costs_default)
+    centre = pol.controls[:, g.n_x // 2]
+    assert g.x_nodes()[g.n_x // 2] == 0.0
+    np.testing.assert_allclose(centre, 0.0, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_t", [1, 6, 20])
+def test_reward_fn_sees_each_time_node_once_in_blocks(n_t, bounds_default,
+                                                      params_default, costs_default):
+    # n_t = 6: seven nodes in blocks of 3, so one block holds a single node
+    g = Grids(n_t=n_t, n_x=21, n_a=6)
+    kind = RewardKind(Variant.ORIGINAL)
+    path = make_path(np.linspace(0.1, 0.3, n_t + 1), g, bounds_default, params_default.x0)
+    builtin = solver._running_reward(None, kind, g, bounds_default, params_default,
+                                     costs_default)
+    seen = []
+
+    def recording(t, x, a, p):
+        out = builtin(t, x, a, p)
+        seen.append((t.copy(), out))
+        return out
+
+    pol = solve_hjb(path, kind, g, bounds_default, params_default, costs_default,
+                    reward_fn=recording)
+    block = math.ceil(math.sqrt(n_t + 1))
+    assert len(seen) == math.ceil((n_t + 1) / block)
+    assert all(t.shape[1:] == (1, 1) and 1 <= len(t) <= block for t, _ in seen)
+    assert sum(len(t) < block for t, _ in seen) <= 1
+    np.testing.assert_array_equal(np.sort(np.concatenate([t.ravel() for t, _ in seen])),
+                                  g.t_nodes())
+    # the reward is elementwise in t: each block holds the bits of the same
+    # rows of the whole lattice, so the blocking moves no number
+    x, a = g.x_nodes()[None, :, None], bounds_default.grid(g.n_a)[None, None, :]
+    t_all = g.t_nodes()
+    lattice = builtin(t_all[:, None, None], x, a, path)
+    for t, out in seen:
+        rows = np.searchsorted(t_all, t.ravel())
+        np.testing.assert_array_equal(out, lattice[rows])
+    plain = solve_hjb(path, kind, g, bounds_default, params_default, costs_default)
+    np.testing.assert_array_equal(pol.values, plain.values)
+    np.testing.assert_array_equal(pol.controls, plain.controls)
+
+
+def test_solve_hjb_memory_peak_at_default_grid(bounds_default, params_default,
+                                               costs_default):
+    # the reward is evaluated in blocks of time nodes, never as the
+    # (n_t+1, n_x, n_a) lattice (6.4 MiB here); that room holds the
+    # particle push's noise block
+    g = Grids()
+    kind = RewardKind(Variant.ORIGINAL)
+    path = zero_path(g, bounds_default, params_default.x0)
+    solve_hjb(path, kind, g, bounds_default, params_default, costs_default)  # one-time caches
+    tracemalloc.start()
+    try:
+        solve_hjb(path, kind, g, bounds_default, params_default, costs_default)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+
+
 def test_control_at_switch_semantics():
     pol = Policy(t_nodes=np.array([0.0, 0.5, 1.0]),
                  x_nodes=np.array([0.0, 1.0, 2.0]),
@@ -243,6 +315,52 @@ def test_propagate_refuses_non_finite_states():
         pol = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(), controls=controls)
         with pytest.raises(NumericalError, match="non-finite particle states"):
             propagate(pol, g, B, params, InitialLaw(0.0, 0.0))
+
+
+def test_evaluate_refuses_non_finite_controls():
+    # as in propagate: refused at the step the control turns non-finite
+    params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.0)
+    for n_t, first_bad in ((1, 0), (2, 0), (5, 0), (5, 4)):
+        g = Grids(n_t=n_t, n_x=11, n_particles=20)
+        controls = np.full((n_t, g.n_x), 0.1)
+        controls[first_bad:] = np.nan
+        pol = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(), controls=controls)
+        with pytest.raises(NumericalError,
+                           match=f"non-finite particle states at step {first_bad}"):
+            evaluate(pol, zero_path(g, B, params.x0), RewardKind(Variant.ORIGINAL), g, B,
+                     params, quadratic_costs(), InitialLaw(0.0, 0.0))
+
+
+def test_propagate_noise_is_the_per_step_stream(grids_small, bounds_default,
+                                                params_default):
+    # the block holds, row by row, the normals a per-step draw from the
+    # "propagate" stream gives, and a passed block pushes bit for bit like
+    # propagate's own draw
+    g, seed = grids_small, 7
+    noise = solver.propagate_noise(seed, g)
+    assert noise.shape == (g.n_t, g.n_particles) and not noise.flags.writeable
+    gen = substream(seed, "propagate")
+    for row in noise:
+        np.testing.assert_array_equal(row, gen.standard_normal(g.n_particles))
+    pol = solve_hjb(zero_path(g, bounds_default, params_default.x0),
+                    RewardKind(Variant.ORIGINAL), g, bounds_default, params_default,
+                    quadratic_costs())
+    law = InitialLaw(0.0, 0.5)
+    own, own_exit = propagate(pol, g, bounds_default, params_default, law, seed=seed)
+    given, given_exit = propagate(pol, g, bounds_default, params_default, law, seed=seed,
+                                  noise=noise)
+    np.testing.assert_array_equal(own.values, given.values)
+    assert own_exit == given_exit
+
+
+def test_propagate_refuses_wrong_shape_noise(grids_small, bounds_default, params_default):
+    g = grids_small
+    pol = constant_policy(0.1, g, bounds_default)
+    law = InitialLaw(0.0, 0.0)
+    for shape in ((g.n_t - 1, g.n_particles), (g.n_particles, g.n_t), (g.n_t,),
+                  (g.n_t, g.n_particles, 1)):
+        with pytest.raises(UsageError, match="noise"):
+            propagate(pol, g, bounds_default, params_default, law, noise=np.zeros(shape))
 
 
 def test_propagate_warns_when_particles_leave_grid():
