@@ -3,27 +3,27 @@
 CSV files open with two comment lines (``# config_hash=...`` / ``# seed=...``)
 followed by a header row; JSON documents carry the same two keys at top level.
 Readers that reject comment lines can strip the leading ``#`` rows.
+
+``write_csv`` is the one CSV writer. Its cell rule: floats (numpy's too) are
+written as ``repr(float(v))``, so they read back bit for bit and NaN reads
+``nan``; bools (numpy's too) as ``true``/``false``; strings as they are.
+``write_json`` writes every non-finite number as ``null``.
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .certify import SWEEP_COLUMNS
 from .fixed_point import EquilibriumResult
-from .grids import MeanControlPath
-from .solver import Policy
 
 
 def _jsonable(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+    if isinstance(value, (np.generic, np.ndarray)):
+        return _jsonable(value.tolist())
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -33,10 +33,12 @@ def _jsonable(value):
     return value
 
 
-def _open_csv(path: str, cfg_hash: str, seed: int):
-    fh = open(path, "w", newline="")
-    fh.write(f"# config_hash={cfg_hash}\n# seed={seed}\n")
-    return fh
+def _cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return value
 
 
 def write_json(doc: dict, out_dir: str, name: str, cfg_hash: str, seed: int) -> str:
@@ -51,24 +53,17 @@ def write_json(doc: dict, out_dir: str, name: str, cfg_hash: str, seed: int) -> 
     return p
 
 
-def write_path_csv(path_obj: MeanControlPath, path: str, cfg_hash: str, seed: int) -> None:
-    with _open_csv(path, cfg_hash, seed) as fh:
+def write_csv(columns: Sequence[str], rows: Iterable[Sequence], out_dir: str, name: str,
+              cfg_hash: str, seed: int) -> str:
+    """Write ``rows`` (cells in ``columns`` order) as out_dir/name; returns the file path."""
+    os.makedirs(out_dir, exist_ok=True)
+    p = os.path.join(out_dir, name)
+    with open(p, "w", newline="") as fh:
+        fh.write(f"# config_hash={cfg_hash}\n# seed={seed}\n")
         writer = csv.writer(fh)
-        writer.writerow(["t", "m", "C", "R"])
-        for t, m, c, r in path_obj.rows():
-            writer.writerow([repr(float(t)), repr(float(m)), repr(float(c)), repr(float(r))])
-
-
-def write_policy_csv(policy: Policy, path: str, cfg_hash: str, seed: int) -> None:
-    """Long format: one row per (time node, state node)."""
-    with _open_csv(path, cfg_hash, seed) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "a_star", "V"])
-        for k, t in enumerate(policy.t_nodes[:-1]):
-            for j, x in enumerate(policy.x_nodes):
-                v = policy.values[k, j] if policy.values is not None else float("nan")
-                writer.writerow([repr(float(t)), repr(float(x)),
-                                 repr(float(policy.controls[k, j])), repr(float(v))])
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    return p
 
 
 def equilibrium_summary(result: EquilibriumResult) -> dict:
@@ -88,34 +83,13 @@ def equilibrium_summary(result: EquilibriumResult) -> dict:
 
 def write_equilibrium(result: EquilibriumResult, out_dir: str, cfg_hash: str,
                       seed: int) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    path_csv = os.path.join(out_dir, "equilibrium.csv")
-    policy_csv = os.path.join(out_dir, "policy.csv")
-    write_path_csv(result.path, path_csv, cfg_hash, seed)
-    write_policy_csv(result.policy, policy_csv, cfg_hash, seed)
-    return [path_csv, policy_csv, write_json(equilibrium_summary(result), out_dir,
-                                             "equilibrium.json", cfg_hash, seed)]
-
-
-def write_sweep(rows: Iterable[dict], out_dir: str, cfg_hash: str, seed: int) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    rows = list(rows)
-    columns = list(SWEEP_COLUMNS)
-    if any("error" in r for r in rows):
-        columns.append("error")
-    p = os.path.join(out_dir, "sweep.csv")
-    with _open_csv(p, cfg_hash, seed) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            out = []
-            for col in columns:
-                val = row.get(col, "")
-                if isinstance(val, bool):
-                    out.append(str(val).lower())
-                elif isinstance(val, float):
-                    out.append(repr(val))
-                else:
-                    out.append(val)
-            writer.writerow(out)
-    return p
+    """The mean path, the policy (one row per time node and state node) and the summary."""
+    pol = result.policy
+    policy_rows = ((t, x, pol.controls[k, j], pol.values[k, j])
+                   for k, t in enumerate(pol.t_nodes[:-1]) for j, x in enumerate(pol.x_nodes))
+    return [write_csv(["t", "m", "C", "R"], result.path.rows(), out_dir, "equilibrium.csv",
+                      cfg_hash, seed),
+            write_csv(["t", "x", "a_star", "V"], policy_rows, out_dir, "policy.csv",
+                      cfg_hash, seed),
+            write_json(equilibrium_summary(result), out_dir, "equilibrium.json", cfg_hash,
+                       seed)]

@@ -207,7 +207,7 @@ def epsilon_nash_certificate(report: SandwichReport,
 
 SWEEP_COLUMNS = ["phi", "spread_factor", "V_f1", "V_f1_se", "V_f", "V_f_se",
                  "V_f2", "V_f2_se", "gap", "gap_upper", "gap_lower",
-                 "converged_f1", "converged_f2"]
+                 "converged_f1", "converged_f2", "error"]
 
 
 def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,

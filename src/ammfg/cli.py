@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import artifacts, config as cfgmod
-from .certify import epsilon_nash_certificate, phi_sweep, sandwich_report
+from .certify import SWEEP_COLUMNS, epsilon_nash_certificate, phi_sweep, sandwich_report
 from .errors import ConfigError, NumericalError, UsageError
 from .fixed_point import solve_mfg
 from .grids import make_path, zero_path
@@ -142,8 +142,9 @@ def _cmd_sweep(args) -> int:
     b = _bundle(cfg)
     rows = phi_sweep(phis, fp=cfgmod.fixed_point_config(cfg), young_eps=cfg.young_eps,
                      denom_exp=cfg.denom_exp, seed=cfg.seed, workers=cfg.workers, **b)
-    print(artifacts.write_sweep(rows, out_dir, h, cfg.seed))
-    failed = [r for r in rows if r.get("error")]
+    table = ([r[c] for c in SWEEP_COLUMNS] for r in rows)
+    print(artifacts.write_csv(SWEEP_COLUMNS, table, out_dir, "sweep.csv", h, cfg.seed))
+    failed = [r for r in rows if r["error"]]
     if failed:
         for r in failed:
             print(f"phi={r['phi']}: {r['error']}", file=sys.stderr)
@@ -299,3 +300,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -176,6 +176,10 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
             a1 = a[:, :, 0]
             # each arm's mean runs over its full (m, n) row, as a one-arm run would
             m_k = a.mean(axis=2)
+            # as in propagate: a non-finite control is refused at its step (the mean
+            # carries any NaN), before the next step's lookup turns it into a bad index
+            if not np.isfinite(m_k).all():
+                raise NumericalError(f"non-finite trader controls at step {k}")
             step_means[k, lo:hi] = m_k[0]
 
             fill = bid_ask_mid(price, phi)[2] if cfg.use_mid_price else price

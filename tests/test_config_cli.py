@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,3 +341,20 @@ def test_cli_sandwich(small_ini, tmp_path):
     assert doc["converged_f1"] and doc["converged_f2"]
     assert doc["certificate"]["epsilon"] == pytest.approx(
         doc["gap"] + 3.0 * doc["gap_se"], rel=1e-12)
+
+
+def _python_m_cli(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "ammfg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_python_m_cli_runs_the_command(small_ini, tmp_path):
+    missing = _python_m_cli()
+    assert missing.returncode == 1 and "usage error" in missing.stderr
+    out = tmp_path / "chk"
+    done = _python_m_cli("check", "--config", small_ini, "--samples", "200", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "check_report.json").read_text())["all_pass"] is True

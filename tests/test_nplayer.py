@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ammfg import nplayer
-from ammfg.errors import AdmissibilityError, DomainError
+from ammfg.errors import AdmissibilityError, DomainError, NumericalError
 from ammfg.grids import ControlBounds, Grids, InitialLaw, make_path
 from ammfg.nplayer import (PRICE_MODES, DeviationGain, SimConfig, SimResult,
                            deviation_gain, impact_aware_reward, simulate)
@@ -201,6 +201,27 @@ def test_deviation_gain_paired_ci(grids_small, params_default):
     assert out.ci_low == pytest.approx(out.gain - 1.96 * out.stderr, rel=1e-12)
     assert out.ci_high == pytest.approx(out.gain + 1.96 * out.stderr, rel=1e-12)
     assert out.stderr > 0
+
+
+def test_simulator_refuses_non_finite_controls():
+    # as in propagate and evaluate: refused at the step the control turns
+    # non-finite, not by a bad index at the next step's lookup; a NaN deviant
+    # spoils only its own arm, and that is enough
+    params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.5)
+    cfg = SimConfig(n_traders=3, n_reps=4)
+    for n_t, first_bad in ((1, 0), (2, 0), (2, 1), (5, 0), (5, 4)):
+        g = Grids(n_t=n_t, n_x=11, n_a=3, n_particles=20)
+        good = constant_policy(0.1, g, BOUNDS)
+        controls = np.full((n_t, g.n_x), 0.1)
+        controls[first_bad:] = np.nan
+        bad = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(), controls=controls)
+        match = f"non-finite trader controls at step {first_bad}"
+        with pytest.raises(NumericalError, match=match):
+            simulate(bad, cfg, g, BOUNDS, params, COSTS, InitialLaw(0.0, 0.5), seed=3)
+        for crowd, deviant in ((bad, bad), (good, bad), (bad, good)):
+            with pytest.raises(NumericalError, match=match):
+                deviation_gain(crowd, deviant, cfg, g, BOUNDS, params, COSTS,
+                               InitialLaw(0.0, 0.5), seed=3)
 
 
 def test_single_trader_profit_matches_closed_form():
