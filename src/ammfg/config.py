@@ -3,6 +3,10 @@
 A run is fully determined by (config, seed); the sha256 hash of the
 canonicalized key=value listing is embedded in every output artifact so
 results can be traced back to the exact configuration that produced them.
+_SECTIONS is the one schema, and RunConfig is derived from it: each key takes
+its default and type from its section's builder, except the six defaults in
+_OWN_DEFAULTS. An INI file that does not parse is a ConfigError; in one that
+does, a % is literal and a [DEFAULT] section is refused.
 Validation is collect-all: every violation is reported in one ConfigError
 rather than one at a time. Each parameter rule lives in the value object the
 parameter builds; validate only adds the rules that span objects.
@@ -12,9 +16,8 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
-import io
+import inspect
 import math
-from dataclasses import dataclass
 
 from .errors import AdmissibilityError, ConfigError, DomainError, UsageError
 from .grids import ControlBounds, Grids, InitialLaw, admissible
@@ -23,80 +26,55 @@ from .nplayer import SimConfig
 from .pool import PoolParams
 from .rewards import CostSpec, RewardKind, check_cost_growth, quadratic_costs
 
-
-@dataclass
-class RunConfig:
-    # [pool]
-    x0: float = 100.0
-    k0: float = 1e6
-    phi: float = 0.997
-    sigma0: float = 0.0
-    sigma: float = 0.5
-    # [costs]
-    running_cost: float = 0.5
-    terminal_cost: float = 0.5
-    c1: float = 1.0
-    # [grids]
-    horizon: float = 1.0
-    n_t: int = 100
-    x_min: float = -3.0
-    x_max: float = 3.0
-    n_x: int = 201
-    n_a: int = 41
-    n_particles: int = 10_000
-    n_quad: int = 5
-    seed: int = 20240814
-    # [controls]
-    a_min: float = 0.0
-    a_max: float = 0.5
-    # [reward]
-    kind: str = "f"
-    young_eps: float = 1.0
-    denom_exp: int = 2
-    # [fixed_point]
-    damping: float = 0.5
-    tol: float = 1e-3
-    max_iters: int = 200
-    # [law0]
-    law_mean: float = 0.0
-    law_std: float = 0.0
-    # [sim]
-    n_traders: int = 50
-    n_reps: int = 200
-    price_mode: str = "aggregate"
-    use_mid_price: bool = True
-    p_min: float = 1e-6
-    # [run]
-    out_dir: str = "out"
-    workers: int = 1
-
-
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "pool": ("x0", "k0", "phi", "sigma0", "sigma"),
-    "costs": ("running_cost", "terminal_cost", "c1"),
-    "grids": ("horizon", "n_t", "x_min", "x_max", "n_x", "n_a", "n_particles",
-              "n_quad", "seed"),
-    "controls": ("a_min", "a_max"),
-    "reward": ("kind", "young_eps", "denom_exp"),
-    "fixed_point": ("damping", "tol", "max_iters"),
-    "law0": ("law_mean", "law_std"),
-    "sim": ("n_traders", "n_reps", "price_mode", "use_mid_price", "p_min"),
-    "run": ("out_dir", "workers"),
+# section -> (builder of its value object, its keys); [run] builds nothing
+_SECTIONS = {
+    "pool": (PoolParams, ("x0", "k0", "phi", "sigma0", "sigma")),
+    "costs": (quadratic_costs, ("running_cost", "terminal_cost", "c1")),
+    "grids": (Grids, ("horizon", "n_t", "x_min", "x_max", "n_x", "n_a", "n_particles",
+                      "n_quad", "seed")),
+    "controls": (ControlBounds, ("a_min", "a_max")),
+    "reward": (RewardKind.from_tag, ("kind", "young_eps", "denom_exp")),
+    "fixed_point": (FixedPointConfig, ("damping", "tol", "max_iters")),
+    "law0": (InitialLaw, ("law_mean", "law_std")),
+    "sim": (SimConfig, ("n_traders", "n_reps", "price_mode", "use_mid_price", "p_min")),
+    "run": (None, ("out_dir", "workers")),
 }
 
+# config key -> builder argument where the two names differ; read backwards,
+# it names a builder's problem by its config key
+_ALIASES = {"running_cost": "running", "terminal_cost": "terminal", "kind": "tag",
+            "law_mean": "mean", "law_std": "std"}
+_KEY_OF = {arg: key for key, arg in _ALIASES.items()}
+
+# the defaults that no builder states
+_OWN_DEFAULTS = {"x0": 100.0, "k0": 1e6, "phi": 0.997, "kind": "f", "out_dir": "out",
+                 "workers": 1}
+
+
+def _field(key: str, build) -> tuple:
+    """(name, type, default) of one key, read off its builder's signature."""
+    param = inspect.signature(build).parameters[_ALIASES.get(key, key)] if build else None
+    default = _OWN_DEFAULTS[key] if key in _OWN_DEFAULTS else param.default
+    ftype = param.annotation if param else type(default).__name__
+    return key, ftype, dataclasses.field(default=default)
+
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [_field(key, build) for build, keys in _SECTIONS.values() for key in keys],
+    namespace={"__module__": __name__,
+               "__doc__": "Every config key, flat and in _SECTIONS order."})
+
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_SECTION_OF = {key: sec for sec, keys in _SECTIONS.items() for key in keys}
+_SECTION_OF = {key: sec for sec, (_, keys) in _SECTIONS.items() for key in keys}
 
 
 def _coerce(name: str, raw: str):
     ftype = _FIELD_TYPES[name]
     raw = raw.strip()
     if ftype == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+        if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
     if ftype == "int":
         return int(raw)
     if ftype == "float":
@@ -112,8 +90,13 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     cfg = RunConfig()
     problems: list[str] = []
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        # no interpolation, so a % is literal; no default section (a header
+        # is never empty), so [DEFAULT] is an unknown section like any other
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError([" ".join(f"cannot parse {path!r}: {exc}".split())]) from None
         if not read:
             raise ConfigError([f"cannot read config file {path!r}"])
         for sec in parser.sections():
@@ -121,7 +104,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
                 problems.append(f"unknown section [{sec}]")
                 continue
             for key, raw in parser.items(sec):
-                if key not in _SECTIONS[sec]:
+                if _SECTION_OF.get(key) != sec:
                     problems.append(f"unknown key {sec}.{key}")
                     continue
                 try:
@@ -152,13 +135,9 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
 def canonical_text(cfg: RunConfig) -> str:
     # [run] holds plumbing (workers, out_dir) that must not change results,
     # so it stays out of the hash: same config+seed, same bytes, any workers.
-    buf = io.StringIO()
-    for sec in sorted(_SECTIONS):
-        if sec == "run":
-            continue
-        for key in sorted(_SECTIONS[sec]):
-            buf.write(f"{sec}.{key}={getattr(cfg, key)!r}\n")
-    return buf.getvalue()
+    return "".join(f"{sec}.{key}={getattr(cfg, key)!r}\n"
+                   for sec in sorted(_SECTIONS) if sec != "run"
+                   for key in sorted(_SECTIONS[sec][1]))
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -167,51 +146,41 @@ def config_hash(cfg: RunConfig) -> str:
 
 # --- object builders --------------------------------------------------------
 
+def _build(cfg: RunConfig, section: str):
+    build, keys = _SECTIONS[section]
+    return build(**{_ALIASES.get(key, key): getattr(cfg, key) for key in keys})
+
+
 def pool_params(cfg: RunConfig) -> PoolParams:
-    return PoolParams(x0=cfg.x0, k0=cfg.k0, phi=cfg.phi, sigma0=cfg.sigma0,
-                      sigma=cfg.sigma)
+    return _build(cfg, "pool")
 
 
 def cost_spec(cfg: RunConfig) -> CostSpec:
-    return quadratic_costs(cfg.running_cost, cfg.terminal_cost, cfg.c1)
+    return _build(cfg, "costs")
 
 
 def grids(cfg: RunConfig) -> Grids:
-    return Grids(horizon=cfg.horizon, n_t=cfg.n_t, x_min=cfg.x_min, x_max=cfg.x_max,
-                 n_x=cfg.n_x, n_a=cfg.n_a, n_particles=cfg.n_particles,
-                 n_quad=cfg.n_quad, seed=cfg.seed)
+    return _build(cfg, "grids")
 
 
 def bounds(cfg: RunConfig) -> ControlBounds:
-    return ControlBounds(a_min=cfg.a_min, a_max=cfg.a_max)
+    return _build(cfg, "controls")
 
 
 def law0(cfg: RunConfig) -> InitialLaw:
-    return InitialLaw(mean=cfg.law_mean, std=cfg.law_std)
+    return _build(cfg, "law0")
 
 
 def fixed_point_config(cfg: RunConfig) -> FixedPointConfig:
-    return FixedPointConfig(damping=cfg.damping, tol=cfg.tol, max_iters=cfg.max_iters)
+    return _build(cfg, "fixed_point")
 
 
-def reward_kind(cfg: RunConfig, kind: str | None = None) -> RewardKind:
-    return RewardKind.from_tag(kind or cfg.kind, cfg.young_eps, cfg.denom_exp)
+def reward_kind(cfg: RunConfig) -> RewardKind:
+    return _build(cfg, "reward")
 
 
 def sim_config(cfg: RunConfig) -> SimConfig:
-    return SimConfig(n_traders=cfg.n_traders, n_reps=cfg.n_reps,
-                     price_mode=cfg.price_mode, use_mid_price=cfg.use_mid_price,
-                     p_min=cfg.p_min)
-
-
-_BUILDERS = {"pool": pool_params, "costs": cost_spec, "grids": grids, "controls": bounds,
-             "reward": reward_kind, "fixed_point": fixed_point_config, "law0": law0,
-             "sim": sim_config}
-
-# builder arguments whose name differs from their config key
-_KEYS = {"costs": {"running": "running_cost", "terminal": "terminal_cost"},
-         "reward": {"tag": "kind"},
-         "law0": {"mean": "law_mean", "std": "law_std"}}
+    return _build(cfg, "sim")
 
 
 def validate(cfg: RunConfig) -> None:
@@ -223,14 +192,15 @@ def validate(cfg: RunConfig) -> None:
     """
     bad: list[str] = []
     built = {}
-    for section, build in _BUILDERS.items():
+    for section, (build, _) in _SECTIONS.items():
+        if build is None:
+            continue
         try:
-            built[section] = build(cfg)
+            built[section] = _build(cfg, section)
         except (AdmissibilityError, DomainError, UsageError) as exc:
-            keys = _KEYS.get(section, {})
             for problem in exc.problems:
                 name, _, rest = problem.partition(" ")
-                bad.append(f"{section}.{keys.get(name, name)} {rest}")
+                bad.append(f"{section}.{_KEY_OF.get(name, name)} {rest}")
     if {"pool", "grids", "controls"} <= built.keys():
         ctrl, x0, horizon = built["controls"], built["pool"].x0, built["grids"].horizon
         if not admissible(ctrl, x0, horizon)[0]:

@@ -239,7 +239,6 @@ class GrowthReport:
     bound: float
     n_samples: int
     violations: int
-    worst_sample: tuple[float, float, float]  # (t, x, a)
 
 
 def check_growth_bound(kind: RewardKind, n_samples: int, seed: int, *,
@@ -259,7 +258,6 @@ def check_growth_bound(kind: RewardKind, n_samples: int, seed: int, *,
     n_paths = max(1, min(64, n_samples // 256))
     per = -(-n_samples // n_paths)  # ceil
     max_ratio = 0.0
-    worst = (0.0, 0.0, 0.0)
     violations = 0
     total = 0
     for _ in range(n_paths):
@@ -274,11 +272,8 @@ def check_growth_bound(kind: RewardKind, n_samples: int, seed: int, *,
         f = reward(kind, t, x, a, path, params, costs, consts)
         g = terminal_reward(x, costs)
         ratio = (np.abs(g) + np.abs(f)) / (consts.bound * np.exp(consts.bound * np.abs(x)))
-        i = int(np.argmax(ratio))
-        if ratio[i] > max_ratio:
-            max_ratio = float(ratio[i])
-            worst = (float(t[i]), float(x[i]), float(a[i]))
+        max_ratio = max(max_ratio, float(np.max(ratio)))
         violations += int(np.sum(ratio > 1.0))
         total += m
     return GrowthReport(max_ratio=max_ratio, bound=consts.bound, n_samples=total,
-                        violations=violations, worst_sample=worst)
+                        violations=violations)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from ammfg.fixed_point import FixedPointConfig
 from ammfg.grids import ControlBounds, Grids, InitialLaw
 from ammfg.nplayer import SimConfig
 from ammfg.pool import PoolParams
+from ammfg.rewards import RewardKind, quadratic_costs
 
 SMALL_INI = """\
 [grids]
@@ -163,8 +165,68 @@ def test_builders_round_trip():
     assert cfgmod.fixed_point_config(cfg) == FixedPointConfig(0.5, 1e-3, 200)
     assert cfgmod.sim_config(cfg) == SimConfig()
     assert cfgmod.reward_kind(cfg).tag == "f"
-    k1 = cfgmod.reward_kind(cfg, "f1")
+    k1 = cfgmod.reward_kind(cfgmod.load_config(None, ["reward.kind=f1", "reward.young_eps=2.0"]))
     assert k1.tag == "f1" and k1.young_eps == 2.0
+
+
+def test_config_hash_is_pinned(small_ini):
+    # every artifact carries this hash: a schema change that moves it must be
+    # deliberate, not a side effect
+    assert cfgmod.config_hash(cfgmod.load_config()) == "11869fcb120d335f"
+    assert cfgmod.config_hash(cfgmod.load_config(small_ini)) == "b82234cbdf454a85"
+
+
+def test_run_config_is_derived_from_the_schema():
+    fields = dataclasses.fields(cfgmod.RunConfig)
+    assert [f.name for f in fields] == [
+        key for _, keys in cfgmod._SECTIONS.values() for key in keys]
+    assert all(type(f.default).__name__ == f.type for f in fields)
+    # each default is its value object's own default
+    cfg = cfgmod.RunConfig()
+    assert cfgmod.pool_params(cfg) == PoolParams(100.0, 1e6, 0.997)
+    assert cfgmod.grids(cfg) == Grids()
+    assert cfgmod.bounds(cfg) == ControlBounds()
+    assert cfgmod.law0(cfg) == InitialLaw()
+    assert cfgmod.fixed_point_config(cfg) == FixedPointConfig()
+    assert cfgmod.sim_config(cfg) == SimConfig()
+    assert cfgmod.reward_kind(cfg) == RewardKind()
+    costs = inspect.signature(quadratic_costs).parameters.values()
+    assert (cfg.running_cost, cfg.terminal_cost, cfg.c1) == tuple(p.default for p in costs)
+    assert (cfg.out_dir, cfg.workers) == ("out", 1)
+
+
+def test_readme_schema_matches_sections():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented = []
+    for line in block.splitlines():
+        section, keys = line.split("]", 1)
+        documented.append((section.lstrip("["), tuple(k.strip() for k in keys.split(","))))
+    assert documented == [(sec, keys) for sec, (_, keys) in cfgmod._SECTIONS.items()]
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    ini = tmp_path / "pct.ini"
+    ini.write_text("[run]\nout_dir = runs/%Y\n")
+    assert cfgmod.load_config(str(ini)).out_dir == "runs/%Y"
+
+
+@pytest.mark.parametrize("text,expect", [
+    ("seed = 3\n", "no section headers"),
+    ("[grids]\nseed = 3\nseed = 4\n", "option 'seed' in section 'grids' already exists"),
+    ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+    ("[DEFAULT]\nseed = 3\n[pool]\nphi = 0.9\n", "unknown section [DEFAULT]"),
+    ("[pool]\nphi = 99%\n", "pool.phi: could not convert"),
+])
+def test_malformed_ini_is_a_configuration_error(text, expect, tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    out = tmp_path / "o"
+    assert run(["solve", "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and expect in err
+    assert "Traceback" not in err and "pool.seed" not in err
+    assert not out.exists()
 
 
 # --- command line ------------------------------------------------------------
