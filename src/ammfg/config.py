@@ -4,9 +4,10 @@ A run is fully determined by (config, seed); the sha256 hash of the
 canonicalized key=value listing is embedded in every output artifact so
 results can be traced back to the exact configuration that produced them.
 _SECTIONS is the one schema, and RunConfig is derived from it: each key takes
-its default and type from its section's builder, except the six defaults in
-_OWN_DEFAULTS. An INI file that does not parse is a ConfigError; in one that
-does, a % is literal and a [DEFAULT] section is refused.
+its default and type from its section's builder, except the six keys in
+_OWN_DEFAULTS, which take both from their default there. An INI file that
+does not parse is a ConfigError; in one that does, a % is literal and a
+[DEFAULT] section is refused.
 Validation is collect-all: every violation is reported in one ConfigError
 rather than one at a time. Each parameter rule lives in the value object the
 parameter builds; validate only adds the rules that span objects.
@@ -33,7 +34,7 @@ _SECTIONS = {
     "grids": (Grids, ("horizon", "n_t", "x_min", "x_max", "n_x", "n_a", "n_particles",
                       "n_quad", "seed")),
     "controls": (ControlBounds, ("a_min", "a_max")),
-    "reward": (RewardKind.from_tag, ("kind", "young_eps", "denom_exp")),
+    "reward": (RewardKind, ("kind", "young_eps", "denom_exp")),
     "fixed_point": (FixedPointConfig, ("damping", "tol", "max_iters")),
     "law0": (InitialLaw, ("law_mean", "law_std")),
     "sim": (SimConfig, ("n_traders", "n_reps", "price_mode", "use_mid_price", "p_min")),
@@ -42,7 +43,7 @@ _SECTIONS = {
 
 # config key -> builder argument where the two names differ; read backwards,
 # it names a builder's problem by its config key
-_ALIASES = {"running_cost": "running", "terminal_cost": "terminal", "kind": "tag",
+_ALIASES = {"running_cost": "running", "terminal_cost": "terminal", "kind": "variant",
             "law_mean": "mean", "law_std": "std"}
 _KEY_OF = {arg: key for key, arg in _ALIASES.items()}
 
@@ -55,7 +56,7 @@ def _field(key: str, build) -> tuple:
     """(name, type, default) of one key, read off its builder's signature."""
     param = inspect.signature(build).parameters[_ALIASES.get(key, key)] if build else None
     default = _OWN_DEFAULTS[key] if key in _OWN_DEFAULTS else param.default
-    ftype = param.annotation if param else type(default).__name__
+    ftype = type(default).__name__ if key in _OWN_DEFAULTS else param.annotation
     return key, ftype, dataclasses.field(default=default)
 
 

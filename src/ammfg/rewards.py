@@ -44,7 +44,7 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class RewardKind:
-    """Which running reward to use, plus its two knobs.
+    """Which running reward to use (a Variant or its tag f, f1, f2), plus two knobs.
 
     young_eps scales the Young split in LOWER (1 reproduces the plain
     inequality with equal weights). denom_exp is the exponent e on the
@@ -52,7 +52,7 @@ class RewardKind:
     Ito-consistent variant in which D(t) is exactly the aggregate price.
     """
 
-    variant: Variant = Variant.ORIGINAL
+    variant: Variant | str = Variant.ORIGINAL
     young_eps: float = 1.0
     denom_exp: int = 2
 
@@ -62,6 +62,11 @@ class RewardKind:
             problems.append(f"young_eps must be > 0, got {self.young_eps}")
         if self.denom_exp not in (1, 2):
             problems.append(f"denom_exp must be 1 or 2, got {self.denom_exp}")
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))
+        except ValueError:
+            raise UsageError([f"variant must be one of f, f1, f2, got {self.variant!r}"]
+                             + problems) from None
         if problems:
             raise DomainError(problems)
 
@@ -69,19 +74,6 @@ class RewardKind:
     def tag(self) -> str:
         """Interface label: f, f1, or f2."""
         return self.variant.value
-
-    @classmethod
-    def from_tag(cls, tag: str, young_eps: float = 1.0, denom_exp: int = 2) -> "RewardKind":
-        """Build from a tag; an unknown tag is reported with the knobs' problems."""
-        variant = next((v for v in Variant if v.value == tag), None)
-        if variant is not None:
-            return cls(variant, young_eps, denom_exp)
-        problems = [f"tag must be one of f, f1, f2, got {tag!r}"]
-        try:
-            cls(Variant.ORIGINAL, young_eps, denom_exp)
-        except DomainError as exc:
-            problems += exc.problems
-        raise UsageError(problems)
 
 
 @dataclass(frozen=True)

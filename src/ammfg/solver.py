@@ -10,16 +10,18 @@ per step: edge-padded windows of the value row times one (taps, n_a) kernel.
 The running reward is evaluated in blocks of ceil(sqrt(n_t+1)) time nodes,
 so the solver never holds the whole (n_t+1, n_x, n_a) reward lattice.
 
-propagate pushes a particle ensemble forward under the policy
-(Euler-Maruyama) and reads off the induced mean control path and the share
-of particles that hit the grid edges. Its normals are one read-only
-(n_t, n_particles) block from propagate_noise; callers that push many times
-on one seed draw it once and pass it in. evaluate is
-the matching strong-form Monte Carlo estimate of the policy's objective;
-girsanov_evaluate estimates the same number under the driftless measure,
-reweighting each path by the discrete Girsanov density. The two routes agree
-within Monte Carlo error, which is the package's standing cross-check on the
-simulation layer.
+propagate, evaluate and girsanov_evaluate call one Monte Carlo walk, _walk,
+with one clamping rule: paths clamp to the grid box, as the solver's
+continuation reads do, and each warns when over 1% of its paths hit the edges.
+propagate pushes particles under the policy (Euler-Maruyama) and reads off the
+mean control path and the exit fraction; its normals are one read-only
+(n_t, n_particles) block from propagate_noise, which callers that push many
+times on one seed draw once. evaluate is the matching strong-form estimate of
+the policy's objective. girsanov_evaluate estimates it on driftless paths
+reweighted by the discrete Girsanov density; the clamp keeps the weights exact,
+as it is a function of the increments dW and under the weighted measure
+dW - (a/sigma) dt is Brownian. The two routes agree within Monte Carlo error,
+the package's standing cross-check on the simulation layer.
 """
 from __future__ import annotations
 
@@ -254,43 +256,56 @@ def propagate_noise(seed: int, grids: Grids) -> np.ndarray:
     return noise
 
 
+def _walk(policy: Policy, grids: Grids, x0: np.ndarray, step, reward=None):
+    """The one Monte Carlo step loop: (mean control per step, exit fraction, states, totals).
+
+    Each step k looks up the control a at the clamped states xs, refuses a
+    non-finite one, adds reward(t_k, xs, a) * dt to the totals (None without a
+    reward), then moves xs to step(k, xs, a) and clamps it to the grid box.
+    """
+    xs = np.clip(x0, grids.x_min, grids.x_max)
+    t, dt, m = grids.t_nodes(), grids.dt, np.empty(grids.n_t)
+    total = None if reward is None else np.zeros(xs.size)
+    ever_out = np.zeros(xs.size, dtype=bool)
+    for k in range(grids.n_t):
+        a = policy.control_at(k, xs)
+        m[k] = a.mean()
+        # states start finite and stay clamped: only a non-finite control spoils
+        # them, refused here before the next lookup makes them a bad index
+        if not np.isfinite(m[k]):
+            raise NumericalError(f"non-finite particle states at step {k}")
+        if reward is not None:
+            total += reward(t[k], xs, a) * dt
+        xs = step(k, xs, a)
+        ever_out |= (xs < grids.x_min) | (xs > grids.x_max)
+        np.clip(xs, grids.x_min, grids.x_max, out=xs)
+    exit_fraction = float(ever_out.mean())
+    if exit_fraction > 0.01:
+        warnings.warn(f"{exit_fraction:.1%} of particles hit the state-grid edges; "
+                      "widen [x_min, x_max]", stacklevel=3)
+    return m, exit_fraction, xs, total
+
+
 def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolParams,
               law0: InitialLaw, seed: int | None = None,
               noise: np.ndarray | None = None) -> tuple[MeanControlPath, float]:
     """Euler-Maruyama ensemble under the policy; returns (mean path, exit fraction).
 
-    States clamp to the grid box (matching the solver's clamped continuation
-    reads); the exit fraction is the share of particles ever clamped, and it
-    warns above 1%. The mean path's last node repeats the final interval's
-    mean so the n_t+1-node trapezoid convention applies. noise is the block
+    The exit fraction is the share of particles ever clamped to the grid box.
+    The mean path's last node repeats the final interval's mean so the
+    n_t+1-node trapezoid convention applies. noise is the block
     propagate_noise(seed, grids) returns, drawn here when not given.
     """
-    seed = grids.seed if seed is None else seed
-    n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
+    seed, n = grids.seed if seed is None else seed, grids.n_particles
     if noise is None:
         noise = propagate_noise(seed, grids)
-    elif np.shape(noise) != (n_t, n):
+    elif np.shape(noise) != (grids.n_t, n):
         raise UsageError(f"propagate noise has shape {np.shape(noise)}, "
-                         f"expected (n_t, n_particles) = {(n_t, n)}")
-    xs = np.clip(law0.sample(n, substream(seed, "law0")), grids.x_min, grids.x_max)
-    m_hat = np.empty(n_t + 1)
-    ever_out = np.zeros(n, dtype=bool)
-    scale = params.sigma * np.sqrt(dt)
-    for k in range(n_t):
-        a = policy.control_at(k, xs)
-        m_hat[k] = a.mean()
-        # states start finite and stay clamped: only a non-finite control spoils them
-        if not np.isfinite(m_hat[k]):
-            raise NumericalError(f"non-finite particle states at step {k}")
-        xs = xs + a * dt + scale * noise[k]
-        ever_out |= (xs < grids.x_min) | (xs > grids.x_max)
-        np.clip(xs, grids.x_min, grids.x_max, out=xs)
-    m_hat[n_t] = m_hat[n_t - 1]
-    exit_fraction = float(ever_out.mean())
-    if exit_fraction > 0.01:
-        warnings.warn(f"{exit_fraction:.1%} of particles hit the state-grid edges; "
-                      "widen [x_min, x_max]", stacklevel=2)
-    return make_path(m_hat, grids, bounds, params.x0), exit_fraction
+                         f"expected (n_t, n_particles) = {(grids.n_t, n)}")
+    dt, scale = grids.dt, params.sigma * np.sqrt(grids.dt)
+    m, exit_fraction, _, _ = _walk(policy, grids, law0.sample(n, substream(seed, "law0")),
+                                   lambda k, xs, a: xs + a * dt + scale * noise[k])
+    return make_path(np.append(m, m[-1]), grids, bounds, params.x0), exit_fraction
 
 
 def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Grids,
@@ -308,20 +323,12 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
     _check_path(path, grids)
     f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
     seed = grids.seed if seed is None else seed
-    n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
-    xs = np.clip(law0.sample(n, substream(seed, "evaluate-x0")), grids.x_min, grids.x_max)
+    n, dt, scale = grids.n_particles, grids.dt, params.sigma * np.sqrt(grids.dt)
     gen = substream(seed, "evaluate")
-    total = np.zeros(n)
-    scale = params.sigma * np.sqrt(dt)
-    t = grids.t_nodes()
-    for k in range(n_t):
-        a = policy.control_at(k, xs)
-        # as in propagate: a non-finite control is refused at its step, before
-        # the next step's lookup turns the spoiled states into a bad index
-        if not np.isfinite(a).all():
-            raise NumericalError(f"non-finite particle states at step {k}")
-        total += f(t[k], xs, a, path) * dt
-        xs = np.clip(xs + a * dt + scale * gen.standard_normal(n), grids.x_min, grids.x_max)
+    # one row of normals per step keeps a single row alive
+    _, _, xs, total = _walk(policy, grids, law0.sample(n, substream(seed, "evaluate-x0")),
+                            lambda k, xs, a: xs + a * dt + scale * gen.standard_normal(n),
+                            lambda t, xs, a: f(t, xs, a, path))
     total += terminal_reward(xs, costs)
     if not np.all(np.isfinite(total)):
         raise NumericalError("non-finite path objective in evaluate")
@@ -336,9 +343,12 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
                       reward_fn=None) -> ValueReport:
     """Weak-form estimate: driftless paths reweighted by the Girsanov density.
 
-    Simulates dX = sigma dW, evaluates the policy's control along the
-    driftless path, and weights each path by
-    exp(sum (a/sigma) dW - 1/2 sum (a/sigma)^2 dt). Requires sigma > 0.
+    Simulates dX = sigma dW, clamped to the grid box as evaluate's paths are,
+    evaluates the policy's control along it, and weights each path by
+    exp(sum (a/sigma) dW - 1/2 sum (a/sigma)^2 dt). Requires sigma > 0. The
+    weights stay exact under the clamp: it is a function of the increments dW,
+    and under the weighted measure dW - (a/sigma) dt is Brownian, so the
+    clamped driftless walk has the law of evaluate's clamped drifted walk.
     Agreement with evaluate (within combined Monte Carlo error) is the
     package's independent check that drift handling is correct. reward_fn is
     called as in evaluate.
@@ -348,20 +358,17 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
         raise DomainError("girsanov_evaluate needs sigma > 0")
     f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
     seed = grids.seed if seed is None else seed
-    n, n_t, dt = grids.n_particles, grids.n_t, grids.dt
-    xs = np.clip(law0.sample(n, substream(seed, "girsanov-x0")),
-                 grids.x_min, grids.x_max)
-    gen = substream(seed, "girsanov")
-    total = np.zeros(n)
-    logw = np.zeros(n)
-    t = grids.t_nodes()
-    sig = params.sigma
-    for k in range(n_t):
-        a = policy.control_at(k, xs)
-        total += f(t[k], xs, a, path) * dt
+    n, dt, sig = grids.n_particles, grids.dt, params.sigma
+    gen, logw = substream(seed, "girsanov"), np.zeros(n)
+
+    def step(k, xs, a):
+        nonlocal logw
         dw = np.sqrt(dt) * gen.standard_normal(n)
         logw += (a / sig) * dw - 0.5 * (a / sig) ** 2 * dt
-        xs = xs + sig * dw
+        return xs + sig * dw
+
+    _, _, xs, total = _walk(policy, grids, law0.sample(n, substream(seed, "girsanov-x0")),
+                            step, lambda t, xs, a: f(t, xs, a, path))
     total += terminal_reward(xs, costs)
     weights = np.exp(logw)
     est = weights * total

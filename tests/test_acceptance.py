@@ -212,7 +212,7 @@ def test_criterion_09_control_curvature():
 
 def test_criterion_10_growth_envelope():
     for tag in ("f", "f1", "f2"):
-        rep = check_growth_bound(RewardKind.from_tag(tag, 1.0, 2), 100_000, SEED,
+        rep = check_growth_bound(RewardKind(tag, 1.0, 2), 100_000, SEED,
                                  grids=GRIDS, bounds=BOUNDS, params=PARAMS,
                                  costs=COSTS)
         assert rep.violations == 0, tag

@@ -394,6 +394,19 @@ def test_cli_check(small_ini, tmp_path, capsys):
     assert text.count("pass") >= 4 and "FAIL" not in text
 
 
+def test_cli_check_girsanov_audit_passes_on_a_narrow_box(tmp_path):
+    # every path clamps on [-0.1, 0.1]: the reweighted paths clamp under the
+    # same rule as the direct ones, so the audit passes with its usual band
+    out = str(tmp_path / "narrow")
+    with pytest.warns(UserWarning, match="state-grid edges"):
+        code = run(["check", "--set", "grids.x_min=-0.1", "--set", "grids.x_max=0.1",
+                    "--out", out])
+    assert code == 0
+    doc = json.load(open(f"{out}/check_report.json"))
+    audit, = (a for a in doc["audits"] if a["property"] == "girsanov_agreement")
+    assert audit["pass"] is True and audit["difference"] <= audit["band"]
+
+
 def test_cli_sandwich(small_ini, tmp_path):
     out = str(tmp_path / "sw")
     assert run(["sandwich", "--config", small_ini, "--out", out]) == 0

@@ -33,7 +33,7 @@ def test_residual_is_sup_distance(grids_small, bounds_default):
 def test_solve_mfg_converges_small_scale(tag, grids_small, bounds_default,
                                          params_default, costs_default,
                                          law_point):
-    eq = solve_mfg(RewardKind.from_tag(tag), grids_small, bounds_default,
+    eq = solve_mfg(RewardKind(tag), grids_small, bounds_default,
                    params_default, costs_default, law_point, FP)
     assert eq.converged
     assert eq.iterations <= FP.max_iters

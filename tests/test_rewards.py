@@ -166,11 +166,11 @@ def test_terminal_reward():
 
 
 def test_reward_kind_tags_and_validation():
-    assert RewardKind.from_tag("f").variant is Variant.ORIGINAL
-    assert RewardKind.from_tag("f1").tag == "f1"
-    assert RewardKind.from_tag("f2", young_eps=3.0, denom_exp=1).denom_exp == 1
+    assert RewardKind("f").variant is Variant.ORIGINAL
+    assert RewardKind("f1").tag == "f1"
+    assert RewardKind("f2", young_eps=3.0, denom_exp=1).denom_exp == 1
     with pytest.raises(UsageError):
-        RewardKind.from_tag("f3")
+        RewardKind("f3")
     with pytest.raises(DomainError):
         RewardKind(Variant.LOWER, young_eps=0.0)
     with pytest.raises(DomainError):
@@ -203,7 +203,7 @@ def test_bound_constant_goldens():
 @pytest.mark.parametrize("tag", ["f", "f1", "f2"])
 def test_growth_bound_holds_on_samples(tag, grids_small, bounds_default,
                                        params_default, costs_default):
-    kind = RewardKind.from_tag(tag)
+    kind = RewardKind(tag)
     rep = check_growth_bound(kind, 20_000, 77, grids=grids_small,
                              bounds=bounds_default, params=params_default,
                              costs=costs_default)
@@ -214,7 +214,7 @@ def test_growth_bound_holds_on_samples(tag, grids_small, bounds_default,
 
 def test_growth_bound_negative_control(grids_small, bounds_default,
                                        params_default, costs_default):
-    kind = RewardKind.from_tag("f")
+    kind = RewardKind("f")
     good = bound_constant(params_default, costs_default, bounds_default,
                           grids_small.horizon)
     corrupted = dataclasses.replace(good, bound=0.5 * good.bound)

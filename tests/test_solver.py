@@ -9,8 +9,10 @@ grid solver must reproduce through its parabolic refinement. Nodes within
 reach of the state-grid edge are excluded: continuation reads clamp there
 and the linear form does not apply.
 """
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -304,22 +306,23 @@ def test_propagate_deterministic_drift():
     assert exit_fraction == 0.0
 
 
-def test_propagate_refuses_non_finite_states():
-    # refused at the step the control turns non-finite, not by a bad index
-    # at the next step's lookup
-    params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.0)
-    for n_t, first_bad in ((1, 0), (2, 0), (5, 0), (5, 4)):
-        g = Grids(n_t=n_t, n_x=11, n_particles=20)
-        controls = np.full((n_t, g.n_x), 0.1)
-        controls[first_bad:] = np.nan
-        pol = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(), controls=controls)
-        with pytest.raises(NumericalError, match="non-finite particle states"):
-            propagate(pol, g, B, params, InitialLaw(0.0, 0.0))
+def _run_estimator(estimator, pol, g, params, law):
+    """Run propagate, evaluate or girsanov_evaluate on the zero path and the f reward."""
+    if estimator is propagate:
+        return propagate(pol, g, B, params, law)
+    return estimator(pol, zero_path(g, B, params.x0), RewardKind(Variant.ORIGINAL), g, B,
+                     params, quadratic_costs(), law)
 
 
-def test_evaluate_refuses_non_finite_controls():
-    # as in propagate: refused at the step the control turns non-finite
-    params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.0)
+ESTIMATORS = pytest.mark.parametrize("estimator", [propagate, evaluate, girsanov_evaluate],
+                                     ids=lambda f: f.__name__)
+
+
+@ESTIMATORS
+def test_estimators_refuse_non_finite_controls(estimator):
+    # refused at the step the control turns non-finite, not by a bad index at
+    # the next step's lookup nor by a non-finite objective at the end
+    params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.5)
     for n_t, first_bad in ((1, 0), (2, 0), (5, 0), (5, 4)):
         g = Grids(n_t=n_t, n_x=11, n_particles=20)
         controls = np.full((n_t, g.n_x), 0.1)
@@ -327,8 +330,7 @@ def test_evaluate_refuses_non_finite_controls():
         pol = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(), controls=controls)
         with pytest.raises(NumericalError,
                            match=f"non-finite particle states at step {first_bad}"):
-            evaluate(pol, zero_path(g, B, params.x0), RewardKind(Variant.ORIGINAL), g, B,
-                     params, quadratic_costs(), InitialLaw(0.0, 0.0))
+            _run_estimator(estimator, pol, g, params, InitialLaw(0.0, 0.0))
 
 
 def test_propagate_noise_is_the_per_step_stream(grids_small, bounds_default,
@@ -363,12 +365,13 @@ def test_propagate_refuses_wrong_shape_noise(grids_small, bounds_default, params
             propagate(pol, g, bounds_default, params_default, law, noise=np.zeros(shape))
 
 
-def test_propagate_warns_when_particles_leave_grid():
+@ESTIMATORS
+def test_estimators_warn_when_paths_leave_grid(estimator):
     g = Grids(n_t=10, n_x=31, n_particles=200, seed=12)
     params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.5)
     pol = constant_policy(0.5, g, B)
     with pytest.warns(UserWarning, match="state-grid edges"):
-        propagate(pol, g, B, params, InitialLaw(2.9, 0.0))
+        _run_estimator(estimator, pol, g, params, InitialLaw(2.9, 0.0))
 
 
 def test_evaluate_golden_deterministic():
@@ -424,17 +427,29 @@ def test_girsanov_requires_noise(grids_small, bounds_default, costs_default,
 
 def test_girsanov_agrees_with_direct(grids_small, bounds_default, costs_default,
                                      law_point):
+    # on the narrow box more than 20% of the paths of each estimator clamp;
+    # both clamp under one rule, so they still agree within the same band
     params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.6)
-    path = zero_path(grids_small, bounds_default, params.x0)
     kind = RewardKind(Variant.ORIGINAL)
-    pol = solve_hjb(path, kind, grids_small, bounds_default, params, costs_default)
-    direct = evaluate(pol, path, kind, grids_small, bounds_default, params,
-                      costs_default, law_point, seed=21)
-    weak = girsanov_evaluate(pol, path, kind, grids_small, bounds_default, params,
-                             costs_default, law_point, seed=21)
-    band = 3.0 * np.hypot(direct.stderr, weak.stderr) + direct.bias_budget
-    assert abs(direct.value - weak.value) <= band
-    assert abs(weak.weight_mean - 1.0) <= 3.0 * weak.weight_stderr
+    narrow = dataclasses.replace(grids_small, x_min=-0.1, x_max=0.1)
+    for g in (grids_small, narrow):
+        path = zero_path(g, bounds_default, params.x0)
+        pol = solve_hjb(path, kind, g, bounds_default, params, costs_default)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            direct = evaluate(pol, path, kind, g, bounds_default, params,
+                              costs_default, law_point, seed=21)
+            weak = girsanov_evaluate(pol, path, kind, g, bounds_default, params,
+                                     costs_default, law_point, seed=21)
+        exit_percents = [float(str(w.message).split("%")[0]) for w in caught
+                         if "state-grid edges" in str(w.message)]
+        if g is narrow:
+            assert len(exit_percents) == 2 and min(exit_percents) > 20.0
+        else:
+            assert exit_percents == []
+        band = 3.0 * np.hypot(direct.stderr, weak.stderr) + direct.bias_budget
+        assert abs(direct.value - weak.value) <= band
+        assert abs(weak.weight_mean - 1.0) <= 3.0 * weak.weight_stderr
 
 
 def test_value_surface_consistent_with_monte_carlo(grids_small, bounds_default,
