@@ -17,8 +17,8 @@ from .grids import (ControlBounds, Grids, InitialLaw, MeanControlPath, admissibl
                     make_path, zero_path)
 from .rewards import (CostSpec, RewardKind, Variant, bound_constant, check_cost_growth,
                       check_growth_bound, quadratic_costs, reward, terminal_reward)
-from .solver import (Policy, ValueReport, constant_policy, evaluate, girsanov_evaluate,
-                     propagate, solve_hjb)
+from .solver import (Policy, ValueReport, evaluate, girsanov_evaluate, propagate,
+                     solve_hjb)
 from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .certify import (SWEEP_COLUMNS, EpsilonNashCertificate, SandwichReport,
                       epsilon_nash_certificate, phi_sweep, sandwich_report)
@@ -37,8 +37,7 @@ __all__ = [
     "make_path", "zero_path",
     "CostSpec", "RewardKind", "Variant", "bound_constant", "check_cost_growth",
     "check_growth_bound", "quadratic_costs", "reward", "terminal_reward",
-    "Policy", "ValueReport", "constant_policy", "evaluate", "girsanov_evaluate",
-    "propagate", "solve_hjb",
+    "Policy", "ValueReport", "evaluate", "girsanov_evaluate", "propagate", "solve_hjb",
     "EquilibriumResult", "FixedPointConfig", "solve_mfg",
     "SWEEP_COLUMNS", "EpsilonNashCertificate", "SandwichReport",
     "epsilon_nash_certificate", "phi_sweep", "sandwich_report",

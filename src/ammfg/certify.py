@@ -4,9 +4,9 @@ The original running reward couples control and crowd flow, so its
 equilibrium is out of reach of the standard verification arguments. The two
 separable surrogates are not: solve the LOWER and UPPER mean-field problems,
 evaluate their equilibrium values V_f1 and V_f2, and best-respond under the
-ORIGINAL reward against each auxiliary equilibrium path (plus the original
-reward's own damped fixed point when it converges). Pointwise
-f1 <= f <= f2 on nonnegative controls then forces
+ORIGINAL reward against each auxiliary equilibrium path. Every report also
+solves the original game; its damped fixed point, when converged, is a third
+candidate. Pointwise f1 <= f <= f2 on nonnegative controls then forces
 
     V_f1 <= V_f <= V_f2        (within Monte Carlo error),
 
@@ -49,7 +49,7 @@ class SandwichReport:
     candidates: dict[str, ValueReport]
     converged_f1: bool
     converged_f2: bool
-    converged_f: bool | None
+    converged_f: bool
     gap: float
     gap_se: float
     gap_upper: float
@@ -58,9 +58,9 @@ class SandwichReport:
     gap_lower_se: float
     direct_bounds: dict[str, float]
     controls_certified: list[str]
-    eq_lower: EquilibriumResult = field(repr=False, default=None)  # type: ignore[assignment]
-    eq_upper: EquilibriumResult = field(repr=False, default=None)  # type: ignore[assignment]
-    eq_orig: EquilibriumResult | None = field(repr=False, default=None)
+    eq_lower: EquilibriumResult = field(repr=False)
+    eq_upper: EquilibriumResult = field(repr=False)
+    eq_orig: EquilibriumResult = field(repr=False)
 
     def to_dict(self) -> dict:
         """JSON-ready view (drops the heavyweight equilibrium objects)."""
@@ -98,9 +98,9 @@ def _combined_se(a: ValueReport, b: ValueReport) -> float:
 
 def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
                     costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
-                    young_eps: float = 1.0, denom_exp: int = 2,
-                    seed: int | None = None, solve_original: bool = True,
-                    noise=None) -> SandwichReport:
+                    young_eps: float = RewardKind.young_eps,
+                    denom_exp: int = RewardKind.denom_exp,
+                    seed: int | None = None, noise=None) -> SandwichReport:
     """Run the full sandwich at one fee level.
 
     Refuses control intervals reaching below zero: the UPPER surrogate only
@@ -135,14 +135,10 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
         key = "alpha_hat_1" if label == "against_f1_path" else "alpha_hat_2"
         direct[key] = v_br.value - held.value
 
-    eq_orig: EquilibriumResult | None = None
-    converged_f: bool | None = None
-    if solve_original:
-        eq_orig = solve_mfg(kind_o, grids, bounds, params, costs, law0, fp, seed=seed,
-                            noise=noise)
-        converged_f = eq_orig.converged
-        if eq_orig.converged:
-            candidates["own_fixed_point"] = eq_orig.value
+    eq_orig = solve_mfg(kind_o, grids, bounds, params, costs, law0, fp, seed=seed,
+                        noise=noise)
+    if eq_orig.converged:
+        candidates["own_fixed_point"] = eq_orig.value
 
     v_f_source = max(candidates, key=lambda lbl: candidates[lbl].value)
     v_f = candidates[v_f_source]
@@ -152,7 +148,7 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
         phi=params.phi, spread=float(spread_factor(params.phi)),
         young_eps=young_eps, denom_exp=denom_exp,
         v_f1=v_f1, v_f2=v_f2, v_f=v_f, v_f_source=v_f_source, candidates=candidates,
-        converged_f1=eq1.converged, converged_f2=eq2.converged, converged_f=converged_f,
+        converged_f1=eq1.converged, converged_f2=eq2.converged, converged_f=eq_orig.converged,
         gap=v_f2.value - v_f1.value, gap_se=_combined_se(v_f1, v_f2),
         gap_upper=v_f2.value - v_f.value, gap_upper_se=_combined_se(v_f2, v_f),
         gap_lower=v_f.value - v_f1.value, gap_lower_se=_combined_se(v_f, v_f1),
@@ -169,15 +165,12 @@ class EpsilonNashCertificate:
     direct_bounds: dict[str, float]
     direct_within_epsilon: dict[str, bool]
     controls_certified: list[str]
-    requested_epsilon: float | None = None
-    certified_for_requested: bool | None = None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def epsilon_nash_certificate(report: SandwichReport,
-                             requested_epsilon: float | None = None) -> EpsilonNashCertificate:
+def epsilon_nash_certificate(report: SandwichReport) -> EpsilonNashCertificate:
     """epsilon = gap + 3*combined stderr, the lemma-based deviation bound.
 
     Both auxiliary policies are epsilon-Nash for the original game. The
@@ -196,12 +189,10 @@ def epsilon_nash_certificate(report: SandwichReport,
         raise UsageError("partial sandwich: non-finite gap")
     eps = report.gap + 3.0 * report.gap_se
     within = {k: bool(v <= eps) for k, v in report.direct_bounds.items()}
-    certified = None if requested_epsilon is None else bool(eps < requested_epsilon)
     return EpsilonNashCertificate(
         epsilon=eps, gap=report.gap, gap_se=report.gap_se,
         direct_bounds=dict(report.direct_bounds), direct_within_epsilon=within,
         controls_certified=list(report.controls_certified),
-        requested_epsilon=requested_epsilon, certified_for_requested=certified,
     )
 
 
@@ -212,8 +203,8 @@ SWEEP_COLUMNS = ["phi", "spread_factor", "V_f1", "V_f1_se", "V_f", "V_f_se",
 
 def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
-              young_eps: float = 1.0, denom_exp: int = 2, seed: int | None = None,
-              solve_original: bool = True, workers: int = 1) -> list[dict]:
+              young_eps: float = RewardKind.young_eps, denom_exp: int = RewardKind.denom_exp,
+              seed: int | None = None, workers: int = 1) -> list[dict]:
     """Sandwich at each fee level; per-level failures land in the row.
 
     Rows come back in the order of ``phis`` regardless of worker count; all
@@ -231,8 +222,7 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
         try:
             p = dataclasses.replace(params, phi=phi)
             rep = sandwich_report(grids, bounds, p, costs, law0, fp, young_eps=young_eps,
-                                  denom_exp=denom_exp, seed=seed,
-                                  solve_original=solve_original, noise=noise)
+                                  denom_exp=denom_exp, seed=seed, noise=noise)
             row.update({
                 "spread_factor": rep.spread,
                 "V_f1": rep.v_f1.value, "V_f1_se": rep.v_f1.stderr,
@@ -245,7 +235,5 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    if workers <= 1 or len(phis) <= 1:
-        return [one(p) for p in phis]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, phis))

@@ -124,7 +124,7 @@ def _cmd_sandwich(args) -> int:
     if report.converged_f1 and report.converged_f2:
         doc["certificate"] = epsilon_nash_certificate(report).to_dict()
     print(artifacts.write_json(doc, out_dir, "sandwich.json", h, cfg.seed))
-    if not (report.converged_f1 and report.converged_f2 and report.converged_f is not False):
+    if not (report.converged_f1 and report.converged_f2 and report.converged_f):
         print("one or more equilibrium runs did not converge; sandwich is partial",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -252,7 +252,9 @@ def _audit_girsanov(cfg, b, seed) -> dict:
     band = 3.0 * float(np.hypot(direct.stderr, reweighted.stderr)) + direct.bias_budget
     return {"property": "girsanov_agreement", "pass": diff <= band,
             "max_slack": diff - band, "difference": diff, "band": band,
-            "direct": direct.value, "reweighted": reweighted.value}
+            "direct": direct.value, "reweighted": reweighted.value,
+            "direct_exit_fraction": direct.exit_fraction,
+            "reweighted_exit_fraction": reweighted.exit_fraction}
 
 
 def _cmd_check(args) -> int:

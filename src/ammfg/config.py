@@ -4,7 +4,7 @@ A run is fully determined by (config, seed); the sha256 hash of the
 canonicalized key=value listing is embedded in every output artifact so
 results can be traced back to the exact configuration that produced them.
 _SECTIONS is the one schema, and RunConfig is derived from it: each key takes
-its default and type from its section's builder, except the six keys in
+its default and type from its section's builder, except the three keys in
 _OWN_DEFAULTS, which take both from their default there. An INI file that
 does not parse is a ConfigError; in one that does, a % is literal and a
 [DEFAULT] section is refused.
@@ -48,8 +48,7 @@ _ALIASES = {"running_cost": "running", "terminal_cost": "terminal", "kind": "var
 _KEY_OF = {arg: key for key, arg in _ALIASES.items()}
 
 # the defaults that no builder states
-_OWN_DEFAULTS = {"x0": 100.0, "k0": 1e6, "phi": 0.997, "kind": "f", "out_dir": "out",
-                 "workers": 1}
+_OWN_DEFAULTS = {"kind": "f", "out_dir": "out", "workers": 1}
 
 
 def _field(key: str, build) -> tuple:

@@ -11,8 +11,9 @@ caller that runs several solves on one seed.
 
 Convergence of this iteration is an empirical matter, not a theorem;
 a run that exhausts max_iters reports converged=False and still returns its
-last iterate, policy, and value. A run that does stop is re-certified with
-one extra best-response + propagate round.
+last iterate, policy, and value. The map is evaluated once per iterate, so
+k iterations make k+1 best-response + propagate rounds: the last round, on
+the returned iterate, is the certification round.
 """
 from __future__ import annotations
 
@@ -87,22 +88,18 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
         path = init
 
     residuals: list[float] = []
-    for _ in range(fp.max_iters):
+    while True:
         policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
-        induced, _ = propagate(policy, grids, bounds, params, law0, seed=seed, noise=noise)
+        induced, exit_fraction = propagate(policy, grids, bounds, params, law0, seed=seed,
+                                           noise=noise)
+        # the map's run on the last iterate is the certification round
+        if len(residuals) == fp.max_iters or (residuals and residuals[-1] <= fp.tol):
+            break
         mixed = (1.0 - fp.damping) * path.values + fp.damping * induced.values
         nxt = make_path(mixed, grids, bounds, params.x0)
-        res = path.sup_distance(nxt)
-        residuals.append(res)
+        residuals.append(path.sup_distance(nxt))
         path = nxt
-        if res <= fp.tol:
-            break
 
-    # certification round: best response to the final iterate, and one more
-    # pass through the map to confirm the iterate is actually stationary
-    policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
-    induced, exit_fraction = propagate(policy, grids, bounds, params, law0, seed=seed,
-                                       noise=noise)
     post = fp.damping * path.sup_distance(induced)
     value = evaluate(policy, path, kind, grids, bounds, params, costs, law0,
                      seed=seed, reward_fn=reward_fn)

@@ -151,6 +151,16 @@ def admissible(bounds: ControlBounds, x0: float, horizon: float) -> tuple[bool, 
     return (m < x0 / horizon), eps0
 
 
+def reserve_floor(bounds: ControlBounds, x0: float, horizon: float) -> float:
+    """The floor eps0 of admissible bounds; AdmissibilityError for any others."""
+    ok, eps0 = admissible(bounds, x0, horizon)
+    if not ok:
+        raise AdmissibilityError(
+            f"bounds magnitude {bounds.magnitude} not < x0/T = {x0 / horizon}: "
+            "the pool reserve could deplete")
+    return eps0
+
+
 def make_path(values, grids: Grids, bounds: ControlBounds, x0: float) -> MeanControlPath:
     """Validate node values and assemble the flow path.
 
@@ -164,11 +174,7 @@ def make_path(values, grids: Grids, bounds: ControlBounds, x0: float) -> MeanCon
         raise UsageError(
             f"need {grids.n_t + 1} node values for n_t={grids.n_t}, got shape {values.shape}"
         )
-    ok, eps0 = admissible(bounds, x0, grids.horizon)
-    if not ok:
-        raise AdmissibilityError(
-            f"bounds magnitude {bounds.magnitude} not < x0/T = {x0 / grids.horizon}"
-        )
+    eps0 = reserve_floor(bounds, x0, grids.horizon)
     bad = np.nonzero((values < bounds.a_min - 1e-12) | (values > bounds.a_max + 1e-12))[0]
     if bad.size:
         k = int(bad[0])

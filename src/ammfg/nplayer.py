@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, NumericalError
-from .grids import ControlBounds, Grids, InitialLaw, admissible
+from .errors import DomainError, NumericalError
+from .grids import ControlBounds, Grids, InitialLaw, reserve_floor
 from .pool import (PoolParams, PoolState, bid_ask_mid, buy_swap, execute_swap,
                    price_after_aggregate, spot_price)
 from .rewards import CostSpec, RewardKind, drift_kernel, lambda_orig
@@ -118,9 +118,7 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
     once and shared, while trader 1, the pool and the price carry an arm axis.
     Returns arm 0's SimResult and trader 1's profits in every arm, (arms, n_reps).
     """
-    ok, _ = admissible(bounds, params.x0, grids.horizon)
-    if not ok:
-        raise AdmissibilityError("control bounds inadmissible: reserves could deplete")
+    reserve_floor(bounds, params.x0, grids.horizon)
     seed = grids.seed if seed is None else seed
     n, n_reps, n_t, dt, phi = cfg.n_traders, cfg.n_reps, grids.n_t, grids.dt, params.phi
     n_arms = len(trader1_policies)

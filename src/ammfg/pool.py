@@ -53,9 +53,9 @@ class PoolParams:
     sigma : trader inventory volatility, > 0 for the stochastic solvers.
     """
 
-    x0: float
-    k0: float
-    phi: float
+    x0: float = 100.0
+    k0: float = 1e6
+    phi: float = 0.997
     sigma0: float = 0.0
     sigma: float = 0.5
 

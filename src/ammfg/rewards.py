@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, UsageError
-from .grids import ControlBounds, Grids, MeanControlPath, admissible, make_path
+from .errors import DomainError, UsageError
+from .grids import ControlBounds, Grids, MeanControlPath, make_path, reserve_floor
 from .pool import PoolParams, spread_factor
 from .streams import substream
 
@@ -142,12 +142,7 @@ class BoundConstants:
 
 def bound_constant(params: PoolParams, costs: CostSpec, bounds: ControlBounds,
                    horizon: float, denom_exp: int = 2) -> BoundConstants:
-    m = bounds.magnitude
-    ok, eps0 = admissible(bounds, params.x0, horizon)
-    if not ok:
-        raise AdmissibilityError(
-            f"bounds magnitude {m} inadmissible for x0={params.x0}, T={horizon}"
-        )
+    m, eps0 = bounds.magnitude, reserve_floor(bounds, params.x0, horizon)
     drift_term = 2.0 * params.k0 * m * (params.x0 + horizon * m) / eps0**4
     cost_term = params.k0 * m * spread_factor(params.phi) / eps0 ** (2 * denom_exp)
     return BoundConstants(m_bound=m, eps0=eps0,

@@ -91,6 +91,7 @@ class ValueReport:
 
     stderr is the i.i.d. standard error; bias_budget is the declared
     discretization allowance O(dt + dx^2) scaled by the value magnitude.
+    exit_fraction is the share of paths ever clamped to the grid box.
     weight_mean/weight_stderr are present only for weak-form estimates.
     """
 
@@ -98,6 +99,7 @@ class ValueReport:
     stderr: float
     n_paths: int
     bias_budget: float = 0.0
+    exit_fraction: float = 0.0
     weight_mean: float | None = None
     weight_stderr: float | None = None
 
@@ -326,15 +328,16 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
     n, dt, scale = grids.n_particles, grids.dt, params.sigma * np.sqrt(grids.dt)
     gen = substream(seed, "evaluate")
     # one row of normals per step keeps a single row alive
-    _, _, xs, total = _walk(policy, grids, law0.sample(n, substream(seed, "evaluate-x0")),
-                            lambda k, xs, a: xs + a * dt + scale * gen.standard_normal(n),
-                            lambda t, xs, a: f(t, xs, a, path))
+    _, exit_fraction, xs, total = _walk(
+        policy, grids, law0.sample(n, substream(seed, "evaluate-x0")),
+        lambda k, xs, a: xs + a * dt + scale * gen.standard_normal(n),
+        lambda t, xs, a: f(t, xs, a, path))
     total += terminal_reward(xs, costs)
     if not np.all(np.isfinite(total)):
         raise NumericalError("non-finite path objective in evaluate")
     value = float(total.mean())
     return ValueReport(value=value, stderr=_stderr(total), n_paths=n,
-                       bias_budget=_bias_budget(grids, value))
+                       bias_budget=_bias_budget(grids, value), exit_fraction=exit_fraction)
 
 
 def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
@@ -367,8 +370,9 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
         logw += (a / sig) * dw - 0.5 * (a / sig) ** 2 * dt
         return xs + sig * dw
 
-    _, _, xs, total = _walk(policy, grids, law0.sample(n, substream(seed, "girsanov-x0")),
-                            step, lambda t, xs, a: f(t, xs, a, path))
+    _, exit_fraction, xs, total = _walk(
+        policy, grids, law0.sample(n, substream(seed, "girsanov-x0")), step,
+        lambda t, xs, a: f(t, xs, a, path))
     total += terminal_reward(xs, costs)
     weights = np.exp(logw)
     est = weights * total
@@ -376,13 +380,5 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
         raise NumericalError("non-finite weighted objective in girsanov_evaluate")
     value = float(est.mean())
     return ValueReport(value=value, stderr=_stderr(est), n_paths=n,
-                       bias_budget=_bias_budget(grids, value),
+                       bias_budget=_bias_budget(grids, value), exit_fraction=exit_fraction,
                        weight_mean=float(weights.mean()), weight_stderr=_stderr(weights))
-
-
-def constant_policy(level: float, grids: Grids, bounds: ControlBounds) -> Policy:
-    """Policy pinned at one control value everywhere (tests and baselines)."""
-    if not bounds.a_min <= level <= bounds.a_max:
-        raise UsageError(f"constant control {level} outside [{bounds.a_min}, {bounds.a_max}]")
-    return Policy(t_nodes=grids.t_nodes(), x_nodes=grids.x_nodes(),
-                  controls=np.full((grids.n_t, grids.n_x), float(level)))

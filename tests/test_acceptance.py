@@ -18,7 +18,8 @@ from ammfg.pool import (PoolParams, PoolState, buy_swap, execute_swap,
                         price_after_aggregate, spot_price, spread_factor)
 from ammfg.rewards import (RewardKind, Variant, bound_constant,
                            check_growth_bound, quadratic_costs, reward)
-from ammfg.solver import constant_policy, evaluate, girsanov_evaluate, solve_hjb
+from ammfg.solver import evaluate, girsanov_evaluate, solve_hjb
+from policies import constant_policy
 
 SEED = 20240814
 GRIDS = Grids()
@@ -81,7 +82,7 @@ def test_criterion_04_gap_upper_envelope(sandwich_default):
     reports = {0.997: sandwich_default[0]}
     for phi in (0.9, 0.99, 0.9999):
         reports[phi] = sandwich_report(GRIDS, BOUNDS, with_phi(phi), COSTS,
-                                       LAW0, FP, seed=SEED, solve_original=False)
+                                       LAW0, FP, seed=SEED)
     T, M, e = GRIDS.horizon, BOUNDS.magnitude, 2
     eps0 = PARAMS.x0 - T * M
     const = M * PARAMS.k0 * (eps0 ** (-2 * e) + (PARAMS.x0 + T * M) ** (-2 * e)) * (1.0 + T)
@@ -94,8 +95,7 @@ def test_criterion_04_gap_upper_envelope(sandwich_default):
 
 
 def test_criterion_05a_gap_at_phi_one_is_quadrature_residual():
-    rep = sandwich_report(GRIDS, BOUNDS, with_phi(1.0), COSTS, LAW0, FP,
-                          seed=SEED, solve_original=False)
+    rep = sandwich_report(GRIDS, BOUNDS, with_phi(1.0), COSTS, LAW0, FP, seed=SEED)
     path = rep.eq_lower.path
     d = PARAMS.k0 / (PARAMS.x0 - path.cumulative) ** 4
     residual = 0.5 * np.sum(d[:-1] ** 2) * GRIDS.dt
@@ -107,7 +107,7 @@ def test_criterion_05b_scaled_young_gap_vanishes():
     for phi in (0.9, 0.99, 0.9999):
         reports.append(sandwich_report(
             GRIDS, BOUNDS, with_phi(phi), COSTS, LAW0, FP,
-            young_eps=1.0 / spread_factor(phi), seed=SEED, solve_original=False))
+            young_eps=1.0 / spread_factor(phi), seed=SEED))
     for wide, tight in zip(reports, reports[1:]):
         band = 3.0 * np.hypot(wide.gap_se, tight.gap_se)
         assert tight.gap <= wide.gap + band

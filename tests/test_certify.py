@@ -95,17 +95,8 @@ def test_certificate_epsilon(report):
     assert cert.epsilon == report.gap + 3.0 * report.gap_se
     assert cert.gap == report.gap and cert.gap_se == report.gap_se
     assert set(cert.direct_within_epsilon) == {"alpha_hat_1", "alpha_hat_2"}
-    assert cert.requested_epsilon is None
-    assert cert.certified_for_requested is None
     d = cert.to_dict()
     assert d["epsilon"] == cert.epsilon
-
-
-def test_certificate_requested_epsilon(report):
-    assert epsilon_nash_certificate(report, 1e9).certified_for_requested is True
-    tight = epsilon_nash_certificate(report, -1.0)
-    assert tight.certified_for_requested is False
-    assert tight.requested_epsilon == -1.0
 
 
 def test_certificate_refuses_partial(report):
@@ -131,10 +122,8 @@ def _rows_equal(a: dict, b: dict) -> bool:
 
 def test_phi_sweep_order_and_workers():
     phis = [0.95, 0.9]
-    seq = phi_sweep(phis, GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP,
-                    solve_original=False, workers=1)
-    par = phi_sweep(phis, GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP,
-                    solve_original=False, workers=2)
+    seq = phi_sweep(phis, GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=1)
+    par = phi_sweep(phis, GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=2)
     assert [r["phi"] for r in seq] == phis
     assert len(seq) == len(par) == 2
     for rs, rp in zip(seq, par):
@@ -160,14 +149,12 @@ def test_one_propagate_noise_draw_per_sandwich_and_sweep(monkeypatch):
     assert keys.count(("propagate",)) == 1
     assert rep.eq_lower.iterations + rep.eq_upper.iterations > 2
     keys.clear()
-    phi_sweep([0.95, 0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP,
-              solve_original=False, workers=2)
+    phi_sweep([0.95, 0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=2)
     assert keys.count(("propagate",)) == 1
 
 
 def test_phi_sweep_records_failure():
-    rows = phi_sweep([2.0, 0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP,
-                     solve_original=False)
+    rows = phi_sweep([2.0, 0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP)
     bad, good = rows
     assert bad["phi"] == 2.0
     assert bad["error"].startswith("DomainError")
@@ -178,8 +165,8 @@ def test_phi_sweep_records_failure():
 def test_phi_sweep_young_eps_fn():
     # young_eps reaches the rows: two scales give two different sandwiches
     fixed = phi_sweep([0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP,
-                      young_eps=2.5, solve_original=False)
+                      young_eps=2.5)
     assert not _rows_equal(
         fixed[0],
         phi_sweep([0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP,
-                  young_eps=1.0, solve_original=False)[0])
+                  young_eps=1.0)[0])

@@ -405,6 +405,9 @@ def test_cli_check_girsanov_audit_passes_on_a_narrow_box(tmp_path):
     doc = json.load(open(f"{out}/check_report.json"))
     audit, = (a for a in doc["audits"] if a["property"] == "girsanov_agreement")
     assert audit["pass"] is True and audit["difference"] <= audit["band"]
+    # the report says the audit ran on clamped paths
+    assert audit["direct_exit_fraction"] > 0.2
+    assert audit["reweighted_exit_fraction"] > 0.2
 
 
 def test_cli_sandwich(small_ini, tmp_path):

@@ -88,7 +88,7 @@ def test_make_path_rejects_wrong_shape_and_inadmissible_bounds():
     g = Grids(n_t=4, n_x=11)
     with pytest.raises(UsageError):
         make_path(np.zeros(4), g, ControlBounds(0.0, 0.5), 100.0)
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError, match="150.0 not < x0/T = 100.0: .* deplete"):
         make_path(np.zeros(5), g, ControlBounds(-150.0, 150.0), 100.0)
 
 

@@ -11,8 +11,9 @@ from ammfg.nplayer import (PRICE_MODES, DeviationGain, SimConfig, SimResult,
 from ammfg.pool import (PoolParams, bid_ask_mid, buy_swap, execute_swap,
                         price_after_aggregate, spot_price)
 from ammfg.rewards import RewardKind, Variant, quadratic_costs
-from ammfg.solver import Policy, constant_policy, solve_hjb
+from ammfg.solver import Policy, solve_hjb
 from ammfg.streams import substream
+from policies import constant_policy
 
 BOUNDS = ControlBounds(0.0, 0.5)
 COSTS = quadratic_costs(0.5, 0.5, 1.0)

@@ -1,6 +1,9 @@
-"""The package's public surface: every name in ``ammfg.__all__`` is real, and
-the modules import nothing beyond the standard library and numpy."""
+"""The package's public surface: every name in ``ammfg.__all__`` is real, the
+modules import nothing beyond the standard library and numpy, and the README's
+quick start calls the package as its signatures allow."""
 import ast
+import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -45,3 +48,31 @@ def test_modules_import_only_the_standard_library_and_declared_dependencies():
             undeclared |= {(module.name, name) for name in names
                            if name.split(".")[0] not in allowed}
     assert undeclared == set()
+
+
+def _readme_quick_start() -> str:
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_binds_to_the_package_signatures():
+    # parsed, not run: each call of a name imported from the package must bind
+    # to that callable's signature, so a renamed or removed argument fails here
+    tree = ast.parse(_readme_quick_start())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ammfg":
+            module = importlib.import_module(node.module)
+            imported.update({alias.asname or alias.name: getattr(module, alias.name)
+                             for alias in node.names})
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in imported]
+    assert len({call.func.id for call in calls}) >= 8
+    unbound = []
+    for call in calls:
+        try:
+            inspect.signature(imported[call.func.id]).bind(
+                *call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {call.func.id}: {exc}")
+    assert unbound == []

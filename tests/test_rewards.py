@@ -196,7 +196,7 @@ def test_bound_constant_goldens():
     default = bound_constant(p997, costs, B, 1.0)
     assert default.eps0 == 99.5
     assert default.bound == pytest.approx(1.0253537846615786, rel=1e-13)
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError, match="200.0 not < x0/T = 100.0: .* deplete"):
         bound_constant(p997, costs, ControlBounds(-200.0, 200.0), 1.0)
 
 

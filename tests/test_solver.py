@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from ammfg import (ControlBounds, DomainError, Grids, InitialLaw, NumericalError,
-                   PoolParams, Policy, RewardKind, UsageError, Variant,
-                   constant_policy, evaluate, girsanov_evaluate, make_path,
-                   propagate, quadratic_costs, solve_hjb, solver, spread_factor,
-                   terminal_reward, zero_path)
+                   PoolParams, Policy, RewardKind, UsageError, Variant, evaluate,
+                   girsanov_evaluate, make_path, propagate, quadratic_costs, solve_hjb,
+                   solver, spread_factor, terminal_reward, zero_path)
 from ammfg.streams import substream
+from policies import constant_policy
 
 B = ControlBounds(0.0, 0.5)
 
@@ -445,8 +445,10 @@ def test_girsanov_agrees_with_direct(grids_small, bounds_default, costs_default,
                          if "state-grid edges" in str(w.message)]
         if g is narrow:
             assert len(exit_percents) == 2 and min(exit_percents) > 20.0
+            assert min(direct.exit_fraction, weak.exit_fraction) > 0.2
         else:
             assert exit_percents == []
+            assert max(direct.exit_fraction, weak.exit_fraction) <= 0.01
         band = 3.0 * np.hypot(direct.stderr, weak.stderr) + direct.bias_budget
         assert abs(direct.value - weak.value) <= band
         assert abs(weak.weight_mean - 1.0) <= 3.0 * weak.weight_stderr
