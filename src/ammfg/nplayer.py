@@ -26,10 +26,18 @@ else stays put. Both arms run in one pass: replication r draws its noise
 once, from a stream keyed by (seed, r), and the n-1 conformist traders, whose
 inventories do not depend on the price, are moved once for both arms. Only
 trader 1, the pool and the price carry an arm axis. simulate is the one-arm
-case of the same loop. Results are bitwise reproducible under any batching.
+case of the same loop; deviation_gain's pass skips the crowd's cash, running
+cost and profits and arm 0's statistics, which only simulate reports.
+
+Each chunk of replications is drawn on a thread pool, one contiguous slice of
+replications per usable core: numpy releases the interpreter lock while it
+fills a normal block, and replication r writes only its own rows. Results are
+bitwise reproducible under any batching and any thread count.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +96,44 @@ def _chunks(n_reps: int, n_traders: int, n_t: int) -> list[tuple[int, int]]:
     return [(s, min(s + per, n_reps)) for s in range(0, n_reps, per)]
 
 
+def _slices(m: int, cores: int) -> list[tuple[int, int]]:
+    """[0, m) as at most ``cores`` contiguous slices, each of one replication or more."""
+    parts = max(1, min(cores, m))
+    return [(m * i // parts, m * (i + 1) // parts) for i in range(parts)]
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def _draw(seed: int, law0: InitialLaw, lo: int, scale: float, x_start: np.ndarray,
+          noise: np.ndarray, xi0: np.ndarray) -> None:
+    """Fill a chunk's starting inventories, scaled trader noise and common normals.
+
+    Row i of each array is replication lo + i, drawn from its own stream keyed
+    by (seed, "sim", lo + i). The chunk is split into one contiguous slice per
+    usable core, drawn on a thread pool; each replication writes only its own
+    rows, so the bits do not depend on the number of slices.
+    """
+    n_t, m, n = noise.shape
+
+    def fill(span: tuple[int, int]) -> None:
+        a, b = span
+        for i in range(a, b):
+            rng = substream(seed, "sim", lo + i)
+            x_start[i] = law0.sample(n, rng)
+            noise[:, i] = rng.standard_normal((n, n_t)).T
+            xi0[:, i] = rng.standard_normal(n_t)
+        noise[:, a:b] *= scale
+
+    slices = _slices(m, _usable_cores())
+    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
+        list(pool.map(fill, slices))  # re-raises a slice's exception here
+
+
 def _venue(seq: PoolState, delta: np.ndarray, phi: float) -> PoolState:
     """The sequential venue after a net per-capita flow ``delta`` per pool.
 
@@ -109,14 +155,17 @@ def _venue(seq: PoolState, delta: np.ndarray, phi: float) -> PoolState:
 
 def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfig,
                    grids: Grids, bounds: ControlBounds, params: PoolParams, costs: CostSpec,
-                   law0: InitialLaw, seed: int | None) -> tuple[SimResult, np.ndarray]:
+                   law0: InitialLaw, seed: int | None,
+                   report: bool) -> tuple[SimResult | None, np.ndarray]:
     """One pass over the replications for several arms that differ only in trader 1.
 
     Trader 1 follows trader1_policies[j] in arm j; the other n-1 traders follow
     ``policy`` in every arm. Their inventories do not depend on the price, so
-    the crowd's draws, controls, inventories and running costs are computed
-    once and shared, while trader 1, the pool and the price carry an arm axis.
-    Returns arm 0's SimResult and trader 1's profits in every arm, (arms, n_reps).
+    the crowd's draws, controls and inventories are computed once and shared,
+    while trader 1, the pool and the price carry an arm axis. Returns trader
+    1's profits in every arm, (arms, n_reps), after arm 0's SimResult, which
+    is None unless ``report``: without it the pass skips the crowd's cash,
+    running cost and profits and every statistic only the SimResult holds.
     """
     reserve_floor(bounds, params.x0, grids.horizon)
     seed = grids.seed if seed is None else seed
@@ -125,29 +174,26 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
     t = grids.t_nodes()
     sqdt = np.sqrt(dt)
 
-    profits = np.empty((n_reps, n))
     trader1 = np.empty((n_arms, n_reps))
-    step_means = np.empty((n_t, n_reps))  # arm 0's mean control, per step and replication
+    if report:
+        profits = np.empty((n_reps, n))
+        step_means = np.empty((n_t, n_reps))  # arm 0's mean control, per step and replication
+        first = np.empty((5, n_t + 1))  # replication 0: raw, p_agg, p_seq, k_seq, flow
     mode_gap = 0.0
     k_min_inc = np.inf
     floored = 0
-    first = np.empty((5, n_t + 1))  # replication 0: raw, p_agg, p_seq, k_seq, flow
 
     for lo, hi in _chunks(n_reps, n, n_t):
         m = hi - lo
         x_start = np.empty((m, n))
         noise = np.empty((n_t, m, n))  # step-major, so each step reads one block
         xi0 = np.empty((n_t, m))
-        for r in range(lo, hi):
-            rng = substream(seed, "sim", r)
-            x_start[r - lo] = law0.sample(n, rng)
-            noise[:, r - lo] = rng.standard_normal((n, n_t)).T
-            xi0[:, r - lo] = rng.standard_normal(n_t)
-        noise *= params.sigma * sqdt
+        _draw(seed, law0, lo, params.sigma * sqdt, x_start, noise, xi0)
 
         # the crowd (traders 2..n) once; trader 1 per arm
         xc, x1 = x_start[:, 1:].copy(), np.tile(x_start[:, 0], (n_arms, 1))
-        yc, hc = np.zeros((2, m, n - 1))
+        if report:
+            yc, hc = np.zeros((2, m, n - 1))
         y1, h1 = np.zeros((2, n_arms, m))
         a = np.empty((n_arms, m, n))
         seq = PoolState(np.full((n_arms, m), params.x0), np.full((n_arms, m), params.y0))
@@ -155,15 +201,16 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
         w0 = np.zeros(m)
 
         for k in range(n_t + 1):
-            p_seq, k_seq = spot_price(seq), seq.k
+            p_seq = spot_price(seq)
             p_agg = price_after_aggregate(params, -flow)
             raw = (p_agg if cfg.price_mode == "aggregate" else p_seq) + params.sigma0 * w0
             price = np.maximum(raw, cfg.p_min)
-            # the statistics SimResult reports are arm 0's
-            mode_gap = max(mode_gap, float(np.max(np.abs(p_agg[0] - p_seq[0]))))
-            floored += int(np.sum(raw[0] < cfg.p_min))
-            if lo == 0:
-                first[:, k] = raw[0, 0], p_agg[0, 0], p_seq[0, 0], k_seq[0, 0], flow[0, 0]
+            if report:  # the statistics SimResult reports are arm 0's
+                k_seq = seq.k
+                mode_gap = max(mode_gap, float(np.max(np.abs(p_agg[0] - p_seq[0]))))
+                floored += int(np.sum(raw[0] < cfg.p_min))
+                if lo == 0:
+                    first[:, k] = raw[0, 0], p_agg[0, 0], p_seq[0, 0], k_seq[0, 0], flow[0, 0]
             if k == n_t:
                 break
 
@@ -178,29 +225,34 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
             # carries any NaN), before the next step's lookup turns it into a bad index
             if not np.isfinite(m_k).all():
                 raise NumericalError(f"non-finite trader controls at step {k}")
-            step_means[k, lo:hi] = m_k[0]
 
             fill = bid_ask_mid(price, phi)[2] if cfg.use_mid_price else price
-            yc -= crowd * fill[0][:, None] * dt
             y1 -= a1 * fill * dt
-            hc += costs.h(t[k], xc) * dt
             h1 += costs.h(t[k], x1) * dt
+            if report:
+                step_means[k, lo:hi] = m_k[0]
+                yc -= crowd * fill[0][:, None] * dt
+                hc += costs.h(t[k], xc) * dt
             xc += crowd * dt
             xc += noise[k, :, 1:]
             x1 += a1 * dt
             x1 += noise[k, :, 0]
 
             seq = _venue(seq, -m_k * dt, phi)
-            k_min_inc = min(k_min_inc, float(np.min(seq.k[0] - k_seq[0])))
+            if report:
+                k_min_inc = min(k_min_inc, float(np.min(seq.k[0] - k_seq[0])))
             flow += m_k * dt
             w0 = w0 + sqdt * xi0[k]
 
-        profits[lo:hi, 1:] = yc + xc * price[0][:, None] - hc - costs.l(xc)
         trader1[:, lo:hi] = y1 + x1 * price - h1 - costs.l(x1)
-        profits[lo:hi, 0] = trader1[0, lo:hi]
+        if report:
+            profits[lo:hi, 1:] = yc + xc * price[0][:, None] - hc - costs.l(xc)
+            profits[lo:hi, 0] = trader1[0, lo:hi]
 
-    if not (np.all(np.isfinite(profits)) and np.all(np.isfinite(trader1))):
+    if not (np.all(np.isfinite(trader1)) and (not report or np.all(np.isfinite(profits)))):
         raise NumericalError("non-finite trader profits")
+    if not report:
+        return None, trader1
     # one reduction over every replication, so chunk boundaries leave no trace;
     # the terminal node repeats the last interval's controls
     mean_control = step_means.mean(axis=1)
@@ -220,7 +272,7 @@ def simulate(policy: Policy, cfg: SimConfig, grids: Grids, bounds: ControlBounds
     """Run cfg.n_reps independent markets of cfg.n_traders each."""
     own = policy if deviant_policy is None else deviant_policy
     return _simulate_arms(policy, [own], cfg, grids, bounds, params, costs, law0,
-                          seed)[0]
+                          seed, report=True)[0]
 
 
 @dataclass(frozen=True)
@@ -241,7 +293,7 @@ def deviation_gain(policy: Policy, deviant_policy: Policy, cfg: SimConfig, grids
     conformist policy therefore yields exactly zero gain.
     """
     _, trader1 = _simulate_arms(policy, [deviant_policy, policy], cfg, grids, bounds, params,
-                                costs, law0, seed)
+                                costs, law0, seed, report=False)
     gains = trader1[0] - trader1[1]
     mean, se = float(gains.mean()), _stderr(gains)
     return DeviationGain(gain=mean, stderr=se, ci_low=mean - 1.96 * se,

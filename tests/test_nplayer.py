@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ammfg.nplayer import (PRICE_MODES, DeviationGain, SimConfig, SimResult,
                            deviation_gain, impact_aware_reward, simulate)
 from ammfg.pool import (PoolParams, bid_ask_mid, buy_swap, execute_swap,
                         price_after_aggregate, spot_price)
-from ammfg.rewards import RewardKind, Variant, quadratic_costs
+from ammfg.rewards import CostSpec, RewardKind, Variant, quadratic_costs
 from ammfg.solver import Policy, solve_hjb
 from ammfg.streams import substream
 from policies import constant_policy
@@ -308,6 +309,100 @@ def test_results_do_not_depend_on_chunking(monkeypatch, price_mode):
     for other in runs[1:]:
         for field in dataclasses.fields(SimResult):
             assert _same_bits(getattr(runs[0], field.name), getattr(other, field.name)), field.name
+
+
+_SLICES = nplayer._slices
+
+
+def _slice_count(monkeypatch, cores):
+    """Draw every chunk on ``cores`` slices; returns the slice lists drawn."""
+    monkeypatch.setattr(nplayer, "_usable_cores", lambda: cores)
+    drawn = []
+
+    def recording(m, count):
+        drawn.append(_SLICES(m, count))
+        return drawn[-1]
+
+    monkeypatch.setattr(nplayer, "_slices", recording)
+    return drawn
+
+
+@pytest.mark.parametrize("price_mode", PRICE_MODES)
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_results_do_not_depend_on_thread_count(monkeypatch, price_mode, chunk):
+    if chunk is not None:
+        _chunked(monkeypatch, chunk)
+    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
+    args = (SimConfig(n_traders=5, n_reps=9, price_mode=price_mode), GRIDS, BOUNDS, PARAMS,
+            COSTS, LAW)
+    sizes = [9] if chunk is None else [4, 4, 1]  # the replications of each chunk
+    runs = []
+    for cores in (1, 3):
+        drawn = _slice_count(monkeypatch, cores)
+        runs.append((simulate(crowd, *args, deviant_policy=dev, seed=13),
+                     deviation_gain(crowd, dev, *args, seed=13)))
+        assert [len(s) for s in drawn] == [min(cores, m) for m in sizes] * 2
+    for one, three in zip(*runs):  # the SimResults, then the DeviationGains
+        for field in dataclasses.fields(one):
+            assert _same_bits(getattr(one, field.name), getattr(three, field.name)), field.name
+
+
+def test_slices_never_outnumber_replications():
+    before = threading.active_count()
+    spans = nplayer._slices(9, 1000)
+    assert threading.active_count() == before  # a pure helper starts no thread
+    assert len(spans) <= 9
+    # contiguous, non-empty and covering every replication once
+    assert spans[0][0] == 0 and spans[-1][1] == 9
+    assert all(lo < hi for lo, hi in spans)
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert nplayer._slices(9, 1) == [(0, 9)]
+    assert nplayer._slices(7, 3) == [(0, 2), (2, 4), (4, 7)]
+
+
+class _RefusingLaw:
+    """An initial law whose sample raises, to follow the error out of the draw."""
+
+    def __init__(self):
+        self.error = RuntimeError("refused to sample")
+
+    def sample(self, n, rng):
+        raise self.error
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_a_draw_error_reaches_the_caller_unchanged(monkeypatch, cores, grids_small,
+                                                   params_default):
+    _slice_count(monkeypatch, cores)
+    law = _RefusingLaw()
+    pol = constant_policy(0.1, grids_small, BOUNDS)
+    with pytest.raises(RuntimeError) as info:
+        simulate(pol, SimConfig(n_traders=3, n_reps=6), grids_small, BOUNDS, params_default,
+                 COSTS, law, seed=1)
+    assert info.value is law.error
+
+
+def test_deviation_gain_skips_the_crowd_bookkeeping():
+    # deviation_gain reads only trader 1's profits, so its pass charges the
+    # running cost to trader 1's (arms, m) inventories alone; simulate also
+    # charges the crowd's (m, n - 1)
+    shapes = []
+
+    def h(t, x):
+        shapes.append(np.shape(x))
+        return COSTS.h(t, x)
+
+    costs = CostSpec(h=h, l=COSTS.l, c1=COSTS.c1)
+    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
+    cfg = SimConfig(n_traders=5, n_reps=7)
+    gain = deviation_gain(crowd, dev, cfg, GRIDS, BOUNDS, PARAMS, costs, LAW, seed=3)
+    assert set(shapes) == {(2, 7)} and len(shapes) == GRIDS.n_t
+    assert _same_bits(gain.gain,
+                      deviation_gain(crowd, dev, cfg, GRIDS, BOUNDS, PARAMS, COSTS, LAW,
+                                     seed=3).gain)
+    shapes.clear()
+    simulate(crowd, cfg, GRIDS, BOUNDS, PARAMS, costs, LAW, deviant_policy=dev, seed=3)
+    assert set(shapes) == {(1, 7), (7, 4)}
 
 
 def _replication_loop(policy, deviant, cfg, grids, params, seed):
