@@ -17,8 +17,11 @@ candidates and is a lower bound on the true supremum.
 All runs share one seed, so every value estimate in a report (and across the
 fee levels of a sweep) is computed on common random numbers; the reported
 standard errors are the conservative unpaired combinations. The particle
-push's normals are drawn once per report, and once per sweep, whose threads
-share the read-only block.
+push's draws are made once per report, and once per sweep, whose threads
+share them read-only. Each report owns one push log (solver.propagate's
+replay), never shared by a sweep's threads: its three solves' bang-bang
+policies often differ only in the last bits of their switches, and then the
+later solves replay the first one's pushes instead of walking them.
 """
 from __future__ import annotations
 
@@ -105,7 +108,7 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
 
     Refuses control intervals reaching below zero: the UPPER surrogate only
     bounds the original cost from above on a >= 0, so the bracket would be
-    silently wrong there. noise is the block propagate_noise(seed, grids)
+    silently wrong there. noise is the pair propagate_noise(seed, grids, law0)
     returns, drawn here when not given; every equilibrium solve reads it.
     """
     if bounds.a_min < 0:
@@ -115,13 +118,15 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
         )
     seed = grids.seed if seed is None else seed
     if noise is None:
-        noise = propagate_noise(seed, grids)
-    kind_l = RewardKind(Variant.LOWER, young_eps, denom_exp)
-    kind_u = RewardKind(Variant.UPPER, young_eps, denom_exp)
+        noise = propagate_noise(seed, grids, law0)
+    replay: dict = {}  # the report's push log, shared by its three solves
     kind_o = RewardKind(Variant.ORIGINAL, young_eps, denom_exp)
 
-    eq1 = solve_mfg(kind_l, grids, bounds, params, costs, law0, fp, seed=seed, noise=noise)
-    eq2 = solve_mfg(kind_u, grids, bounds, params, costs, law0, fp, seed=seed, noise=noise)
+    def solve(variant: Variant) -> EquilibriumResult:
+        return solve_mfg(RewardKind(variant, young_eps, denom_exp), grids, bounds, params,
+                         costs, law0, fp, seed=seed, noise=noise, replay=replay)
+
+    eq1, eq2 = solve(Variant.LOWER), solve(Variant.UPPER)
 
     candidates: dict[str, ValueReport] = {}
     direct: dict[str, float] = {}
@@ -135,8 +140,7 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
         key = "alpha_hat_1" if label == "against_f1_path" else "alpha_hat_2"
         direct[key] = v_br.value - held.value
 
-    eq_orig = solve_mfg(kind_o, grids, bounds, params, costs, law0, fp, seed=seed,
-                        noise=noise)
+    eq_orig = solve(Variant.ORIGINAL)
     if eq_orig.converged:
         candidates["own_fixed_point"] = eq_orig.value
 
@@ -208,11 +212,11 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
     """Sandwich at each fee level; per-level failures land in the row.
 
     Rows come back in the order of ``phis`` regardless of worker count; all
-    levels share the same seed, and so one block of propagate normals.
+    levels share the same seed, and so one pair of propagate draws.
     """
     phis = [float(p) for p in phis]
     seed = grids.seed if seed is None else seed
-    noise = propagate_noise(seed, grids)
+    noise = propagate_noise(seed, grids, law0)
 
     def one(phi: float) -> dict:
         row = {c: float("nan") for c in SWEEP_COLUMNS}

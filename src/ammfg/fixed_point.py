@@ -6,8 +6,9 @@ damped, m_{k+1} = (1-damping)*m_k + damping*Phi(m_k), with the Monte Carlo
 noise inside Phi frozen across iterations (common random numbers), so the
 iteration runs on a deterministic map and the residual sup_t |m_{k+1} - m_k|
 is meaningful below the Monte Carlo scale. That noise is one block of
-normals (solver.propagate_noise), drawn once per solve or passed in by a
-caller that runs several solves on one seed.
+normals and one starting sample (solver.propagate_noise), drawn once per
+solve or passed in by a caller that runs several solves on one seed, with a
+push log (solver.propagate's replay) they share. A lone solve logs nothing.
 
 Convergence of this iteration is an empirical matter, not a theorem;
 a run that exhausts max_iters reports converged=False and still returns its
@@ -67,19 +68,20 @@ class EquilibriumResult:
 def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: PoolParams,
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
               seed: int | None = None, init: MeanControlPath | None = None,
-              reward_fn=None, noise=None) -> EquilibriumResult:
+              reward_fn=None, noise=None, replay: dict | None = None) -> EquilibriumResult:
     """Damped Picard iteration from ``init`` (default: the zero path).
 
     The returned policy is the best response to the final iterate (one extra
     solver round), and the reported value evaluates that policy against it.
     converged requires both the in-loop residual and the post-certification
     residual damping*sup|Phi(m*) - m*| to sit at or below tol. noise is the
-    block propagate_noise(seed, grids) returns, drawn here when not given;
-    every propagate call of the solve reads it.
+    pair propagate_noise(seed, grids, law0) returns, drawn here when not
+    given; every propagate call of the solve reads it, and replay, a push
+    log (see solver.propagate), when given.
     """
     seed = grids.seed if seed is None else seed
     if noise is None:
-        noise = propagate_noise(seed, grids)
+        noise = propagate_noise(seed, grids, law0)
     if init is None:
         path = zero_path(grids, bounds, params.x0)
     else:
@@ -91,7 +93,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     while True:
         policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
         induced, exit_fraction = propagate(policy, grids, bounds, params, law0, seed=seed,
-                                           noise=noise)
+                                           noise=noise, replay=replay)
         # the map's run on the last iterate is the certification round
         if len(residuals) == fp.max_iters or (residuals and residuals[-1] <= fp.tol):
             break

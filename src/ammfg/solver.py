@@ -14,18 +14,20 @@ propagate, evaluate and girsanov_evaluate call one Monte Carlo walk, _walk,
 with one clamping rule: paths clamp to the grid box, as the solver's
 continuation reads do, and each warns when over 1% of its paths hit the edges.
 propagate pushes particles under the policy (Euler-Maruyama) and reads off the
-mean control path and the exit fraction; its normals are one read-only
-(n_t, n_particles) block from propagate_noise, which callers that push many
-times on one seed draw once. evaluate is the matching strong-form estimate of
-the policy's objective. girsanov_evaluate estimates it on driftless paths
-reweighted by the discrete Girsanov density; the clamp keeps the weights exact,
-as it is a function of the increments dW and under the weighted measure
-dW - (a/sigma) dt is Brownian. The two routes agree within Monte Carlo error,
-the package's standing cross-check on the simulation layer.
+mean control path and the exit fraction; callers that push many times on one
+seed draw its normals and starting sample once (propagate_noise) and may keep
+a push log that replays, bit for bit, a push whose controls provably match a
+logged one. evaluate is the matching strong-form estimate of the policy's
+objective. girsanov_evaluate estimates it on driftless paths reweighted by the
+discrete Girsanov density; the clamp keeps the weights exact, as it is a
+function of the increments dW and under the weighted measure dW - (a/sigma) dt
+is Brownian. The two routes agree within Monte Carlo error, the package's
+standing cross-check on the simulation layer.
 """
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,8 +70,12 @@ class Policy:
     def __post_init__(self):
         _uniform_spacing(np.asarray(self.x_nodes, dtype=float))
 
-    def control_at(self, k: int, x) -> np.ndarray:
-        """Policy at step k, piecewise linear in x, clamped at the grid edges."""
+    def control_at(self, k: int, x, record=None) -> np.ndarray:
+        """Policy at step k, piecewise linear in x, clamped at the grid edges.
+
+        A policy with switches hands record, when given, the lookup's own
+        (k, cell, position in the cell, the cell's switch or NaN) per query.
+        """
         nodes = self.x_nodes
         c = self.controls[k]
         u = (np.asarray(x, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
@@ -82,6 +88,8 @@ class Policy:
             return ramp
         # a NaN switch compares false, so only the isnan test routes to the ramp
         sw = self.switches[k][j]
+        if record is not None:
+            record(k, j, frac, sw)
         return np.where(frac < sw, left, np.where(np.isnan(sw), ramp, right))
 
 
@@ -246,19 +254,21 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
                   switches=switches)
 
 
-def propagate_noise(seed: int, grids: Grids) -> np.ndarray:
-    """The read-only (n_t, n_particles) normals that propagate reads, row k at step k.
+def propagate_noise(seed: int, grids: Grids, law0: InitialLaw) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only draws propagate reads: (normals, starts).
 
-    Every push with one (seed, grids) reads this same block (common random
-    numbers), so a caller that pushes many times draws it once and passes it
-    to each propagate call.
+    normals is the (n_t, n_particles) block, row k at step k; starts is the
+    (n_particles,) sample of law0. Every push with one (seed, grids, law0)
+    reads this same pair (common random numbers), so a caller that pushes
+    many times draws it once and passes it to each propagate call.
     """
-    noise = substream(seed, "propagate").standard_normal((grids.n_t, grids.n_particles))
-    noise.flags.writeable = False
-    return noise
+    normals = substream(seed, "propagate").standard_normal((grids.n_t, grids.n_particles))
+    starts = law0.sample(grids.n_particles, substream(seed, "law0"))
+    normals.flags.writeable = starts.flags.writeable = False
+    return normals, starts
 
 
-def _walk(policy: Policy, grids: Grids, x0: np.ndarray, step, reward=None):
+def _walk(policy: Policy, grids: Grids, x0: np.ndarray, step, reward=None, record=None):
     """The one Monte Carlo step loop: (mean control per step, exit fraction, states, totals).
 
     Each step k looks up the control a at the clamped states xs, refuses a
@@ -270,7 +280,7 @@ def _walk(policy: Policy, grids: Grids, x0: np.ndarray, step, reward=None):
     total = None if reward is None else np.zeros(xs.size)
     ever_out = np.zeros(xs.size, dtype=bool)
     for k in range(grids.n_t):
-        a = policy.control_at(k, xs)
+        a = policy.control_at(k, xs, record)
         m[k] = a.mean()
         # states start finite and stay clamped: only a non-finite control spoils
         # them, refused here before the next lookup makes them a bad index
@@ -281,32 +291,78 @@ def _walk(policy: Policy, grids: Grids, x0: np.ndarray, step, reward=None):
         xs = step(k, xs, a)
         ever_out |= (xs < grids.x_min) | (xs > grids.x_max)
         np.clip(xs, grids.x_min, grids.x_max, out=xs)
-    exit_fraction = float(ever_out.mean())
+    return m, float(ever_out.mean()), xs, total
+
+
+def _warn_exit(exit_fraction: float) -> None:
+    """Warn the public estimator's caller when over 1% of its paths hit the edges."""
     if exit_fraction > 0.01:
         warnings.warn(f"{exit_fraction:.1%} of particles hit the state-grid edges; "
                       "widen [x_min, x_max]", stacklevel=3)
-    return m, exit_fraction, xs, total
+
+
+def _replay_or_walk(replay: dict, policy: Policy, inputs: tuple, walk):
+    """(mean control per step, exit fraction) of a push: replayed from the log, else walked.
+
+    Records (m, exit fraction, lo, hi) are keyed by the push's inputs and the
+    digests of the policy's controls, x-nodes and NaN switch mask. lo and hi
+    bracket each finite switch s by the positions in its cell at its step: the
+    largest below s, the smallest at or above. A same-key policy with every
+    finite switch in its (lo, hi] reads, by induction over the steps, the same
+    control for every particle, so the record is its push bit for bit.
+    """
+    sw = np.empty(0) if policy.switches is None else policy.switches
+    finite = ~np.isnan(sw)
+    key = inputs + tuple((p.shape, p.dtype.str, hashlib.sha256(np.ascontiguousarray(p)).digest())
+                         for p in (policy.controls, policy.x_nodes, finite))
+    s = sw[finite]
+    for m, exit_fraction, lo, hi in replay.get(key, ()):
+        if np.all(lo < s) and np.all(s <= hi):
+            return m, exit_fraction
+    lo, hi = np.full(finite.shape, -np.inf), np.full(finite.shape, np.inf)
+
+    def record(k, j, frac, sw_at):
+        inside = np.flatnonzero(sw_at == sw_at)  # the queries in finite-switch cells
+        if inside.size:
+            j, frac = j[inside], frac[inside]
+            below = frac < sw_at[inside]
+            np.maximum.at(lo[k], j[below], frac[below])
+            np.minimum.at(hi[k], j[~below], frac[~below])
+
+    m, exit_fraction = walk(record)
+    replay.setdefault(key, []).append((m, exit_fraction, lo[finite], hi[finite]))
+    return m, exit_fraction
 
 
 def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolParams,
-              law0: InitialLaw, seed: int | None = None,
-              noise: np.ndarray | None = None) -> tuple[MeanControlPath, float]:
+              law0: InitialLaw, seed: int | None = None, noise=None,
+              replay: dict | None = None) -> tuple[MeanControlPath, float]:
     """Euler-Maruyama ensemble under the policy; returns (mean path, exit fraction).
 
     The exit fraction is the share of particles ever clamped to the grid box.
     The mean path's last node repeats the final interval's mean so the
-    n_t+1-node trapezoid convention applies. noise is the block
-    propagate_noise(seed, grids) returns, drawn here when not given.
+    n_t+1-node trapezoid convention applies. noise is the pair
+    propagate_noise(seed, grids, law0) returns, drawn here when not given.
+    replay is a push log (a dict, empty at first) for pushes on one noise
+    pair: a push provably reading a logged one's controls returns its results
+    unwalked (_replay_or_walk). Logging slows a walk, so a lone push passes none.
     """
     seed, n = grids.seed if seed is None else seed, grids.n_particles
     if noise is None:
-        noise = propagate_noise(seed, grids)
-    elif np.shape(noise) != (grids.n_t, n):
-        raise UsageError(f"propagate noise has shape {np.shape(noise)}, "
-                         f"expected (n_t, n_particles) = {(grids.n_t, n)}")
+        noise = propagate_noise(seed, grids, law0)
+    shapes, expected = [np.shape(block) for block in noise], [(grids.n_t, n), (n,)]
+    if shapes != expected:
+        raise UsageError(f"propagate noise has shapes {shapes}, expected {expected}")
+    normals, starts = noise
     dt, scale = grids.dt, params.sigma * np.sqrt(grids.dt)
-    m, exit_fraction, _, _ = _walk(policy, grids, law0.sample(n, substream(seed, "law0")),
-                                   lambda k, xs, a: xs + a * dt + scale * noise[k])
+
+    def walk(record=None):
+        return _walk(policy, grids, starts, lambda k, xs, a: xs + a * dt + scale * normals[k],
+                     record=record)[:2]
+
+    m, exit_fraction = walk() if replay is None else _replay_or_walk(
+        replay, policy, (grids, seed, law0, params.sigma), walk)
+    _warn_exit(exit_fraction)
     return make_path(np.append(m, m[-1]), grids, bounds, params.x0), exit_fraction
 
 
@@ -332,6 +388,7 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
         policy, grids, law0.sample(n, substream(seed, "evaluate-x0")),
         lambda k, xs, a: xs + a * dt + scale * gen.standard_normal(n),
         lambda t, xs, a: f(t, xs, a, path))
+    _warn_exit(exit_fraction)
     total += terminal_reward(xs, costs)
     if not np.all(np.isfinite(total)):
         raise NumericalError("non-finite path objective in evaluate")
@@ -373,6 +430,7 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
     _, exit_fraction, xs, total = _walk(
         policy, grids, law0.sample(n, substream(seed, "girsanov-x0")), step,
         lambda t, xs, a: f(t, xs, a, path))
+    _warn_exit(exit_fraction)
     total += terminal_reward(xs, costs)
     weights = np.exp(logw)
     est = weights * total

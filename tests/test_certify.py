@@ -137,7 +137,7 @@ def test_phi_sweep_order_and_workers():
 
 def test_one_propagate_noise_draw_per_sandwich_and_sweep(monkeypatch):
     # every Picard push of a report, and of every fee level of a sweep, reads
-    # one shared block of normals
+    # one shared block of normals and one shared starting sample
     keys = []
 
     def counting(seed, *labels):
@@ -146,11 +146,11 @@ def test_one_propagate_noise_draw_per_sandwich_and_sweep(monkeypatch):
 
     monkeypatch.setattr(solver, "substream", counting)
     rep = sandwich_report(GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP)
-    assert keys.count(("propagate",)) == 1
+    assert keys.count(("propagate",)) == keys.count(("law0",)) == 1
     assert rep.eq_lower.iterations + rep.eq_upper.iterations > 2
     keys.clear()
     phi_sweep([0.95, 0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=2)
-    assert keys.count(("propagate",)) == 1
+    assert keys.count(("propagate",)) == keys.count(("law0",)) == 1
 
 
 def test_phi_sweep_records_failure():

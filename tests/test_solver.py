@@ -336,18 +336,21 @@ def test_estimators_refuse_non_finite_controls(estimator):
 def test_propagate_noise_is_the_per_step_stream(grids_small, bounds_default,
                                                 params_default):
     # the block holds, row by row, the normals a per-step draw from the
-    # "propagate" stream gives, and a passed block pushes bit for bit like
-    # propagate's own draw
-    g, seed = grids_small, 7
-    noise = solver.propagate_noise(seed, g)
-    assert noise.shape == (g.n_t, g.n_particles) and not noise.flags.writeable
+    # "propagate" stream gives, the starting sample is law0's draw from the
+    # "law0" stream, and a passed pair pushes bit for bit like propagate's own
+    # draw
+    g, seed, law = grids_small, 7, InitialLaw(0.0, 0.5)
+    noise = solver.propagate_noise(seed, g, law)
+    normals, starts = noise
+    assert normals.shape == (g.n_t, g.n_particles) and not normals.flags.writeable
+    assert starts.shape == (g.n_particles,) and not starts.flags.writeable
     gen = substream(seed, "propagate")
-    for row in noise:
+    for row in normals:
         np.testing.assert_array_equal(row, gen.standard_normal(g.n_particles))
+    np.testing.assert_array_equal(starts, law.sample(g.n_particles, substream(seed, "law0")))
     pol = solve_hjb(zero_path(g, bounds_default, params_default.x0),
                     RewardKind(Variant.ORIGINAL), g, bounds_default, params_default,
                     quadratic_costs())
-    law = InitialLaw(0.0, 0.5)
     own, own_exit = propagate(pol, g, bounds_default, params_default, law, seed=seed)
     given, given_exit = propagate(pol, g, bounds_default, params_default, law, seed=seed,
                                   noise=noise)
@@ -359,10 +362,15 @@ def test_propagate_refuses_wrong_shape_noise(grids_small, bounds_default, params
     g = grids_small
     pol = constant_policy(0.1, g, bounds_default)
     law = InitialLaw(0.0, 0.0)
+    normals, starts = solver.propagate_noise(1, g, law)
     for shape in ((g.n_t - 1, g.n_particles), (g.n_particles, g.n_t), (g.n_t,),
                   (g.n_t, g.n_particles, 1)):
+        for noise in ((np.zeros(shape), starts), np.zeros(shape)):
+            with pytest.raises(UsageError, match="noise"):
+                propagate(pol, g, bounds_default, params_default, law, noise=noise)
+    for bad in (starts[:-1], np.zeros((g.n_particles, 1))):
         with pytest.raises(UsageError, match="noise"):
-            propagate(pol, g, bounds_default, params_default, law, noise=np.zeros(shape))
+            propagate(pol, g, bounds_default, params_default, law, noise=(normals, bad))
 
 
 @ESTIMATORS
