@@ -29,14 +29,13 @@ trader 1, the pool and the price carry an arm axis. simulate is the one-arm
 case of the same loop; deviation_gain's pass skips the crowd's cash, running
 cost and profits and arm 0's statistics, which only simulate reports.
 
-Each chunk of replications is drawn on the run's one thread pool, a slice of
+Each chunk of replications is drawn on a thread pool, one contiguous slice of
 replications per usable core: numpy releases the interpreter lock while it
 fills a normal block, and replication r writes only its own rows. Results are
 bitwise reproducible under any batching and any thread count.
 """
 from __future__ import annotations
 
-import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -111,14 +110,13 @@ def _usable_cores() -> int:
 
 
 def _draw(seed: int, law0: InitialLaw, lo: int, scale: float, x_start: np.ndarray,
-          noise: np.ndarray, xi0: np.ndarray, pool: ThreadPoolExecutor | None,
-          workers: int) -> None:
+          noise: np.ndarray, xi0: np.ndarray) -> None:
     """Fill a chunk's starting inventories, scaled trader noise and common normals.
 
     Row i of each array is replication lo + i, drawn from its own stream keyed
-    by (seed, "sim", lo + i). The chunk is split into at most ``workers``
-    contiguous slices, drawn on ``pool`` when there are several; each
-    replication writes only its own rows, so the bits do not depend on them.
+    by (seed, "sim", lo + i). The chunk is split into one contiguous slice per
+    usable core, drawn on a thread pool; each replication writes only its own
+    rows, so the bits do not depend on the number of slices.
     """
     n_t, m, n = noise.shape
 
@@ -131,8 +129,9 @@ def _draw(seed: int, law0: InitialLaw, lo: int, scale: float, x_start: np.ndarra
             xi0[:, i] = rng.standard_normal(n_t)
         noise[:, a:b] *= scale
 
-    slices = _slices(m, workers)
-    list((map if len(slices) == 1 else pool.map)(fill, slices))  # re-raises a slice's error
+    slices = _slices(m, _usable_cores())
+    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
+        list(pool.map(fill, slices))  # re-raises a slice's exception here
 
 
 def _venue(seq: PoolState, delta: np.ndarray, phi: float) -> PoolState:
@@ -184,74 +183,71 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
     k_min_inc = np.inf
     floored = 0
 
-    chunks = _chunks(n_reps, n, n_t)
-    workers = min(_usable_cores(), max(hi - lo for lo, hi in chunks))
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for lo, hi in chunks:
-            m = hi - lo
-            x_start = np.empty((m, n))
-            noise = np.empty((n_t, m, n))  # step-major, so each step reads one block
-            xi0 = np.empty((n_t, m))
-            _draw(seed, law0, lo, params.sigma * sqdt, x_start, noise, xi0, pool, workers)
+    for lo, hi in _chunks(n_reps, n, n_t):
+        m = hi - lo
+        x_start = np.empty((m, n))
+        noise = np.empty((n_t, m, n))  # step-major, so each step reads one block
+        xi0 = np.empty((n_t, m))
+        _draw(seed, law0, lo, params.sigma * sqdt, x_start, noise, xi0)
 
-            # the crowd (traders 2..n) once; trader 1 per arm
-            xc, x1 = x_start[:, 1:].copy(), np.tile(x_start[:, 0], (n_arms, 1))
+        # the crowd (traders 2..n) once; trader 1 per arm
+        xc, x1 = x_start[:, 1:].copy(), np.tile(x_start[:, 0], (n_arms, 1))
+        if report:
+            yc, hc = np.zeros((2, m, n - 1))
+        y1, h1 = np.zeros((2, n_arms, m))
+        a = np.empty((n_arms, m, n))
+        seq = PoolState(np.full((n_arms, m), params.x0), np.full((n_arms, m), params.y0))
+        flow = np.zeros((n_arms, m))  # per-capita cumulative flow
+        w0 = np.zeros(m)
+
+        for k in range(n_t + 1):
+            p_seq = spot_price(seq)
+            p_agg = price_after_aggregate(params, -flow)
+            raw = (p_agg if cfg.price_mode == "aggregate" else p_seq) + params.sigma0 * w0
+            price = np.maximum(raw, cfg.p_min)
+            if report:  # the statistics SimResult reports are arm 0's
+                k_seq = seq.k
+                mode_gap = max(mode_gap, float(np.max(np.abs(p_agg[0] - p_seq[0]))))
+                floored += int(np.sum(raw[0] < cfg.p_min))
+                if lo == 0:
+                    first[:, k] = raw[0, 0], p_agg[0, 0], p_seq[0, 0], k_seq[0, 0], flow[0, 0]
+            if k == n_t:
+                break
+
+            crowd = policy.control_at(k, xc)
+            a[:, :, 1:] = crowd
+            for j, own in enumerate(trader1_policies):
+                a[j, :, 0] = own.control_at(k, x1[j])
+            a1 = a[:, :, 0]
+            # each arm's mean runs over its full (m, n) row, as a one-arm run would
+            m_k = a.mean(axis=2)
+            # as in propagate: a non-finite control is refused at its step (the mean
+            # carries any NaN), before the next step's lookup turns it into a bad index
+            if not np.isfinite(m_k).all():
+                raise NumericalError(f"non-finite trader controls at step {k}")
+
+            fill = bid_ask_mid(price, phi)[2] if cfg.use_mid_price else price
+            y1 -= a1 * fill * dt
+            h1 += costs.h(t[k], x1) * dt
             if report:
-                yc, hc = np.zeros((2, m, n - 1))
-            y1, h1 = np.zeros((2, n_arms, m))
-            a = np.empty((n_arms, m, n))
-            seq = PoolState(np.full((n_arms, m), params.x0), np.full((n_arms, m), params.y0))
-            flow = np.zeros((n_arms, m))  # per-capita cumulative flow
-            w0 = np.zeros(m)
+                step_means[k, lo:hi] = m_k[0]
+                yc -= crowd * fill[0][:, None] * dt
+                hc += costs.h(t[k], xc) * dt
+            xc += crowd * dt
+            xc += noise[k, :, 1:]
+            x1 += a1 * dt
+            x1 += noise[k, :, 0]
 
-            for k in range(n_t + 1):
-                p_seq = spot_price(seq)
-                p_agg = price_after_aggregate(params, -flow)
-                raw = (p_agg if cfg.price_mode == "aggregate" else p_seq) + params.sigma0 * w0
-                price = np.maximum(raw, cfg.p_min)
-                if report:  # the statistics SimResult reports are arm 0's
-                    k_seq = seq.k
-                    mode_gap = max(mode_gap, float(np.max(np.abs(p_agg[0] - p_seq[0]))))
-                    floored += int(np.sum(raw[0] < cfg.p_min))
-                    if lo == 0:
-                        first[:, k] = raw[0, 0], p_agg[0, 0], p_seq[0, 0], k_seq[0, 0], flow[0, 0]
-                if k == n_t:
-                    break
-
-                crowd = policy.control_at(k, xc)
-                a[:, :, 1:] = crowd
-                for j, own in enumerate(trader1_policies):
-                    a[j, :, 0] = own.control_at(k, x1[j])
-                a1 = a[:, :, 0]
-                # each arm's mean runs over its full (m, n) row, as a one-arm run would
-                m_k = a.mean(axis=2)
-                # as in propagate: a non-finite control is refused at its step (the mean
-                # carries any NaN), before the next step's lookup turns it into a bad index
-                if not np.isfinite(m_k).all():
-                    raise NumericalError(f"non-finite trader controls at step {k}")
-
-                fill = bid_ask_mid(price, phi)[2] if cfg.use_mid_price else price
-                y1 -= a1 * fill * dt
-                h1 += costs.h(t[k], x1) * dt
-                if report:
-                    step_means[k, lo:hi] = m_k[0]
-                    yc -= crowd * fill[0][:, None] * dt
-                    hc += costs.h(t[k], xc) * dt
-                xc += crowd * dt
-                xc += noise[k, :, 1:]
-                x1 += a1 * dt
-                x1 += noise[k, :, 0]
-
-                seq = _venue(seq, -m_k * dt, phi)
-                if report:
-                    k_min_inc = min(k_min_inc, float(np.min(seq.k[0] - k_seq[0])))
-                flow += m_k * dt
-                w0 = w0 + sqdt * xi0[k]
-
-            trader1[:, lo:hi] = y1 + x1 * price - h1 - costs.l(x1)
+            seq = _venue(seq, -m_k * dt, phi)
             if report:
-                profits[lo:hi, 1:] = yc + xc * price[0][:, None] - hc - costs.l(xc)
-                profits[lo:hi, 0] = trader1[0, lo:hi]
+                k_min_inc = min(k_min_inc, float(np.min(seq.k[0] - k_seq[0])))
+            flow += m_k * dt
+            w0 = w0 + sqdt * xi0[k]
+
+        trader1[:, lo:hi] = y1 + x1 * price - h1 - costs.l(x1)
+        if report:
+            profits[lo:hi, 1:] = yc + xc * price[0][:, None] - hc - costs.l(xc)
+            profits[lo:hi, 0] = trader1[0, lo:hi]
 
     if not (np.all(np.isfinite(trader1)) and (not report or np.all(np.isfinite(profits)))):
         raise NumericalError("non-finite trader profits")

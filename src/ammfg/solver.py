@@ -304,12 +304,13 @@ def _warn_exit(exit_fraction: float) -> None:
 def _replay_or_walk(replay: dict, policy: Policy, inputs: tuple, walk):
     """(mean control per step, exit fraction) of a push: replayed from the log, else walked.
 
-    Records (m, exit fraction, lo, hi) are keyed by the push's inputs and the
-    digests of the policy's controls, x-nodes and NaN switch mask. lo and hi
-    bracket each finite switch s by the positions in its cell at its step: the
-    largest below s, the smallest at or above. A same-key policy with every
-    finite switch in its (lo, hi] reads, by induction over the steps, the same
-    control for every particle, so the record is its push bit for bit.
+    Records (m, exit fraction, lo, hi) are keyed by the push's grids and sigma
+    (the log's noise pair is fixed) and the digests of the policy's controls,
+    x-nodes and NaN switch mask. lo and hi bracket each finite switch s by the
+    positions in its cell at its step: the largest below s, the smallest at or
+    above. A same-key policy with every finite switch in its (lo, hi] reads,
+    by induction over the steps, the same control for every particle, so the
+    record is its push bit for bit.
     """
     sw = np.empty(0) if policy.switches is None else policy.switches
     finite = ~np.isnan(sw)
@@ -343,9 +344,10 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
     The mean path's last node repeats the final interval's mean so the
     n_t+1-node trapezoid convention applies. noise is the pair
     propagate_noise(seed, grids, law0) returns, drawn here when not given.
-    replay is a push log (a dict, empty at first) for pushes on one noise
-    pair: a push provably reading a logged one's controls returns its results
-    unwalked (_replay_or_walk). Logging slows a walk, so a lone push passes none.
+    replay is a push log (a dict, empty at first) tied to the noise pair of its
+    first push, so later pushes must pass that same pair: a push provably
+    reading a logged one's controls returns its results unwalked
+    (_replay_or_walk). Logging slows a walk, so a lone push passes none.
     """
     seed, n = grids.seed if seed is None else seed, grids.n_particles
     if noise is None:
@@ -360,8 +362,10 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
         return _walk(policy, grids, starts, lambda k, xs, a: xs + a * dt + scale * normals[k],
                      record=record)[:2]
 
+    if replay is not None and replay.setdefault("noise", noise) is not noise:
+        raise UsageError("a push log holds the pushes of one noise pair; this push passes another")
     m, exit_fraction = walk() if replay is None else _replay_or_walk(
-        replay, policy, (grids, seed, law0, params.sigma), walk)
+        replay, policy, (grids, params.sigma), walk)
     _warn_exit(exit_fraction)
     return make_path(np.append(m, m[-1]), grids, bounds, params.x0), exit_fraction
 

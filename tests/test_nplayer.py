@@ -347,28 +347,6 @@ def test_results_do_not_depend_on_thread_count(monkeypatch, price_mode, chunk):
             assert _same_bits(getattr(one, field.name), getattr(three, field.name)), field.name
 
 
-def test_one_draw_pool_per_run_and_none_for_single_slices(monkeypatch):
-    started = []
-
-    class Counting(nplayer.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(nplayer, "ThreadPoolExecutor", Counting)
-    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
-    args = (SimConfig(n_traders=5, n_reps=9), GRIDS, BOUNDS, PARAMS, COSTS, LAW)
-    # chunks of 4, 4 and 1 replications on 3 cores: one pool per run, of 3 threads;
-    # on 1 core, or with every chunk one replication, no pool at all
-    for cores, chunk, pools in ((3, 4, [(3,)]), (1, 4, []), (3, 1, [])):
-        monkeypatch.setattr(nplayer, "_usable_cores", lambda cores=cores: cores)
-        _chunked(monkeypatch, chunk)
-        started.clear()
-        simulate(crowd, *args, deviant_policy=dev, seed=13)
-        deviation_gain(crowd, dev, *args, seed=13)
-        assert started == pools * 2
-
-
 def test_slices_never_outnumber_replications():
     before = threading.active_count()
     spans = nplayer._slices(9, 1000)

@@ -8,14 +8,16 @@ cell. Each replay here is compared bit for bit with a fresh walk, and a
 switch moved past one logged position is shown to be walked instead.
 """
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from ammfg import (ControlBounds, Grids, InitialLaw, Policy, PoolParams, RewardKind, Variant,
-                   make_path, propagate, quadratic_costs, solve_hjb, solver)
+                   UsageError, make_path, propagate, quadratic_costs, solve_hjb, solver)
 from ammfg.certify import sandwich_report
 from ammfg.fixed_point import FixedPointConfig, solve_mfg
+from ammfg.solver import propagate_noise
 from policies import constant_policy
 
 G = Grids(horizon=1.0, n_t=20, x_min=-3.0, x_max=3.0, n_x=61, n_a=11,
@@ -30,17 +32,26 @@ def _params(phi=0.997):
     return PoolParams(100.0, 1e6, phi, sigma=0.5)
 
 
+@functools.cache
+def _noise(law):
+    return propagate_noise(G.seed, G, law)
+
+
 def _push(pol, params, log=None, law=LAW):
-    path, exit_fraction = propagate(pol, G, B, params, law, replay=log)
+    path, exit_fraction = propagate(pol, G, B, params, law, noise=_noise(law), replay=log)
     return path.values.tobytes(), exit_fraction
 
 
+def _logged(log):
+    return [records for key, records in log.items() if key != "noise"]
+
+
 def _records(log):
-    return sum(len(records) for records in log.values())
+    return sum(len(records) for records in _logged(log))
 
 
 def _only_record(log):
-    (records,) = log.values()
+    (records,) = _logged(log)
     (record,) = records
     return record
 
@@ -160,6 +171,17 @@ def test_a_replay_warns_as_its_walk_did():
         again = _push(pol, params, log, law=edge)
     assert _records(log) == 1 and first == again and first[1] > 0.01
     assert [str(w.message) for w in walked] == [str(w.message) for w in replayed]
+
+
+def test_a_log_refuses_a_second_noise_pair():
+    pol, params, log = _two_switch_policy(), _params(), {}
+    _push(pol, params, log)
+    other = propagate_noise(G.seed + 1, G, LAW)
+    with pytest.raises(UsageError, match="noise pair"):
+        propagate(pol, G, B, params, LAW, noise=other, replay=log)
+    with pytest.raises(UsageError, match="noise pair"):  # drawn afresh: another pair
+        propagate(pol, G, B, params, LAW, replay=log)
+    assert _records(log) == 1
 
 
 def test_lone_solves_and_pushes_record_nothing(monkeypatch):
