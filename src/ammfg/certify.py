@@ -21,13 +21,16 @@ push's draws are made once per report, and once per sweep, whose threads
 share them read-only. Each report owns one push log (solver.propagate's
 replay), never shared by a sweep's threads: its three solves' bang-bang
 policies often differ only in the last bits of their switches, and then the
-later solves replay the first one's pushes instead of walking them.
+later solves replay the first one's pushes instead of walking them. The last
+solve, the original game, reads the log through a read-only view: no solve
+after it would replay its pushes, so it walks them unlogged.
 """
 from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -122,9 +125,9 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
     replay: dict = {}  # the report's push log, shared by its three solves
     kind_o = RewardKind(Variant.ORIGINAL, young_eps, denom_exp)
 
-    def solve(variant: Variant) -> EquilibriumResult:
+    def solve(variant: Variant, log=replay) -> EquilibriumResult:
         return solve_mfg(RewardKind(variant, young_eps, denom_exp), grids, bounds, params,
-                         costs, law0, fp, seed=seed, noise=noise, replay=replay)
+                         costs, law0, fp, seed=seed, noise=noise, replay=log)
 
     eq1, eq2 = solve(Variant.LOWER), solve(Variant.UPPER)
 
@@ -140,7 +143,7 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
         key = "alpha_hat_1" if label == "against_f1_path" else "alpha_hat_2"
         direct[key] = v_br.value - held.value
 
-    eq_orig = solve(Variant.ORIGINAL)
+    eq_orig = solve(Variant.ORIGINAL, MappingProxyType(replay))
     if eq_orig.converged:
         candidates["own_fixed_point"] = eq_orig.value
 

@@ -18,6 +18,7 @@ the returned iterate, is the certification round.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path, zero_path
@@ -68,7 +69,7 @@ class EquilibriumResult:
 def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: PoolParams,
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
               seed: int | None = None, init: MeanControlPath | None = None,
-              reward_fn=None, noise=None, replay: dict | None = None) -> EquilibriumResult:
+              reward_fn=None, noise=None, replay: Mapping | None = None) -> EquilibriumResult:
     """Damped Picard iteration from ``init`` (default: the zero path).
 
     The returned policy is the best response to the final iterate (one extra

@@ -8,7 +8,13 @@ argmax ties break toward the control of smallest magnitude, then toward the
 smaller value. On the uniform grid that expectation is one banded product
 per step: edge-padded windows of the value row times one (taps, n_a) kernel.
 The running reward is evaluated in blocks of ceil(sqrt(n_t+1)) time nodes,
-so the solver never holds the whole (n_t+1, n_x, n_a) reward lattice.
+so the solver never holds the whole (n_t+1, n_x, n_a) reward lattice. Each
+block takes two passes. The backward recursion keeps, per step, only what the
+step before it reads (the value row) and what the second pass reads (the
+argmax, and q there and at four entries around it). The second pass is vectorised over the
+block's steps: it refines interior controls to the vertex of a parabola and
+places the switches of a bang-bang row. It applies the per-step formulas
+elementwise, so the split moves no bit.
 
 propagate, evaluate and girsanov_evaluate call one Monte Carlo walk, _walk,
 with one clamping rule: paths clamp to the grid box, as the solver's
@@ -30,6 +36,7 @@ import functools
 import hashlib
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,73 +192,105 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     and a of shape (1, 1, n_a), and its result must broadcast to
     (b, n_x, n_a). The first block called ends at t_{n_t}; the last one may be
     shorter. The terminal reward is always -l(x).
+
+    Each block's steps are solved in two passes. The backward loop computes
+    q = dt * reward + E[V_{k+1}], its tie-broken argmax and V_k = max q, and
+    refuses a non-finite V_k at its step. It records q at the argmax and at
+    the four entries around it that _refine reads. _refine then sets the
+    block's controls and switches in one vectorised pass over the cells that
+    need them.
     """
     _check_path(path, grids)
     f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
     t, x, a, dt = grids.t_nodes(), grids.x_nodes(), bounds.grid(grids.n_a), grids.dt
+    n_t, n_x, n_a = grids.n_t, grids.n_x, grids.n_a
 
     # tie-break order: smallest |a| first, then smaller a; argmax picks the
-    # first maximal entry, so scanning in this order implements the rule
+    # first maximal entry, so scanning in this order implements the rule. On a
+    # grid with a_min >= 0 that order is the grid's own and q needs no copy.
     order = np.lexsort((a, np.abs(a)))
+    reorder = not np.array_equal(order, np.arange(n_a))
 
-    values = np.empty((grids.n_t + 1, grids.n_x))
-    controls = np.empty((grids.n_t, grids.n_x))
-    switches = np.full((grids.n_t, grids.n_x - 1), np.nan)
+    values = np.empty((n_t + 1, n_x))
+    controls = np.empty((n_t, n_x))
+    switches = np.full((n_t, n_x - 1), np.nan)
     reads, kernel = _expectation_kernel(x, dt * a, params.sigma * np.sqrt(dt), grids.n_quad)
     values[-1] = terminal_reward(x, costs)
-    rows = np.arange(grids.n_x)
-    cells = np.arange(grids.n_x - 1)
-    da = a[1] - a[0] if grids.n_a > 1 else 0.0
     # the reward is evaluated one block of time nodes at a time: sqrt-sized
     # blocks hold ~sqrt(n_t) rows of the (n_t+1, n_x, n_a) lattice for
     # ~sqrt(n_t) calls, and the reward is elementwise in t, so the bits do
     # not depend on the blocking
-    block = math.isqrt(grids.n_t) + 1  # ceil(sqrt(n_t + 1)), at least 2
-    start = grids.n_t + 1
-    for k in range(grids.n_t - 1, -1, -1):
-        if k < start:
-            stop, start = start, max(start - block, 0)
-            running = None  # one block alive at a time: drop the last before the next
-            running = np.broadcast_to(
-                f(t[start:stop, None, None], x[None, :, None], a[None, None, :], path),
-                (stop - start, grids.n_x, grids.n_a))
-        q = dt * running[k - start] + values[k + 1][reads] @ kernel
-        best = order[np.argmax(q[:, order], axis=1)]
-        values[k] = q[rows, best]
-        controls[k] = a[best]
-        # sub-grid vertex of the parabola through the argmax and its
-        # neighbours, where the argmax is interior and at least one neighbour
-        # sits strictly below it: an exact two-way tie puts the vertex at the
-        # midpoint, and boundary (bang-bang) solutions keep their grid point.
-        # The vertex offset is <= da/2 by construction, hence stays inside
-        # the bounds.
-        # Without this the best-response map jumps by da under tiny changes
-        # of the crowd path and the damped fixed-point iteration can lock
-        # into a two-cycle above tolerance.
-        interior = (best > 0) & (best < grids.n_a - 1)
-        if da > 0 and interior.any():
-            lo = q[rows, np.maximum(best - 1, 0)]
-            hi = q[rows, np.minimum(best + 1, grids.n_a - 1)]
-            denom = 2.0 * values[k] - lo - hi
-            refine = interior & ((lo < values[k]) | (hi < values[k])) & (denom > 0)
-            offset = np.where(refine, (hi - lo) / np.where(denom > 0, 2.0 * denom, 1.0), 0.0)
-            controls[k] += offset * da
-        # where the argmax jumps between neighbouring x-nodes, place the
-        # switch at the indifference point of the two competing controls
-        # (Q is linear in x within a cell, so the crossing is exact)
-        bl, br = best[:-1], best[1:]
-        jump = (bl != br) & (np.abs(a[bl] - a[br]) > 1.5 * da)
-        if jump.any():
-            idx = cells[jump]
-            dl = q[idx, bl[idx]] - q[idx, br[idx]]
-            dr = q[idx + 1, bl[idx]] - q[idx + 1, br[idx]]
-            span = dl - dr
-            s = np.where(span > 0, dl / np.where(span > 0, span, 1.0), 0.5)
-            switches[k, idx] = np.clip(s, 0.0, 1.0)
-        if not np.isfinite(values[k]).all():
-            raise NumericalError(f"non-finite value surface at step {k}")
+    block = math.isqrt(n_t) + 1  # ceil(sqrt(n_t + 1)), at least 2
+    # per step of a block: the argmax, and q at flat offsets 0, -1, +1, -n_a,
+    # +n_a from it: at (j, best), (j, best-1), (j, best+1), (j-1, best[j]) and
+    # (j+1, best[j]). An offset that leaves node j's row (best at a bound) or
+    # q itself (j at a grid end) reads a wrong or clipped entry, which _refine
+    # never reads.
+    best = np.empty((block, n_x), dtype=np.min_scalar_type(n_a - 1))
+    near = np.empty((block, 5, n_x))
+    flat = np.arange(n_x) * n_a + np.array([0, -1, 1, -n_a, n_a])[:, None]
+    q = np.empty((n_x, n_a))
+    q_flat = q.reshape(-1)
+    for stop in range(n_t + 1, 0, -block):
+        start = max(stop - block, 0)
+        running = None  # one block alive at a time: drop the last before the next
+        running = np.broadcast_to(
+            f(t[start:stop, None, None], x[None, :, None], a[None, None, :], path),
+            (stop - start, n_x, n_a))
+        steps = slice(start, min(stop, n_t))
+        for k in range(steps.stop - 1, start - 1, -1):
+            i = k - start
+            np.multiply(running[i], dt, out=q)
+            q += values[k + 1].take(reads) @ kernel
+            best[i] = order[q[:, order].argmax(axis=1)] if reorder else q.argmax(axis=1)
+            q_flat.take(flat + best[i], out=near[i], mode="clip")
+            values[k] = near[i, 0]
+            if not np.isfinite(values[k]).all():
+                raise NumericalError(f"non-finite value surface at step {k}")
+        n = steps.stop - start
+        _refine(a, best[:n], near[:n], controls[steps], switches[steps])
     return Policy(t_nodes=t, x_nodes=x, controls=controls, values=values,
                   switches=switches)
+
+
+def _refine(a, best, near, controls, switches) -> None:
+    """solve_hjb's pass over a block of steps: fills their controls and switches.
+
+    best is the argmax index per (step, node) and near the q entries
+    solve_hjb recorded at and around each argmax. A control starts at its grid
+    argmax a[best]. Where the argmax is interior and at least one neighbour
+    sits strictly below it, the control moves to the vertex of the parabola
+    through the three: an exact two-way tie puts it at the midpoint, and
+    boundary (bang-bang) solutions keep their grid point. The vertex offset is
+    <= da/2 by construction, hence stays inside the bounds. Without it the
+    best-response map jumps by da under tiny changes of the crowd path and the
+    damped fixed-point iteration can lock into a two-cycle above tolerance.
+    Where the control jumps by more than one grid step between neighbouring
+    x-nodes, the cell's switch sits at the indifference point of the two
+    competing controls (Q is linear in x within a cell, so the crossing is
+    exact).
+    """
+    n_a = len(a)
+    da = a[1] - a[0] if n_a > 1 else 0.0
+    np.take(a, best, out=controls)
+    k, j = np.nonzero(np.abs(controls[:, :-1] - controls[:, 1:]) > 1.5 * da)
+    if k.size:
+        dl = near[k, 0, j] - near[k, 3, j + 1]  # q[j, best[j]] - q[j, best[j+1]]
+        dr = near[k, 4, j] - near[k, 0, j + 1]  # q[j+1, best[j]] - q[j+1, best[j+1]]
+        span = dl - dr
+        s = np.where(span > 0, dl / np.where(span > 0, span, 1.0), 0.5)
+        switches[k, j] = np.clip(s, 0.0, 1.0)
+    k, j = np.nonzero((best > 0) & (best < n_a - 1))
+    if da > 0 and k.size:
+        v, lo, hi = near[k, 0, j], near[k, 1, j], near[k, 2, j]
+        denom = 2.0 * v - lo - hi
+        refine = ((lo < v) | (hi < v)) & (denom > 0)
+        offset = np.where(refine, (hi - lo) / np.where(denom > 0, 2.0 * denom, 1.0), 0.0)
+        controls[k, j] += offset * da
+        if np.any((a == 0) & np.signbit(a)):
+            # a row with an interior argmax adds offset * da at every node, +0.0
+            # off the refined ones, and that turns a -0.0 grid point into +0.0
+            controls[np.unique(k)] += 0.0
 
 
 def propagate_noise(seed: int, grids: Grids, law0: InitialLaw) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +340,7 @@ def _warn_exit(exit_fraction: float) -> None:
                       "widen [x_min, x_max]", stacklevel=3)
 
 
-def _replay_or_walk(replay: dict, policy: Policy, inputs: tuple, walk):
+def _replay_or_walk(replay: Mapping, policy: Policy, inputs: tuple, walk):
     """(mean control per step, exit fraction) of a push: replayed from the log, else walked.
 
     Records (m, exit fraction, lo, hi) are keyed by the push's grids and sigma
@@ -320,6 +359,8 @@ def _replay_or_walk(replay: dict, policy: Policy, inputs: tuple, walk):
     for m, exit_fraction, lo, hi in replay.get(key, ()):
         if np.all(lo < s) and np.all(s <= hi):
             return m, exit_fraction
+    if not isinstance(replay, dict):  # a read-only view of a log: walk unlogged
+        return walk()
     lo, hi = np.full(finite.shape, -np.inf), np.full(finite.shape, np.inf)
 
     def record(k, j, frac, sw_at):
@@ -337,7 +378,7 @@ def _replay_or_walk(replay: dict, policy: Policy, inputs: tuple, walk):
 
 def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolParams,
               law0: InitialLaw, seed: int | None = None, noise=None,
-              replay: dict | None = None) -> tuple[MeanControlPath, float]:
+              replay: Mapping | None = None) -> tuple[MeanControlPath, float]:
     """Euler-Maruyama ensemble under the policy; returns (mean path, exit fraction).
 
     The exit fraction is the share of particles ever clamped to the grid box.
@@ -347,7 +388,9 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
     replay is a push log (a dict, empty at first) tied to the noise pair of its
     first push, so later pushes must pass that same pair: a push provably
     reading a logged one's controls returns its results unwalked
-    (_replay_or_walk). Logging slows a walk, so a lone push passes none.
+    (_replay_or_walk). Logging slows a walk, so a lone push passes none, and a
+    push whose walk no later push would read passes a read-only view of the
+    log (types.MappingProxyType): it replays from the log but adds no record.
     """
     seed, n = grids.seed if seed is None else seed, grids.n_particles
     if noise is None:
@@ -362,8 +405,12 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
         return _walk(policy, grids, starts, lambda k, xs, a: xs + a * dt + scale * normals[k],
                      record=record)[:2]
 
-    if replay is not None and replay.setdefault("noise", noise) is not noise:
-        raise UsageError("a push log holds the pushes of one noise pair; this push passes another")
+    if replay is not None:
+        if isinstance(replay, dict):
+            replay.setdefault("noise", noise)
+        if replay.get("noise", noise) is not noise:
+            raise UsageError("a push log holds the pushes of one noise pair; "
+                             "this push passes another")
     m, exit_fraction = walk() if replay is None else _replay_or_walk(
         replay, policy, (grids, params.sigma), walk)
     _warn_exit(exit_fraction)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ammfg import (ControlBounds, Grids, InitialLaw, Policy, PoolParams, RewardKind, Variant,
-                   UsageError, make_path, propagate, quadratic_costs, solve_hjb, solver)
+                   UsageError, certify, make_path, propagate, quadratic_costs, solve_hjb, solver)
 from ammfg.certify import sandwich_report
 from ammfg.fixed_point import FixedPointConfig, solve_mfg
 from ammfg.solver import propagate_noise
@@ -223,3 +223,36 @@ def test_a_report_replays_to_the_report_it_would_walk(monkeypatch, phi):
         a, b = getattr(replayed, eq), getattr(walked, eq)
         assert a.path.values.tobytes() == b.path.values.tobytes()
         assert a.residuals == b.residuals and a.post_residual == b.post_residual
+
+
+def test_a_report_logs_no_push_of_its_last_solve(monkeypatch):
+    # no solve after the original game reads the log, so its pushes replay from
+    # the log or walk unlogged: the log keeps its record count, no push walks
+    # with the record hook, and the report is the one a logging last solve gives
+    solves, pushes = [], []
+    run_solve, walk = certify.solve_mfg, solver._walk
+
+    def counting(kind, *args, replay, **kwargs):
+        before = _records(replay)
+        pushes.clear()
+        eq = run_solve(kind, *args, replay=replay, **kwargs)
+        solves.append((kind.variant, before, _records(replay), list(pushes)))
+        return eq
+
+    def spy(policy, grids, x0, step, reward=None, record=None):
+        if reward is None:  # a push, not an evaluation
+            pushes.append(record is not None)
+        return walk(policy, grids, x0, step, reward, record)
+
+    monkeypatch.setattr(certify, "solve_mfg", counting)
+    monkeypatch.setattr(solver, "_walk", spy)
+    report = sandwich_report(G, B, _params(0.9), COSTS, LAW, FP)
+    variant, before, after, logged = solves[-1]
+    assert variant is Variant.ORIGINAL and before == after > 0
+    assert logged and not any(logged)  # it walks, unlogged
+    assert all(solves[0][3])  # the first solve logs every walk
+    monkeypatch.setattr(certify, "MappingProxyType", lambda log: log)
+    logging = sandwich_report(G, B, _params(0.9), COSTS, LAW, FP)
+    assert solves[-1][2] > after  # a logging last solve adds records
+    assert report.to_dict() == logging.to_dict()
+    assert report.eq_orig.path.values.tobytes() == logging.eq_orig.path.values.tobytes()

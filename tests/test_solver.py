@@ -21,6 +21,7 @@ from ammfg import (ControlBounds, DomainError, Grids, InitialLaw, NumericalError
                    PoolParams, Policy, RewardKind, UsageError, Variant, evaluate,
                    girsanov_evaluate, make_path, propagate, quadratic_costs, solve_hjb,
                    solver, spread_factor, terminal_reward, zero_path)
+from ammfg.nplayer import impact_aware_reward
 from ammfg.streams import substream
 from policies import constant_policy
 
@@ -167,6 +168,135 @@ def test_controls_pinned_to_interp_reference(variant, grids_small, bounds_defaul
     _, best = _interp_hjb(path, kind, grids_small, bounds_default, params_default,
                           costs_default)
     np.testing.assert_array_equal(pol.controls, bounds_default.grid(grids_small.n_a)[best])
+
+
+def _stepwise_hjb(path, kind, grids, bounds, params, costs, reward_fn=None):
+    """solve_hjb as one loop: each step refines its controls and places its switches.
+
+    The reference for solve_hjb's two passes, which must match it bit for bit:
+    per step the tie-broken argmax over the reordered q, then the parabola
+    refinement and the switch placement on that step's q.
+    """
+    f = solver._running_reward(reward_fn, kind, grids, bounds, params, costs)
+    t, x, a, dt = grids.t_nodes(), grids.x_nodes(), bounds.grid(grids.n_a), grids.dt
+    order = np.lexsort((a, np.abs(a)))
+    values = np.empty((grids.n_t + 1, grids.n_x))
+    controls = np.empty((grids.n_t, grids.n_x))
+    switches = np.full((grids.n_t, grids.n_x - 1), np.nan)
+    reads, kernel = solver._expectation_kernel(x, dt * a, params.sigma * np.sqrt(dt),
+                                               grids.n_quad)
+    values[-1] = terminal_reward(x, costs)
+    rows, cells = np.arange(grids.n_x), np.arange(grids.n_x - 1)
+    da = a[1] - a[0] if grids.n_a > 1 else 0.0
+    block = math.isqrt(grids.n_t) + 1
+    start = grids.n_t + 1
+    for k in range(grids.n_t - 1, -1, -1):
+        if k < start:
+            stop, start = start, max(start - block, 0)
+            running = np.broadcast_to(
+                f(t[start:stop, None, None], x[None, :, None], a[None, None, :], path),
+                (stop - start, grids.n_x, grids.n_a))
+        q = dt * running[k - start] + values[k + 1][reads] @ kernel
+        best = order[np.argmax(q[:, order], axis=1)]
+        values[k] = q[rows, best]
+        controls[k] = a[best]
+        interior = (best > 0) & (best < grids.n_a - 1)
+        if da > 0 and interior.any():
+            lo = q[rows, np.maximum(best - 1, 0)]
+            hi = q[rows, np.minimum(best + 1, grids.n_a - 1)]
+            denom = 2.0 * values[k] - lo - hi
+            refine = interior & ((lo < values[k]) | (hi < values[k])) & (denom > 0)
+            offset = np.where(refine, (hi - lo) / np.where(denom > 0, 2.0 * denom, 1.0), 0.0)
+            controls[k] += offset * da
+        bl, br = best[:-1], best[1:]
+        jump = (bl != br) & (np.abs(a[bl] - a[br]) > 1.5 * da)
+        if jump.any():
+            idx = cells[jump]
+            dl = q[idx, bl[idx]] - q[idx, br[idx]]
+            dr = q[idx + 1, bl[idx]] - q[idx + 1, br[idx]]
+            span = dl - dr
+            s = np.where(span > 0, dl / np.where(span > 0, span, 1.0), 0.5)
+            switches[k, idx] = np.clip(s, 0.0, 1.0)
+        if not np.isfinite(values[k]).all():
+            raise NumericalError(f"non-finite value surface at step {k}")
+    return controls, values, switches
+
+
+def _impact_aware(params, costs, kind):
+    return impact_aware_reward(10, params, costs, kind)
+
+
+def _flat(params, costs, kind):
+    return lambda t, x, a, p: np.zeros(np.broadcast(t, x, a).shape)
+
+
+def _bowl(params, costs, kind):
+    # peaks at a = x/10: interior argmaxes left of x = 0, a = a_max right of it
+    return lambda t, x, a, p: -100.0 * (a - 0.1 * x) ** 2 + 0.0 * t
+
+
+NO_COSTS = quadratic_costs(0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("grid_kw, bounds, sigma, reward, costs", [
+    pytest.param({}, B, 0.5, None, None, id="desk"),
+    pytest.param({"n_a": 10}, ControlBounds(-0.5, 0.5), 0.5, None, None, id="symmetric"),
+    # q ties across the whole row: only the tie-break order picks the argmax
+    pytest.param({"n_a": 10}, ControlBounds(-0.5, 0.5), 0.0, _flat, NO_COSTS, id="flat"),
+    # rows mixing interior argmaxes with the grid point a_max = -0.0
+    pytest.param({"n_a": 11}, ControlBounds(-0.5, -0.0), 0.5, _bowl, None, id="signed-zero"),
+    pytest.param({"n_a": 1}, B, 0.5, None, None, id="n_a=1"),
+    pytest.param({"n_a": 2}, B, 0.5, None, None, id="n_a=2"),
+    pytest.param({}, B, 0.0, None, None, id="sigma=0"),
+    pytest.param({"n_t": 1}, B, 0.5, None, None, id="n_t=1"),
+    pytest.param({"n_t": 100, "n_x": 11}, B, 50.0, None, None, id="wide-kernel"),
+    pytest.param({}, B, 0.5, _impact_aware, None, id="impact-aware"),
+])
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("level", [0.0, 0.3])
+def test_solve_hjb_is_the_stepwise_loop_bit_for_bit(grid_kw, bounds, sigma, reward, costs,
+                                                   variant, level, costs_default):
+    g = Grids(**grid_kw)
+    costs = costs or costs_default
+    params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=sigma)
+    kind = RewardKind(variant)
+    # a crowd that trades harder over time, capped at the bounds
+    m = np.clip(level * np.linspace(0.5, 1.5, g.n_t + 1), bounds.a_min, bounds.a_max)
+    path = make_path(m, g, bounds, params.x0)
+    reward_fn = None if reward is None else reward(params, costs, kind)
+    pol = solve_hjb(path, kind, g, bounds, params, costs, reward_fn=reward_fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = _stepwise_hjb(path, kind, g, bounds, params, costs, reward_fn)
+    for got, want in zip((pol.controls, pol.values, pol.switches), expected):
+        np.testing.assert_array_equal(got, want)  # NaN-aware: NaN switches match NaN
+        assert got.tobytes() == want.tobytes()  # and so does the sign of a zero
+
+
+def test_non_finite_value_refused_at_its_step_without_warnings(bounds_default,
+                                                               params_default,
+                                                               costs_default):
+    # blocks of 5 nodes from t_20 down: nodes 6..10 form one block, whose
+    # infinite reward first reaches the value surface at step 10
+    g = Grids(n_t=20, n_x=21, n_a=6)
+    kind = RewardKind(Variant.ORIGINAL)
+    path = zero_path(g, bounds_default, params_default.x0)
+    builtin = solver._running_reward(None, kind, g, bounds_default, params_default,
+                                     costs_default)
+    bad = g.t_nodes()[6:11]
+
+    def blows_up(t, x, a, p):
+        return np.where(np.isin(t, bad), np.inf, builtin(t, x, a, p))
+
+    with warnings.catch_warnings(), pytest.raises(NumericalError) as stepwise:
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _stepwise_hjb(path, kind, g, bounds_default, params_default, costs_default, blows_up)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite value surface at step 10$") as got:
+            solve_hjb(path, kind, g, bounds_default, params_default, costs_default,
+                      reward_fn=blows_up)
+    assert str(got.value) == str(stepwise.value)
 
 
 def test_tie_break_prefers_small_magnitude_then_smaller():
