@@ -16,7 +16,11 @@ candidates and is a lower bound on the true supremum.
 
 All runs share one seed, so every value estimate in a report (and across the
 fee levels of a sweep) is computed on common random numbers; the reported
-standard errors are the conservative unpaired combinations. The particle
+standard errors are the conservative unpaired combinations. A report
+evaluates once, in lockstep: its seven values are five walks (each
+auxiliary policy on its own path is valued under its own reward and under
+f), moved together on one row of normals per step, and each value is
+bitwise what a lone evaluate call returns. The particle
 push's draws are made once per report, and once per sweep, whose threads
 share them read-only. Each report owns one push log (solver.propagate's
 replay), never shared by a sweep's threads: its three solves' bang-bang
@@ -39,7 +43,7 @@ from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .grids import ControlBounds, Grids, InitialLaw
 from .pool import PoolParams, spread_factor
 from .rewards import CostSpec, RewardKind, Variant
-from .solver import ValueReport, evaluate, propagate_noise, solve_hjb
+from .solver import ValueReport, _evaluate_walkers, propagate_noise, solve_hjb
 
 
 @dataclass
@@ -127,23 +131,25 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
 
     def solve(variant: Variant, log=replay) -> EquilibriumResult:
         return solve_mfg(RewardKind(variant, young_eps, denom_exp), grids, bounds, params,
-                         costs, law0, fp, seed=seed, noise=noise, replay=log)
+                         costs, law0, fp, seed=seed, noise=noise, replay=log, _evaluate=False)
 
     eq1, eq2 = solve(Variant.LOWER), solve(Variant.UPPER)
-
-    candidates: dict[str, ValueReport] = {}
-    direct: dict[str, float] = {}
-    for label, eq in (("against_f1_path", eq1), ("against_f2_path", eq2)):
-        br = solve_hjb(eq.path, kind_o, grids, bounds, params, costs)
-        v_br = evaluate(br, eq.path, kind_o, grids, bounds, params, costs, law0, seed=seed)
-        candidates[label] = v_br
-        # deviation benefit of abandoning the auxiliary policy under f
-        held = evaluate(eq.policy, eq.path, kind_o, grids, bounds, params, costs, law0,
-                        seed=seed)
-        key = "alpha_hat_1" if label == "against_f1_path" else "alpha_hat_2"
-        direct[key] = v_br.value - held.value
-
     eq_orig = solve(Variant.ORIGINAL, MappingProxyType(replay))
+    del solve, noise, replay  # read no more: a report that drew its noise frees it here
+    br1, br2 = (solve_hjb(eq.path, kind_o, grids, bounds, params, costs) for eq in (eq1, eq2))
+
+    # the report's five distinct (policy, path) walks, in one lockstep pass:
+    # each auxiliary policy is held under its own reward and under f
+    [(eq1.value, held1), (eq2.value, held2), (v_br1,), (v_br2,), (eq_orig.value,)] = \
+        _evaluate_walkers([(eq1.policy, eq1.path, [eq1.kind, kind_o]),
+                           (eq2.policy, eq2.path, [eq2.kind, kind_o]),
+                           (br1, eq1.path, [kind_o]), (br2, eq2.path, [kind_o]),
+                           (eq_orig.policy, eq_orig.path, [kind_o])],
+                          grids, bounds, params, costs, law0, seed)
+    candidates = {"against_f1_path": v_br1, "against_f2_path": v_br2}
+    # deviation benefit of abandoning the auxiliary policy under f
+    direct = {"alpha_hat_1": v_br1.value - held1.value,
+              "alpha_hat_2": v_br2.value - held2.value}
     if eq_orig.converged:
         candidates["own_fixed_point"] = eq_orig.value
 

@@ -14,7 +14,10 @@ Convergence of this iteration is an empirical matter, not a theorem;
 a run that exhausts max_iters reports converged=False and still returns its
 last iterate, policy, and value. The map is evaluated once per iterate, so
 k iterations make k+1 best-response + propagate rounds: the last round, on
-the returned iterate, is the certification round.
+the returned iterate, is the certification round. After the Picard loop,
+one evaluate call estimates the returned policy's value on the returned
+path; a sandwich report skips it and evaluates its three solves, with its
+other values, in one walk.
 """
 from __future__ import annotations
 
@@ -69,7 +72,8 @@ class EquilibriumResult:
 def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: PoolParams,
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
               seed: int | None = None, init: MeanControlPath | None = None,
-              reward_fn=None, noise=None, replay: Mapping | None = None) -> EquilibriumResult:
+              reward_fn=None, noise=None, replay: Mapping | None = None,
+              _evaluate: bool = True) -> EquilibriumResult:
     """Damped Picard iteration from ``init`` (default: the zero path).
 
     The returned policy is the best response to the final iterate (one extra
@@ -78,7 +82,9 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     residual damping*sup|Phi(m*) - m*| to sit at or below tol. noise is the
     pair propagate_noise(seed, grids, law0) returns, drawn here when not
     given; every propagate call of the solve reads it, and replay, a push
-    log (see solver.propagate), when given.
+    log (see solver.propagate), when given. A caller that evaluates several
+    solves in one walk (certify.sandwich_report) passes _evaluate=False and
+    fills value itself.
     """
     seed = grids.seed if seed is None else seed
     if noise is None:
@@ -105,7 +111,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
 
     post = fp.damping * path.sup_distance(induced)
     value = evaluate(policy, path, kind, grids, bounds, params, costs, law0,
-                     seed=seed, reward_fn=reward_fn)
+                     seed=seed, reward_fn=reward_fn) if _evaluate else None
     return EquilibriumResult(kind=kind, path=path, policy=policy, value=value,
                              residuals=residuals,
                              converged=residuals[-1] <= fp.tol and post <= fp.tol,

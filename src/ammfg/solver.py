@@ -19,12 +19,16 @@ elementwise, so the split moves no bit.
 propagate, evaluate and girsanov_evaluate call one Monte Carlo walk, _walk,
 with one clamping rule: paths clamp to the grid box, as the solver's
 continuation reads do, and each warns when over 1% of its paths hit the edges.
-propagate pushes particles under the policy (Euler-Maruyama) and reads off the
-mean control path and the exit fraction; callers that push many times on one
-seed draw its normals and starting sample once (propagate_noise) and may keep
-a push log that replays, bit for bit, a push whose controls provably match a
-logged one. evaluate is the matching strong-form estimate of the policy's
-objective. girsanov_evaluate estimates it on driftless paths reweighted by the
+_walk moves several walkers in lockstep on one row of draws per step, each
+with per-path totals of its own rewards. propagate pushes particles under the
+policy (Euler-Maruyama) and reads off the mean control path and the exit
+fraction; callers that push many times on one seed draw its normals and
+starting sample once (propagate_noise) and may keep a push log that replays,
+bit for bit, a push whose controls provably match a logged one. evaluate is
+the matching strong-form estimate of the policy's objective; it is the
+one-walker case of _evaluate_walkers, which values several (policy, path)
+pairs under several rewards in one walk, bitwise as lone calls would.
+girsanov_evaluate estimates it on driftless paths reweighted by the
 discrete Girsanov density; the clamp keeps the weights exact, as it is a
 function of the increments dW and under the weighted measure dW - (a/sigma) dt
 is Brownian. The two routes agree within Monte Carlo error, the package's
@@ -307,37 +311,45 @@ def propagate_noise(seed: int, grids: Grids, law0: InitialLaw) -> tuple[np.ndarr
     return normals, starts
 
 
-def _walk(policy: Policy, grids: Grids, x0: np.ndarray, step, reward=None, record=None):
-    """The one Monte Carlo step loop: (mean control per step, exit fraction, states, totals).
+def _walk(policies, grids: Grids, x0: np.ndarray, noise, step, rewards=None, record=None):
+    """The one Monte Carlo step loop, for several walkers in lockstep.
 
-    Each step k looks up the control a at the clamped states xs, refuses a
-    non-finite one, adds reward(t_k, xs, a) * dt to the totals (None without a
-    reward), then moves xs to step(k, xs, a) and clamps it to the grid box.
+    Walker i starts at the clamped x0 and follows policies[i]; rewards[i],
+    when given, lists the running rewards f(t, xs, a) whose per-path totals
+    it accumulates. Each step k draws z = noise(k) once for every walker, then
+    for each walker looks up the control a at its clamped states xs, refuses a
+    non-finite one, adds f(t_k, xs, a) * dt to each total, moves xs to
+    step(xs, a, z) and clamps it to the grid box. Returns the mean control
+    per walker and step, the exit fraction per walker, the final states per
+    walker and the totals, one list per walker.
     """
-    xs = np.clip(x0, grids.x_min, grids.x_max)
-    t, dt, m = grids.t_nodes(), grids.dt, np.empty(grids.n_t)
-    total = None if reward is None else np.zeros(xs.size)
-    ever_out = np.zeros(xs.size, dtype=bool)
+    lo, hi, t, dt = grids.x_min, grids.x_max, grids.t_nodes(), grids.dt
+    xs = [np.clip(x0, lo, hi) for _ in policies]
+    m, ever_out = np.empty((len(policies), grids.n_t)), np.zeros((len(policies), x0.size), bool)
+    rewards = rewards or [()] * len(policies)
+    totals = [[np.zeros(x0.size) for _ in fs] for fs in rewards]
     for k in range(grids.n_t):
-        a = policy.control_at(k, xs, record)
-        m[k] = a.mean()
-        # states start finite and stay clamped: only a non-finite control spoils
-        # them, refused here before the next lookup makes them a bad index
-        if not np.isfinite(m[k]):
-            raise NumericalError(f"non-finite particle states at step {k}")
-        if reward is not None:
-            total += reward(t[k], xs, a) * dt
-        xs = step(k, xs, a)
-        ever_out |= (xs < grids.x_min) | (xs > grids.x_max)
-        np.clip(xs, grids.x_min, grids.x_max, out=xs)
-    return m, float(ever_out.mean()), xs, total
+        z = noise(k)
+        for i, policy in enumerate(policies):
+            a = policy.control_at(k, xs[i], record)
+            m[i, k] = a.mean()
+            # states start finite and stay clamped: only a non-finite control spoils
+            # them, refused here before the next lookup makes them a bad index
+            if not np.isfinite(m[i, k]):
+                raise NumericalError(f"non-finite particle states at step {k}")
+            for f, total in zip(rewards[i], totals[i]):
+                total += f(t[k], xs[i], a) * dt
+            xs[i] = step(xs[i], a, z)
+            ever_out[i] |= (xs[i] < lo) | (xs[i] > hi)
+            np.clip(xs[i], lo, hi, out=xs[i])
+    return m, ever_out.mean(axis=1), xs, totals
 
 
-def _warn_exit(exit_fraction: float) -> None:
+def _warn_exit(exit_fraction: float, stacklevel: int = 3) -> None:
     """Warn the public estimator's caller when over 1% of its paths hit the edges."""
     if exit_fraction > 0.01:
         warnings.warn(f"{exit_fraction:.1%} of particles hit the state-grid edges; "
-                      "widen [x_min, x_max]", stacklevel=3)
+                      "widen [x_min, x_max]", stacklevel=stacklevel)
 
 
 def _replay_or_walk(replay: Mapping, policy: Policy, inputs: tuple, walk):
@@ -402,8 +414,10 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
     dt, scale = grids.dt, params.sigma * np.sqrt(grids.dt)
 
     def walk(record=None):
-        return _walk(policy, grids, starts, lambda k, xs, a: xs + a * dt + scale * normals[k],
-                     record=record)[:2]
+        (m,), (exit_fraction,), _, _ = _walk(
+            [policy], grids, starts, normals.__getitem__,
+            lambda xs, a, z: xs + a * dt + scale * z, record=record)
+        return m, float(exit_fraction)
 
     if replay is not None:
         if isinstance(replay, dict):
@@ -427,25 +441,48 @@ def evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind, grids: Gri
     the same grids/seed share every random number, so estimates for different
     reward kinds are paired. reward_fn, when given, replaces the built-in
     running reward; it is called once per step, with a scalar t and x, a of
-    shape (n_particles,).
+    shape (n_particles,). It is the one-walker case of _evaluate_walkers.
     """
-    _check_path(path, grids)
-    f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
+    return _evaluate_walkers([(policy, path, [kind])], grids, bounds, params, costs, law0,
+                             seed, reward_fn)[0][0]
+
+
+def _evaluate_walkers(walkers, grids: Grids, bounds: ControlBounds, params: PoolParams,
+                      costs: CostSpec, law0: InitialLaw, seed: int | None = None,
+                      reward_fn=None):
+    """evaluate's reports for (policy, path, [kind, ...]) walkers, in one walk.
+
+    Every walker reads evaluate's starting sample and its one row of normals
+    per step, so each report is bitwise the lone evaluate call's. Returns one
+    ValueReport per reward of each walker; a walker over 1% exit warns once.
+    """
+    rewards = []
+    for _, path, kinds in walkers:
+        _check_path(path, grids)
+        fs = [_running_reward(reward_fn, kind, grids, bounds, params, costs) for kind in kinds]
+        rewards.append([lambda t, xs, a, f=f, path=path: f(t, xs, a, path) for f in fs])
     seed = grids.seed if seed is None else seed
     n, dt, scale = grids.n_particles, grids.dt, params.sigma * np.sqrt(grids.dt)
     gen = substream(seed, "evaluate")
-    # one row of normals per step keeps a single row alive
-    _, exit_fraction, xs, total = _walk(
-        policy, grids, law0.sample(n, substream(seed, "evaluate-x0")),
-        lambda k, xs, a: xs + a * dt + scale * gen.standard_normal(n),
-        lambda t, xs, a: f(t, xs, a, path))
-    _warn_exit(exit_fraction)
-    total += terminal_reward(xs, costs)
-    if not np.all(np.isfinite(total)):
-        raise NumericalError("non-finite path objective in evaluate")
-    value = float(total.mean())
-    return ValueReport(value=value, stderr=_stderr(total), n_paths=n,
-                       bias_budget=_bias_budget(grids, value), exit_fraction=exit_fraction)
+    # one row of normals per step, read by every walker, keeps a single row alive
+    _, exit_fractions, xs, totals = _walk(
+        [policy for policy, _, _ in walkers], grids,
+        law0.sample(n, substream(seed, "evaluate-x0")), lambda k: gen.standard_normal(n),
+        lambda xs, a, z: xs + a * dt + scale * z, rewards)
+    reports = []
+    for x_end, walker_totals, exit_fraction in zip(xs, totals, exit_fractions):
+        _warn_exit(exit_fraction, stacklevel=4)  # at the caller of evaluate or the report
+        terminal, exit_fraction = terminal_reward(x_end, costs), float(exit_fraction)
+        reports.append([])
+        for total in walker_totals:
+            total += terminal
+            if not np.all(np.isfinite(total)):
+                raise NumericalError("non-finite path objective in evaluate")
+            value = float(total.mean())
+            reports[-1].append(ValueReport(value=value, stderr=_stderr(total), n_paths=n,
+                                           bias_budget=_bias_budget(grids, value),
+                                           exit_fraction=exit_fraction))
+    return reports
 
 
 def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
@@ -472,22 +509,22 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
     n, dt, sig = grids.n_particles, grids.dt, params.sigma
     gen, logw = substream(seed, "girsanov"), np.zeros(n)
 
-    def step(k, xs, a):
+    def step(xs, a, dw):
         nonlocal logw
-        dw = np.sqrt(dt) * gen.standard_normal(n)
         logw += (a / sig) * dw - 0.5 * (a / sig) ** 2 * dt
         return xs + sig * dw
 
-    _, exit_fraction, xs, total = _walk(
-        policy, grids, law0.sample(n, substream(seed, "girsanov-x0")), step,
-        lambda t, xs, a: f(t, xs, a, path))
+    _, (exit_fraction,), (x_end,), ((total,),) = _walk(
+        [policy], grids, law0.sample(n, substream(seed, "girsanov-x0")),
+        lambda k: np.sqrt(dt) * gen.standard_normal(n), step,
+        [[lambda t, xs, a: f(t, xs, a, path)]])
     _warn_exit(exit_fraction)
-    total += terminal_reward(xs, costs)
+    total += terminal_reward(x_end, costs)
     weights = np.exp(logw)
     est = weights * total
     if not np.all(np.isfinite(est)):
         raise NumericalError("non-finite weighted objective in girsanov_evaluate")
     value = float(est.mean())
     return ValueReport(value=value, stderr=_stderr(est), n_paths=n,
-                       bias_budget=_bias_budget(grids, value), exit_fraction=exit_fraction,
+                       bias_budget=_bias_budget(grids, value), exit_fraction=float(exit_fraction),
                        weight_mean=float(weights.mean()), weight_stderr=_stderr(weights))

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ import pytest
 from ammfg import solver, streams
 from ammfg.certify import (SWEEP_COLUMNS, epsilon_nash_certificate, phi_sweep,
                            sandwich_report)
-from ammfg.errors import AdmissibilityError, UsageError
-from ammfg.fixed_point import FixedPointConfig
-from ammfg.grids import ControlBounds, Grids, InitialLaw
+from ammfg.errors import AdmissibilityError, NumericalError, UsageError
+from ammfg.fixed_point import FixedPointConfig, solve_mfg
+from ammfg.grids import ControlBounds, Grids, InitialLaw, zero_path
 from ammfg.pool import PoolParams
-from ammfg.rewards import quadratic_costs
+from ammfg.rewards import RewardKind, Variant, quadratic_costs
+from ammfg.solver import Policy, _evaluate_walkers, evaluate, solve_hjb
+from policies import constant_policy
 
 GRIDS = Grids(horizon=1.0, n_t=20, x_min=-3.0, x_max=3.0, n_x=61, n_a=11,
               n_particles=2000, n_quad=5, seed=101)
@@ -137,20 +141,143 @@ def test_phi_sweep_order_and_workers():
 
 def test_one_propagate_noise_draw_per_sandwich_and_sweep(monkeypatch):
     # every Picard push of a report, and of every fee level of a sweep, reads
-    # one shared block of normals and one shared starting sample
+    # one shared block of normals and one shared starting sample; every
+    # evaluation of a report reads one stream of normals and one starting
+    # sample, drawn once per report (per fee level in a sweep) and per solve
     keys = []
 
     def counting(seed, *labels):
         keys.append(labels)
         return streams.substream(seed, *labels)
 
+    def draws(*labels):
+        return [keys.count((label,)) for label in labels]
+
     monkeypatch.setattr(solver, "substream", counting)
     rep = sandwich_report(GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP)
-    assert keys.count(("propagate",)) == keys.count(("law0",)) == 1
+    assert draws("propagate", "law0", "evaluate", "evaluate-x0") == [1, 1, 1, 1]
     assert rep.eq_lower.iterations + rep.eq_upper.iterations > 2
     keys.clear()
     phi_sweep([0.95, 0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=2)
-    assert keys.count(("propagate",)) == keys.count(("law0",)) == 1
+    assert draws("propagate", "law0", "evaluate", "evaluate-x0") == [1, 1, 2, 2]
+    keys.clear()
+    solve_mfg(RewardKind(Variant.LOWER), GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP)
+    assert draws("propagate", "law0", "evaluate", "evaluate-x0") == [1, 1, 1, 1]
+
+
+def _walkers(grids, kinds_per_walker):
+    """Constant-control walkers on the zero path, one per entry of kinds_per_walker."""
+    path = zero_path(grids, BOUNDS, PARAMS.x0)
+    return [(constant_policy(0.1 * (i + 1), grids, BOUNDS), path, kinds)
+            for i, kinds in enumerate(kinds_per_walker)]
+
+
+def test_batch_evaluation_holds_one_row_of_normals():
+    # a report's five walkers in lockstep hold their states and totals, never
+    # an (n_t, n_particles) block of draws
+    grids = dataclasses.replace(GRIDS, n_t=200, n_particles=1000)
+    lower, orig = RewardKind(Variant.LOWER), RewardKind(Variant.ORIGINAL)
+    walkers = _walkers(grids, [[lower, orig], [lower, orig], [orig], [orig], [orig]])
+    # the first call imports numpy.random's lazily loaded parts: measure the second
+    _evaluate_walkers(walkers, grids, BOUNDS, PARAMS, COSTS, LAW0)
+    tracemalloc.start()
+    try:
+        _evaluate_walkers(walkers, grids, BOUNDS, PARAMS, COSTS, LAW0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * grids.n_t * grids.n_particles
+
+
+PARITY_CASES = [
+    *(pytest.param(GRIDS, dataclasses.replace(PARAMS, phi=phi), LAW0, seed,
+                   id=f"seed{seed}-phi{phi}")
+      for seed in (20240814, 271828) for phi in (0.9, 0.997)),
+    pytest.param(Grids(), dataclasses.replace(PARAMS, phi=0.997), LAW0, 20240814, id="desk"),
+    pytest.param(dataclasses.replace(GRIDS, n_t=1), PARAMS, LAW0, 101, id="n_t=1"),
+    pytest.param(dataclasses.replace(GRIDS, n_particles=1), PARAMS, LAW0, 101,
+                 id="n_particles=1"),
+    pytest.param(GRIDS, dataclasses.replace(PARAMS, sigma=0.0), LAW0, 101, id="sigma=0"),
+    pytest.param(GRIDS, dataclasses.replace(PARAMS, phi=1.0), LAW0, 101, id="phi=1"),
+    pytest.param(GRIDS, PARAMS, InitialLaw(0.0, 0.3), 101, id="gaussian-law0"),
+]
+
+
+@pytest.mark.parametrize("grids, params, law0, seed", PARITY_CASES)
+def test_report_values_are_bitwise_those_of_lone_evaluate_calls(grids, params, law0, seed):
+    rep = sandwich_report(grids, BOUNDS, params, COSTS, law0, FP, seed=seed)
+    kind_o = rep.eq_orig.kind
+
+    def lone(policy, eq, kind):
+        return evaluate(policy, eq.path, kind, grids, BOUNDS, params, COSTS, law0, seed=seed)
+
+    # ValueReport equality: value, stderr, n_paths, bias_budget, exit_fraction
+    assert rep.v_f1 == lone(rep.eq_lower.policy, rep.eq_lower, rep.eq_lower.kind)
+    assert rep.v_f2 == lone(rep.eq_upper.policy, rep.eq_upper, rep.eq_upper.kind)
+    assert rep.eq_orig.value == lone(rep.eq_orig.policy, rep.eq_orig, kind_o)
+    for label, key, eq in (("against_f1_path", "alpha_hat_1", rep.eq_lower),
+                           ("against_f2_path", "alpha_hat_2", rep.eq_upper)):
+        v_br = lone(solve_hjb(eq.path, kind_o, grids, BOUNDS, params, COSTS), eq, kind_o)
+        assert rep.candidates[label] == v_br
+        held = lone(eq.policy, eq, kind_o)
+        assert rep.direct_bounds[key] == v_br.value - held.value
+    if grids.n_particles == 1:
+        assert rep.v_f1.stderr == rep.v_f.stderr == 0.0
+    # a lone solve is the report's first one, bit for bit
+    alone = solve_mfg(rep.eq_lower.kind, grids, BOUNDS, params, COSTS, law0, FP, seed=seed)
+    assert np.array_equal(alone.path.values, rep.eq_lower.path.values)
+    assert alone.residuals == rep.eq_lower.residuals
+    assert alone.value == rep.v_f1
+
+
+def test_batch_refuses_a_non_finite_objective_or_control_of_any_walker():
+    orig = RewardKind(Variant.ORIGINAL)
+    walkers = _walkers(GRIDS, [[orig], [orig, orig]])  # controls 0.1 and 0.2
+    (good, path, _), (second, _, _) = walkers
+
+    def infinite_above(t, x, a, path):  # non-finite on the second walker only
+        return np.where(a > 0.15, np.inf, 0.0)
+
+    with pytest.raises(NumericalError, match="^non-finite path objective in evaluate$"):
+        _evaluate_walkers(walkers, GRIDS, BOUNDS, PARAMS, COSTS, LAW0, reward_fn=infinite_above)
+    with pytest.raises(NumericalError, match="^non-finite path objective in evaluate$"):
+        evaluate(second, path, orig, GRIDS, BOUNDS, PARAMS, COSTS, LAW0,
+                 reward_fn=infinite_above)
+    controls = good.controls.copy()
+    controls[3] = np.nan
+    bad = Policy(t_nodes=good.t_nodes, x_nodes=good.x_nodes, controls=controls)
+    with pytest.raises(NumericalError, match="^non-finite particle states at step 3$"):
+        _evaluate_walkers([(good, path, [orig]), (bad, path, [orig])],
+                          GRIDS, BOUNDS, PARAMS, COSTS, LAW0)
+
+
+def test_phi_sweep_records_an_evaluation_failure(monkeypatch):
+    # only the evaluation's terminal rewards (one per particle) turn NaN
+    terminal = solver.terminal_reward
+
+    def spoiled(x, costs):
+        out = terminal(x, costs)
+        return out * np.nan if np.size(x) == GRIDS.n_particles else out
+
+    monkeypatch.setattr(solver, "terminal_reward", spoiled)
+    [row] = phi_sweep([0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP)
+    assert row["error"] == "NumericalError: non-finite path objective in evaluate"
+    assert math.isnan(row["V_f1"]) and row["converged_f1"] is False
+
+
+def test_every_evaluation_walk_over_the_exit_threshold_warns():
+    narrow = dataclasses.replace(GRIDS, x_min=-0.1, x_max=0.1, n_x=21)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = sandwich_report(narrow, BOUNDS, PARAMS, COSTS, LAW0, FP)
+    message = "100.0% of particles hit the state-grid edges; widen [x_min, x_max]"
+    assert all(str(w.message) == message for w in caught)
+    # every push warns (replayed ones too), then each of the five evaluation
+    # walks once, at the report's caller
+    pushes = sum(eq.iterations + 1 for eq in (rep.eq_lower, rep.eq_upper, rep.eq_orig))
+    assert len(caught) == pushes + 5
+    assert [w.filename for w in caught[pushes:]] == [__file__] * 5
+    assert rep.v_f1.exit_fraction == rep.v_f.exit_fraction == 1.0
 
 
 def test_phi_sweep_records_failure():

@@ -239,10 +239,10 @@ def test_a_report_logs_no_push_of_its_last_solve(monkeypatch):
         solves.append((kind.variant, before, _records(replay), list(pushes)))
         return eq
 
-    def spy(policy, grids, x0, step, reward=None, record=None):
-        if reward is None:  # a push, not an evaluation
+    def spy(policies, grids, x0, noise, step, rewards=None, record=None):
+        if rewards is None:  # a push, not an evaluation
             pushes.append(record is not None)
-        return walk(policy, grids, x0, step, reward, record)
+        return walk(policies, grids, x0, noise, step, rewards, record)
 
     monkeypatch.setattr(certify, "solve_mfg", counting)
     monkeypatch.setattr(solver, "_walk", spy)
