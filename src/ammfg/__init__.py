@@ -13,8 +13,7 @@ from .errors import (AdmissibilityError, ConfigError, DomainError, NumericalErro
                      ReserveDepletionError, UsageError)
 from .pool import (PoolParams, PoolState, bid_ask_mid, buy_swap, execute_swap,
                    price_after_aggregate, spot_price, spread_factor)
-from .grids import (ControlBounds, Grids, InitialLaw, MeanControlPath, admissible,
-                    make_path, zero_path)
+from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path, zero_path
 from .rewards import (CostSpec, RewardKind, Variant, bound_constant, check_cost_growth,
                       check_growth_bound, quadratic_costs, reward, terminal_reward)
 from .solver import (Policy, ValueReport, evaluate, girsanov_evaluate, propagate,
@@ -33,8 +32,7 @@ __all__ = [
     "ReserveDepletionError", "UsageError",
     "PoolParams", "PoolState", "bid_ask_mid", "buy_swap", "execute_swap",
     "price_after_aggregate", "spot_price", "spread_factor",
-    "ControlBounds", "Grids", "InitialLaw", "MeanControlPath", "admissible",
-    "make_path", "zero_path",
+    "ControlBounds", "Grids", "InitialLaw", "MeanControlPath", "make_path", "zero_path",
     "CostSpec", "RewardKind", "Variant", "bound_constant", "check_cost_growth",
     "check_growth_bound", "quadratic_costs", "reward", "terminal_reward",
     "Policy", "ValueReport", "evaluate", "girsanov_evaluate", "propagate", "solve_hjb",

@@ -20,14 +20,15 @@ standard errors are the conservative unpaired combinations. A report
 evaluates once, in lockstep: its seven values are five walks (each
 auxiliary policy on its own path is valued under its own reward and under
 f), moved together on one row of normals per step, and each value is
-bitwise what a lone evaluate call returns. The particle
-push's draws are made once per report, and once per sweep, whose threads
-share them read-only. Each report owns one push log (solver.propagate's
-replay), never shared by a sweep's threads: its three solves' bang-bang
-policies often differ only in the last bits of their switches, and then the
-later solves replay the first one's pushes instead of walking them. The last
-solve, the original game, reads the log through a read-only view: no solve
-after it would replay its pushes, so it walks them unlogged.
+bitwise what a lone evaluate call returns. The particle push's draws are
+made once per report, and once per sweep, whose threads share them
+read-only. Each report owns one push log (solver.propagate's _log), which
+holds those draws and is never shared by a sweep's threads: its three
+solves' bang-bang policies often differ only in the last bits of their
+switches, and then the later solves replay the first one's pushes instead of
+walking them. The last solve, the original game, reads the log through a
+read-only view: no solve after it would replay its pushes, so it walks them
+unlogged.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import AdmissibilityError, UsageError
 from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .grids import ControlBounds, Grids, InitialLaw
-from .pool import PoolParams, spread_factor
+from .pool import PoolParams
 from .rewards import CostSpec, RewardKind, Variant
 from .solver import ValueReport, _evaluate_walkers, propagate_noise, solve_hjb
 
@@ -116,7 +117,8 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
     Refuses control intervals reaching below zero: the UPPER surrogate only
     bounds the original cost from above on a >= 0, so the bracket would be
     silently wrong there. noise is the pair propagate_noise(seed, grids, law0)
-    returns, drawn here when not given; every equilibrium solve reads it.
+    returns, drawn here when not given; every equilibrium solve reads it from
+    the report's push log, and a pair of other shapes is refused (UsageError).
     """
     if bounds.a_min < 0:
         raise AdmissibilityError(
@@ -124,18 +126,17 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
             "reverses for negative controls)"
         )
     seed = grids.seed if seed is None else seed
-    if noise is None:
-        noise = propagate_noise(seed, grids, law0)
-    replay: dict = {}  # the report's push log, shared by its three solves
+    # the report's push log, shared by its three solves, holds its noise pair
+    log = {"noise": propagate_noise(seed, grids, law0) if noise is None else noise}
     kind_o = RewardKind(Variant.ORIGINAL, young_eps, denom_exp)
 
-    def solve(variant: Variant, log=replay) -> EquilibriumResult:
+    def solve(variant: Variant, view=log) -> EquilibriumResult:
         return solve_mfg(RewardKind(variant, young_eps, denom_exp), grids, bounds, params,
-                         costs, law0, fp, seed=seed, noise=noise, replay=log, _evaluate=False)
+                         costs, law0, fp, seed=seed, _log=view)
 
     eq1, eq2 = solve(Variant.LOWER), solve(Variant.UPPER)
-    eq_orig = solve(Variant.ORIGINAL, MappingProxyType(replay))
-    del solve, noise, replay  # read no more: a report that drew its noise frees it here
+    eq_orig = solve(Variant.ORIGINAL, MappingProxyType(log))
+    del solve, log  # read no more: a report that drew its noise frees it here
     br1, br2 = (solve_hjb(eq.path, kind_o, grids, bounds, params, costs) for eq in (eq1, eq2))
 
     # the report's five distinct (policy, path) walks, in one lockstep pass:
@@ -158,7 +159,7 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
     v_f1, v_f2 = eq1.value, eq2.value
 
     return SandwichReport(
-        phi=params.phi, spread=float(spread_factor(params.phi)),
+        phi=params.phi, spread=params.spread,
         young_eps=young_eps, denom_exp=denom_exp,
         v_f1=v_f1, v_f2=v_f2, v_f=v_f, v_f_source=v_f_source, candidates=candidates,
         converged_f1=eq1.converged, converged_f2=eq2.converged, converged_f=eq_orig.converged,

@@ -21,7 +21,7 @@ import inspect
 import math
 
 from .errors import AdmissibilityError, ConfigError, DomainError, UsageError
-from .grids import ControlBounds, Grids, InitialLaw, admissible
+from .grids import ControlBounds, Grids, InitialLaw, reserve_floor
 from .fixed_point import FixedPointConfig
 from .nplayer import SimConfig
 from .pool import PoolParams
@@ -202,11 +202,12 @@ def validate(cfg: RunConfig) -> None:
                 name, _, rest = problem.partition(" ")
                 bad.append(f"{section}.{_KEY_OF.get(name, name)} {rest}")
     if {"pool", "grids", "controls"} <= built.keys():
-        ctrl, x0, horizon = built["controls"], built["pool"].x0, built["grids"].horizon
-        if not admissible(ctrl, x0, horizon)[0]:
+        ctrl = built["controls"]
+        try:
+            reserve_floor(ctrl, built["pool"].x0, built["grids"].horizon)
+        except AdmissibilityError as exc:  # filed under the bound of larger magnitude
             key = "a_max" if ctrl.a_max >= -ctrl.a_min else "a_min"
-            bad.append(f"controls.{key}: magnitude {ctrl.magnitude} must be < "
-                       f"x0/horizon = {x0 / horizon} (the pool could deplete)")
+            bad += [f"controls.{key}: {problem}" for problem in exc.problems]
     if {"costs", "grids"} <= built.keys():
         try:
             check_cost_growth(built["costs"], built["grids"])

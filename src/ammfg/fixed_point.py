@@ -7,8 +7,9 @@ noise inside Phi frozen across iterations (common random numbers), so the
 iteration runs on a deterministic map and the residual sup_t |m_{k+1} - m_k|
 is meaningful below the Monte Carlo scale. That noise is one block of
 normals and one starting sample (solver.propagate_noise), drawn once per
-solve or passed in by a caller that runs several solves on one seed, with a
-push log (solver.propagate's replay) they share. A lone solve logs nothing.
+solve. A sandwich report's solves draw nothing: each passes the push log
+they share (solver.propagate's _log) through to its pushes. A lone solve
+logs nothing.
 
 Convergence of this iteration is an empirical matter, not a theorem;
 a run that exhausts max_iters reports converged=False and still returns its
@@ -16,8 +17,8 @@ last iterate, policy, and value. The map is evaluated once per iterate, so
 k iterations make k+1 best-response + propagate rounds: the last round, on
 the returned iterate, is the certification round. After the Picard loop,
 one evaluate call estimates the returned policy's value on the returned
-path; a sandwich report skips it and evaluates its three solves, with its
-other values, in one walk.
+path; a solve given a report's log skips it, and the report evaluates its
+three solves, with its other values, in one walk.
 """
 from __future__ import annotations
 
@@ -72,23 +73,20 @@ class EquilibriumResult:
 def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: PoolParams,
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
               seed: int | None = None, init: MeanControlPath | None = None,
-              reward_fn=None, noise=None, replay: Mapping | None = None,
-              _evaluate: bool = True) -> EquilibriumResult:
+              reward_fn=None, _log: Mapping | None = None) -> EquilibriumResult:
     """Damped Picard iteration from ``init`` (default: the zero path).
 
     The returned policy is the best response to the final iterate (one extra
     solver round), and the reported value evaluates that policy against it.
     converged requires both the in-loop residual and the post-certification
-    residual damping*sup|Phi(m*) - m*| to sit at or below tol. noise is the
-    pair propagate_noise(seed, grids, law0) returns, drawn here when not
-    given; every propagate call of the solve reads it, and replay, a push
-    log (see solver.propagate), when given. A caller that evaluates several
-    solves in one walk (certify.sandwich_report) passes _evaluate=False and
-    fills value itself.
+    residual damping*sup|Phi(m*) - m*| to sit at or below tol. The solve
+    draws its propagate noise once and every propagate call reads it.
+    _log, a sandwich report's push log (see solver.propagate), is passed to
+    each propagate call in place of that draw; value is then None, for the
+    report fills it from its one evaluation walk.
     """
     seed = grids.seed if seed is None else seed
-    if noise is None:
-        noise = propagate_noise(seed, grids, law0)
+    noise = propagate_noise(seed, grids, law0) if _log is None else None
     if init is None:
         path = zero_path(grids, bounds, params.x0)
     else:
@@ -100,7 +98,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     while True:
         policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
         induced, exit_fraction = propagate(policy, grids, bounds, params, law0, seed=seed,
-                                           noise=noise, replay=replay)
+                                           noise=noise, _log=_log)
         # the map's run on the last iterate is the certification round
         if len(residuals) == fp.max_iters or (residuals and residuals[-1] <= fp.tol):
             break
@@ -111,7 +109,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
 
     post = fp.damping * path.sup_distance(induced)
     value = evaluate(policy, path, kind, grids, bounds, params, costs, law0,
-                     seed=seed, reward_fn=reward_fn) if _evaluate else None
+                     seed=seed, reward_fn=reward_fn) if _log is None else None
     return EquilibriumResult(kind=kind, path=path, policy=policy, value=value,
                              residuals=residuals,
                              converged=residuals[-1] <= fp.tol and post <= fp.tol,

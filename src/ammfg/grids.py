@@ -144,21 +144,16 @@ class MeanControlPath:
         return zip(self.times, self.values, self.cumulative, self.reserve)
 
 
-def admissible(bounds: ControlBounds, x0: float, horizon: float) -> tuple[bool, float]:
-    """Whether M < x0/horizon, and the implied reserve floor eps0 = x0 - T*M."""
-    m = bounds.magnitude
-    eps0 = x0 - horizon * m
-    return (m < x0 / horizon), eps0
-
-
 def reserve_floor(bounds: ControlBounds, x0: float, horizon: float) -> float:
-    """The floor eps0 of admissible bounds; AdmissibilityError for any others."""
-    ok, eps0 = admissible(bounds, x0, horizon)
-    if not ok:
+    """The reserve floor eps0 = x0 - T*M of admissible bounds (M < x0/T).
+
+    The one admissibility rule: AdmissibilityError for any other bounds.
+    """
+    m = bounds.magnitude
+    if not m < x0 / horizon:
         raise AdmissibilityError(
-            f"bounds magnitude {bounds.magnitude} not < x0/T = {x0 / horizon}: "
-            "the pool reserve could deplete")
-    return eps0
+            f"bounds magnitude {m} not < x0/T = {x0 / horizon}: the pool reserve could deplete")
+    return x0 - horizon * m
 
 
 def make_path(values, grids: Grids, bounds: ControlBounds, x0: float) -> MeanControlPath:

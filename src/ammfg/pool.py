@@ -16,6 +16,7 @@ mid-price quote carries over spot; it vanishes quadratically as phi -> 1.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,11 @@ class PoolParams:
     @property
     def y0(self) -> float:
         return self.k0 / self.x0
+
+    @functools.cached_property
+    def spread(self) -> float:
+        """spread_factor(phi), computed once: phi was checked when the params were built."""
+        return spread_factor(self.phi)
 
     def initial_state(self) -> "PoolState":
         return PoolState(self.x0, self.k0 / self.x0)

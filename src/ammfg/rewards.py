@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .grids import ControlBounds, Grids, MeanControlPath, make_path, reserve_floor
-from .pool import PoolParams, spread_factor
+from .pool import PoolParams
 from .streams import substream
 
 
@@ -144,7 +144,7 @@ def bound_constant(params: PoolParams, costs: CostSpec, bounds: ControlBounds,
                    horizon: float, denom_exp: int = 2) -> BoundConstants:
     m, eps0 = bounds.magnitude, reserve_floor(bounds, params.x0, horizon)
     drift_term = 2.0 * params.k0 * m * (params.x0 + horizon * m) / eps0**4
-    cost_term = params.k0 * m * spread_factor(params.phi) / eps0 ** (2 * denom_exp)
+    cost_term = params.k0 * m * params.spread / eps0 ** (2 * denom_exp)
     return BoundConstants(m_bound=m, eps0=eps0,
                           bound=max(costs.c1, drift_term, cost_term), horizon=horizon)
 
@@ -178,12 +178,12 @@ def d_factor(t, path: MeanControlPath, params: PoolParams, kind: RewardKind):
 
 def lambda_orig(a, t, path: MeanControlPath, params: PoolParams, kind: RewardKind):
     """-a * spread_factor(phi) * D(t): the flow-coupled transaction cost."""
-    return -np.asarray(a) * spread_factor(params.phi) * d_factor(t, path, params, kind)
+    return -np.asarray(a) * params.spread * d_factor(t, path, params, kind)
 
 
 def lambda_lower(a, t, path: MeanControlPath, params: PoolParams, kind: RewardKind):
     """Young lower bound -(1/2)*(eps*(a*c)^2 + D(t)^2/eps), eps = young_eps."""
-    ac = np.asarray(a) * spread_factor(params.phi)
+    ac = np.asarray(a) * params.spread
     d = d_factor(t, path, params, kind)
     return -0.5 * (kind.young_eps * ac**2 + d**2 / kind.young_eps)
 
@@ -191,7 +191,7 @@ def lambda_lower(a, t, path: MeanControlPath, params: PoolParams, kind: RewardKi
 def lambda_upper(a, params: PoolParams, consts: BoundConstants, kind: RewardKind):
     """Constant-denominator upper bound -a*c*k0/(x0+T*M)^(2e). Valid for a >= 0."""
     worst = (params.x0 + consts.horizon * consts.m_bound) ** (2 * kind.denom_exp)
-    return -np.asarray(a) * spread_factor(params.phi) * params.k0 / worst
+    return -np.asarray(a) * params.spread * params.k0 / worst
 
 
 def reward(kind: RewardKind, t, x, a, path: MeanControlPath, params: PoolParams,

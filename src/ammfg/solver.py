@@ -23,11 +23,12 @@ _walk moves several walkers in lockstep on one row of draws per step, each
 with per-path totals of its own rewards. propagate pushes particles under the
 policy (Euler-Maruyama) and reads off the mean control path and the exit
 fraction; callers that push many times on one seed draw its normals and
-starting sample once (propagate_noise) and may keep a push log that replays,
-bit for bit, a push whose controls provably match a logged one. evaluate is
-the matching strong-form estimate of the policy's objective; it is the
-one-walker case of _evaluate_walkers, which values several (policy, path)
-pairs under several rewards in one walk, bitwise as lone calls would.
+starting sample once (propagate_noise). A sandwich report's solves share a
+private push log that holds that pair and replays, bit for bit, a push whose
+controls provably match a logged one. evaluate is the matching strong-form
+estimate of the policy's objective; it is the one-walker case of
+_evaluate_walkers, which values several (policy, path) pairs under several
+rewards in one walk, bitwise as lone calls would.
 girsanov_evaluate estimates it on driftless paths reweighted by the
 discrete Girsanov density; the clamp keeps the weights exact, as it is a
 function of the increments dW and under the weighted measure dW - (a/sigma) dt
@@ -390,22 +391,26 @@ def _replay_or_walk(replay: Mapping, policy: Policy, inputs: tuple, walk):
 
 def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolParams,
               law0: InitialLaw, seed: int | None = None, noise=None,
-              replay: Mapping | None = None) -> tuple[MeanControlPath, float]:
+              _log: Mapping | None = None) -> tuple[MeanControlPath, float]:
     """Euler-Maruyama ensemble under the policy; returns (mean path, exit fraction).
 
     The exit fraction is the share of particles ever clamped to the grid box.
     The mean path's last node repeats the final interval's mean so the
     n_t+1-node trapezoid convention applies. noise is the pair
     propagate_noise(seed, grids, law0) returns, drawn here when not given.
-    replay is a push log (a dict, empty at first) tied to the noise pair of its
-    first push, so later pushes must pass that same pair: a push provably
-    reading a logged one's controls returns its results unwalked
-    (_replay_or_walk). Logging slows a walk, so a lone push passes none, and a
-    push whose walk no later push would read passes a read-only view of the
-    log (types.MappingProxyType): it replays from the log but adds no record.
+
+    _log is a sandwich report's private push log, a dict its solves share:
+    _log["noise"] is the report's pair, read in place of noise, and every
+    other entry lists push records (_replay_or_walk). A push provably reading
+    a logged one's controls returns its results unwalked. Logging slows a
+    walk, so a lone push passes no log, and a push whose walk no later push
+    would read passes a read-only view (types.MappingProxyType): it replays
+    from the log but adds no record.
     """
     seed, n = grids.seed if seed is None else seed, grids.n_particles
-    if noise is None:
+    if _log is not None:
+        noise = _log["noise"]
+    elif noise is None:
         noise = propagate_noise(seed, grids, law0)
     shapes, expected = [np.shape(block) for block in noise], [(grids.n_t, n), (n,)]
     if shapes != expected:
@@ -419,14 +424,8 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
             lambda xs, a, z: xs + a * dt + scale * z, record=record)
         return m, float(exit_fraction)
 
-    if replay is not None:
-        if isinstance(replay, dict):
-            replay.setdefault("noise", noise)
-        if replay.get("noise", noise) is not noise:
-            raise UsageError("a push log holds the pushes of one noise pair; "
-                             "this push passes another")
-    m, exit_fraction = walk() if replay is None else _replay_or_walk(
-        replay, policy, (grids, params.sigma), walk)
+    m, exit_fraction = walk() if _log is None else _replay_or_walk(
+        _log, policy, (grids, params.sigma), walk)
     _warn_exit(exit_fraction)
     return make_path(np.append(m, m[-1]), grids, bounds, params.x0), exit_fraction
 

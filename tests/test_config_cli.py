@@ -146,6 +146,19 @@ def test_validate_control_interval():
         cfgmod.validate(cfg)
 
 
+@pytest.mark.parametrize("override, key", [("controls.a_max=150", "a_max"),
+                                           ("controls.a_min=-150", "a_min")])
+def test_validate_files_inadmissible_bounds_under_the_larger_bound(override, key):
+    # at x0 = 100 and T = 1 a bound of magnitude 150 could deplete the pool
+    cfg = cfgmod.load_config(None, [override])
+    assert (cfg.x0, cfg.horizon) == (100.0, 1.0)
+    with pytest.raises(ConfigError) as exc:
+        cfgmod.validate(cfg)
+    assert exc.value.violations == [
+        f"controls.{key}: bounds magnitude 150.0 not < x0/T = 100.0: "
+        "the pool reserve could deplete"]
+
+
 def test_hash_ignores_run_section():
     cfg = cfgmod.load_config()
     moved = dataclasses.replace(cfg, out_dir="elsewhere", workers=16)

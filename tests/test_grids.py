@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ammfg import (AdmissibilityError, ControlBounds, Grids, InitialLaw,
-                   UsageError, admissible, make_path, zero_path)
+                   UsageError, make_path, zero_path)
+from ammfg.grids import reserve_floor
 from ammfg.streams import substream
 
 
@@ -55,10 +56,9 @@ def test_initial_law_point_mass_and_gaussian():
 
 
 def test_admissible_floor():
-    ok, eps0 = admissible(ControlBounds(0.0, 0.5), 100.0, 1.0)
-    assert ok and eps0 == 99.5
-    ok, eps0 = admissible(ControlBounds(-2.0, 2.0), 1.0, 1.0)
-    assert not ok and eps0 == -1.0
+    assert reserve_floor(ControlBounds(0.0, 0.5), 100.0, 1.0) == 99.5
+    with pytest.raises(AdmissibilityError, match=r"2.0 not < x0/T = 1.0: .* deplete"):
+        reserve_floor(ControlBounds(-2.0, 2.0), 1.0, 1.0)
 
 
 def test_make_path_trapezoid_cumulative():

@@ -1,6 +1,7 @@
 """Push replay: a logged push is returned without a walk only where that is exact.
 
-propagate(..., replay=log) returns a logged push's mean path and exit fraction
+propagate(..., _log=log), where log is a sandwich report's private push log
+holding its noise pair, returns a logged push's mean path and exit fraction
 when the new policy provably reads the same control for every particle at
 every step: same controls, x-nodes and NaN switch mask, and every finite
 switch inside the bracket of particle positions the logged walk saw in its
@@ -9,6 +10,7 @@ switch moved past one logged position is shown to be walked instead.
 """
 import dataclasses
 import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -37,8 +39,13 @@ def _noise(law):
     return propagate_noise(G.seed, G, law)
 
 
+def _new_log(law=LAW):
+    """An empty push log on the cached noise pair of ``law``."""
+    return {"noise": _noise(law)}
+
+
 def _push(pol, params, log=None, law=LAW):
-    path, exit_fraction = propagate(pol, G, B, params, law, noise=_noise(law), replay=log)
+    path, exit_fraction = propagate(pol, G, B, params, law, noise=_noise(law), _log=log)
     return path.values.tobytes(), exit_fraction
 
 
@@ -85,7 +92,7 @@ CASES = [pytest.param(phi, variant, id=f"{phi}-{variant.name}")
 def test_replay_is_a_fresh_walk_bit_for_bit(phi, variant):
     pol = _two_switch_policy() if variant is None else _solved_policy(phi, variant)
     assert np.isfinite(pol.switches).any()
-    params, log = _params(phi), {}
+    params, log = _params(phi), _new_log()
     assert _push(pol, params, log) == _push(pol, params)
     _, _, lo, hi = _only_record(log)
     # every finite switch moved to the middle of its logged bracket
@@ -100,7 +107,7 @@ def test_switchless_policies_replay_on_equal_bits_only():
     x, t = G.x_nodes(), G.t_nodes()
     pol = Policy(t_nodes=t, x_nodes=x,
                  controls=np.clip(0.25 - 0.07 * x[None, :] + 0.1 * t[:-1, None], 0.0, 0.5))
-    params, log = _params(), {}
+    params, log = _params(), _new_log()
     _push(pol, params, log)
     twin = dataclasses.replace(pol, controls=pol.controls.copy())
     assert _push(twin, params, log) == _push(twin, params)
@@ -115,7 +122,7 @@ def test_switchless_policies_replay_on_equal_bits_only():
 @pytest.mark.parametrize("make", [lambda: _solved_policy(0.997, Variant.ORIGINAL),
                                   _two_switch_policy], ids=["solved", "two-switch"])
 def test_a_switch_moved_past_a_logged_position_is_walked(side, make):
-    pol, params, log = make(), _params(), {}
+    pol, params, log = make(), _params(), _new_log()
     first = _push(pol, params, log)
     _, _, lo, hi = _only_record(log)
     bound = lo if side == "lo" else hi
@@ -140,7 +147,8 @@ def test_a_particle_on_its_switch_bounds_the_bracket_from_above():
     switches = np.full((G.n_t, G.n_x - 1), np.nan)
     switches[0, cell] = u - cell
     pol = Policy(t_nodes=G.t_nodes(), x_nodes=x, controls=controls, switches=switches)
-    params, log, point = _params(), {}, InitialLaw(0.0, 0.0)
+    point = InitialLaw(0.0, 0.0)
+    params, log = _params(), _new_log(point)
     first = _push(pol, params, log, law=point)
     moved = _with_switches(pol, [np.nextafter(u - cell, 1.0)])
     walked = _push(moved, params, log, law=point)
@@ -151,7 +159,7 @@ def test_a_particle_on_its_switch_bounds_the_bracket_from_above():
 def test_a_moved_switch_mask_is_walked():
     # the same number of finite switches in other cells: cell c1 falls back to
     # the ramp, and the new finite cell, whose nodes agree, changes nothing
-    pol, params, log = _two_switch_policy(), _params(), {}
+    pol, params, log = _two_switch_policy(), _params(), _new_log()
     first = _push(pol, params, log)
     sw = pol.switches.copy()
     c1 = np.flatnonzero(np.isfinite(sw[0]))[0]
@@ -163,8 +171,8 @@ def test_a_moved_switch_mask_is_walked():
 
 
 def test_a_replay_warns_as_its_walk_did():
-    pol, params, log = constant_policy(0.5, G, B), _params(), {}
     edge = InitialLaw(2.9, 0.0)
+    pol, params, log = constant_policy(0.5, G, B), _params(), _new_log(edge)
     with pytest.warns(UserWarning, match="state-grid edges") as walked:
         first = _push(pol, params, log, law=edge)
     with pytest.warns(UserWarning, match="state-grid edges") as replayed:
@@ -173,15 +181,33 @@ def test_a_replay_warns_as_its_walk_did():
     assert [str(w.message) for w in walked] == [str(w.message) for w in replayed]
 
 
-def test_a_log_refuses_a_second_noise_pair():
-    pol, params, log = _two_switch_policy(), _params(), {}
-    _push(pol, params, log)
+def test_a_push_on_a_log_reads_the_log_s_pair():
+    # the log holds its noise pair, so a pair passed beside it is never read
+    pol, params, log = _two_switch_policy(), _params(), _new_log()
     other = propagate_noise(G.seed + 1, G, LAW)
-    with pytest.raises(UsageError, match="noise pair"):
-        propagate(pol, G, B, params, LAW, noise=other, replay=log)
-    with pytest.raises(UsageError, match="noise pair"):  # drawn afresh: another pair
-        propagate(pol, G, B, params, LAW, replay=log)
+    path, exit_fraction = propagate(pol, G, B, params, LAW, noise=other, _log=log)
+    assert (path.values.tobytes(), exit_fraction) == _push(pol, params)
+    on_other, _ = propagate(pol, G, B, params, LAW, noise=other)
+    assert path.values.tobytes() != on_other.values.tobytes()
     assert _records(log) == 1
+
+
+def test_the_push_log_is_private():
+    # a report's draws and push log reach its solves through one private
+    # argument; the public signatures keep only the lone-call keywords
+    assert list(inspect.signature(propagate).parameters) == [
+        "policy", "grids", "bounds", "params", "law0", "seed", "noise", "_log"]
+    assert list(inspect.signature(solve_mfg).parameters) == [
+        "kind", "grids", "bounds", "params", "costs", "law0", "fp", "seed", "init",
+        "reward_fn", "_log"]
+
+
+def test_a_report_refuses_a_wrong_shaped_noise_pair():
+    normals, starts = _noise(LAW)
+    for noise in ((normals[:-1], starts), (normals, starts[:-1]), (normals.T, starts),
+                  normals):
+        with pytest.raises(UsageError, match="propagate noise has shapes"):
+            sandwich_report(G, B, _params(), COSTS, LAW, FP, noise=noise)
 
 
 def test_lone_solves_and_pushes_record_nothing(monkeypatch):
@@ -232,11 +258,11 @@ def test_a_report_logs_no_push_of_its_last_solve(monkeypatch):
     solves, pushes = [], []
     run_solve, walk = certify.solve_mfg, solver._walk
 
-    def counting(kind, *args, replay, **kwargs):
-        before = _records(replay)
+    def counting(kind, *args, _log, **kwargs):
+        before = _records(_log)
         pushes.clear()
-        eq = run_solve(kind, *args, replay=replay, **kwargs)
-        solves.append((kind.variant, before, _records(replay), list(pushes)))
+        eq = run_solve(kind, *args, _log=_log, **kwargs)
+        solves.append((kind.variant, before, _records(_log), list(pushes)))
         return eq
 
     def spy(policies, grids, x0, noise, step, rewards=None, record=None):
