@@ -90,19 +90,28 @@ class Policy:
         """
         nodes = self.x_nodes
         c = self.controls[k]
-        u = (np.asarray(x, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
-        u = np.clip(u, 0.0, len(nodes) - 1.0)
-        j = np.minimum(u.astype(np.int64), len(nodes) - 2)
-        frac = u - j
-        left, right = c[j], c[j + 1]
-        ramp = left * (1.0 - frac) + right * frac
+        # one owned copy of x becomes the position; the rest runs in place
+        frac = np.array(x, dtype=float)
+        frac -= nodes[0]
+        frac /= nodes[1] - nodes[0]
+        np.clip(frac, 0.0, len(nodes) - 1.0, out=frac)
+        j = frac.astype(np.int64)
+        np.minimum(j, len(nodes) - 2, out=j)
+        frac -= j
+        left, right = c.take(j), c[1:].take(j)
+        out = np.subtract(1.0, frac, out=np.empty_like(frac))  # an array even at 0-d
+        out *= left
+        out += right * frac
         if self.switches is None:
-            return ramp
-        # a NaN switch compares false, so only the isnan test routes to the ramp
-        sw = self.switches[k][j]
+            return out
+        sw = self.switches[k].take(j)
         if record is not None:
             record(k, j, frac, sw)
-        return np.where(frac < sw, left, np.where(np.isnan(sw), ramp, right))
+        # a NaN switch compares false: finite cells read the right node, then
+        # queries left of their switch the left node; NaN cells keep the ramp
+        np.copyto(out, right, where=sw == sw)
+        np.copyto(out, left, where=frac < sw)
+        return out
 
 
 @dataclass(frozen=True)

@@ -360,6 +360,73 @@ def test_slices_never_outnumber_replications():
     assert nplayer._slices(7, 3) == [(0, 2), (2, 4), (4, 7)]
 
 
+WINDOW = 5_000_000  # floats of trader noise a chunk may hold: 40 MB
+
+
+@pytest.mark.parametrize("n_traders, n_t", [(1, 1), (5, 20), (10, 100), (50, 100), (250, 100),
+                                            (2000, 120), (49_999, 100), (60_000, 100)])
+def test_chunks_hold_at_most_the_noise_window(n_traders, n_t):
+    per_rep = n_traders * n_t
+    for n_reps in (1, 7, 1000, 20_000):
+        chunks = nplayer._chunks(n_reps, n_traders, n_t)
+        sizes = [hi - lo for lo, hi in chunks]
+        assert chunks[0][0] == 0 and chunks[-1][1] == n_reps
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert min(sizes) >= 1 and sizes[0] == max(sizes)  # the first buffer fits them all
+        if per_rep > WINDOW:  # a replication alone is over the window
+            assert sizes == [1] * n_reps
+        else:
+            assert max(sizes) * per_rep <= WINDOW
+
+
+def test_chunks_of_a_pass_draw_into_one_buffer(monkeypatch):
+    _chunked(monkeypatch, 4)
+    drawn = []
+    draw = nplayer._draw
+
+    def spy(*args):
+        drawn.append(args[-3:])  # x_start, noise, xi0
+        return draw(*args)
+
+    monkeypatch.setattr(nplayer, "_draw", spy)
+    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
+    cfg = SimConfig(n_traders=5, n_reps=9)
+    for run in (lambda: simulate(crowd, cfg, GRIDS, BOUNDS, PARAMS, COSTS, LAW, seed=13),
+                lambda: deviation_gain(crowd, dev, cfg, GRIDS, BOUNDS, PARAMS, COSTS, LAW,
+                                       seed=13)):
+        drawn.clear()
+        run()
+        assert [noise.shape for _, noise, _ in drawn] == [(GRIDS.n_t, m, 5) for m in (4, 4, 1)]
+        for arrays in drawn[1:]:
+            assert all(np.shares_memory(a, b) for a, b in zip(drawn[0], arrays))
+
+
+class _CountingPool(nplayer.ThreadPoolExecutor):
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_one_draw_pool_per_pass(monkeypatch, cores):
+    _chunked(monkeypatch, 4)  # 9 replications in three chunks
+    monkeypatch.setattr(nplayer, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(nplayer, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "made", 0)
+    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
+    args = (SimConfig(n_traders=5, n_reps=9), GRIDS, BOUNDS, PARAMS, COSTS, LAW)
+    before = threading.active_count()
+    simulate(crowd, *args, deviant_policy=dev, seed=13)
+    assert _CountingPool.made == 1
+    deviation_gain(crowd, dev, *args, seed=13)
+    assert _CountingPool.made == 2
+    with pytest.raises(RuntimeError):  # a failed draw still joins the pool's threads
+        simulate(crowd, *args[:-1], _RefusingLaw(), seed=13)
+    assert _CountingPool.made == 3 and threading.active_count() == before
+
+
 class _RefusingLaw:
     """An initial law whose sample raises, to follow the error out of the draw."""
 

@@ -406,6 +406,84 @@ def test_control_at_switch_semantics():
     np.testing.assert_allclose(plain.control_at(0, np.array([0.5])), [0.2])
 
 
+def _reference_control_at(policy, k, x, record=None):
+    """Policy.control_at as plain formulas, a fresh array for every operation."""
+    nodes = policy.x_nodes
+    c = policy.controls[k]
+    u = (np.asarray(x, dtype=float) - nodes[0]) / (nodes[1] - nodes[0])
+    u = np.clip(u, 0.0, len(nodes) - 1.0)
+    j = np.minimum(u.astype(np.int64), len(nodes) - 2)
+    frac = u - j
+    left, right = c[j], c[j + 1]
+    ramp = left * (1.0 - frac) + right * frac
+    if policy.switches is None:
+        return ramp
+    sw = policy.switches[k][j]
+    if record is not None:
+        record(k, j, frac, sw)
+    return np.where(frac < sw, left, np.where(np.isnan(sw), ramp, right))
+
+
+def _random_policy(rng, n_t, n_x, switches):
+    x = np.linspace(-1.3, 2.1, n_x)  # a spacing that rounds
+    controls = rng.uniform(-0.5, 0.5, (n_t, n_x))
+    # signed zeros and repeated values, so a ramp between them is exact or -0.0
+    pick = rng.random(controls.shape)
+    controls[pick < 0.4] = rng.choice([0.0, -0.0, 0.25], size=int(np.sum(pick < 0.4)))
+    sw = None
+    if switches:
+        sw = rng.uniform(0.0, 1.0, (n_t, n_x - 1))
+        sw[rng.random(sw.shape) < 0.4] = np.nan
+    return Policy(t_nodes=np.linspace(0.0, 1.0, n_t + 1), x_nodes=x, controls=controls,
+                  switches=sw)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("switches", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_control_at_is_the_reference_formula_bit_for_bit(switches, seed):
+    rng = np.random.default_rng(seed)
+    pol = _random_policy(rng, n_t=5, n_x=int(rng.integers(2, 40)), switches=switches)
+    x, h = pol.x_nodes, pol.x_nodes[1] - pol.x_nodes[0]
+    for k in range(pol.controls.shape[0]):
+        at_switches = []
+        if switches:  # queries exactly on a cell's switch, either side of the comparison
+            cells = np.flatnonzero(~np.isnan(pol.switches[k]))
+            at_switches = x[cells] + pol.switches[k][cells] * h
+        queries = np.concatenate([
+            x, x + 0.5 * h, at_switches, rng.uniform(x[0] - 2.0, x[-1] + 2.0, 50),
+            [x[0] - 1e9, x[-1] + 1e9, x[0] - h, x[-1] + h, -0.0, 0.0]])
+        forms = [queries, queries.reshape(-1, 1), queries.tolist(), float(queries[-1]),
+                 np.array(queries[1]), queries[3]]
+        forms += [np.array(q) for q in queries[:: max(1, len(queries) // 8)]]
+        for q in forms:
+            got, want = [], []
+            out = pol.control_at(k, q, record=lambda *r: got.append((r, *map(np.copy, r))))
+            ref = _reference_control_at(pol, k, q, lambda *r: want.append(tuple(map(np.copy, r))))
+            assert _same_bits(out, ref)
+            assert len(got) == len(want) == int(switches)
+            for (handed, *copied), expected in zip(got, want):
+                for h_val, c_val, e_val in zip(handed, copied, expected):
+                    # the hook's values are the reference's, and stay so after the call
+                    assert _same_bits(c_val, e_val) and _same_bits(h_val, c_val)
+
+
+def test_control_at_is_the_reference_formula_on_a_solved_policy(grids_small, bounds_default,
+                                                                params_default, costs_default):
+    path = make_path(np.full(grids_small.n_t + 1, 0.2), grids_small, bounds_default,
+                     params_default.x0)
+    pol = solve_hjb(path, RewardKind(Variant.ORIGINAL), grids_small, bounds_default,
+                    params_default, costs_default)
+    assert np.isfinite(pol.switches).any() and np.isnan(pol.switches).any()
+    xs = np.random.default_rng(5).normal(0.0, 2.0, 4000)
+    for k in range(grids_small.n_t):
+        assert _same_bits(pol.control_at(k, xs), _reference_control_at(pol, k, xs))
+
+
 def test_policy_refuses_non_uniform_or_short_grids():
     # control_at reads x_nodes by uniform index arithmetic
     with pytest.raises(UsageError, match="uniform"):
