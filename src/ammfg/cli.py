@@ -99,6 +99,15 @@ def _bundle(cfg):
                 law0=cfgmod.law0(cfg))
 
 
+def _stalled(runs, tol: float) -> bool:
+    """Print each run that did not converge, with both of its residuals next to tol."""
+    for eq in (eq for eq in runs if not eq.converged):
+        print(f"run {eq.kind.tag} did not converge after {eq.iterations} iterations: in-loop "
+              f"residual {eq.residuals[-1]:.3g}, post-certification residual "
+              f"{eq.post_residual:.3g}, tol {tol:.3g}", file=sys.stderr)
+    return not all(eq.converged for eq in runs)
+
+
 def _cmd_solve(args) -> int:
     cfg, h, out_dir = _load(args)
     b = _bundle(cfg)
@@ -107,9 +116,7 @@ def _cmd_solve(args) -> int:
     files = artifacts.write_equilibrium(result, out_dir, h, cfg.seed)
     for f in files:
         print(f)
-    if not result.converged:
-        print(f"fixed point did not converge after {result.iterations} iterations "
-              f"(last residual {result.residuals[-1]:.3g})", file=sys.stderr)
+    if _stalled([result], cfg.tol):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -124,9 +131,8 @@ def _cmd_sandwich(args) -> int:
     if report.converged_f1 and report.converged_f2:
         doc["certificate"] = epsilon_nash_certificate(report).to_dict()
     print(artifacts.write_json(doc, out_dir, "sandwich.json", h, cfg.seed))
-    if not (report.converged_f1 and report.converged_f2 and report.converged_f):
-        print("one or more equilibrium runs did not converge; sandwich is partial",
-              file=sys.stderr)
+    if _stalled([report.eq_lower, report.eq_upper, report.eq_orig], cfg.tol):
+        print("sandwich is partial", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -175,9 +181,8 @@ def _cmd_simulate(args) -> int:
         "equilibrium": artifacts.equilibrium_summary(eq),
     }
     print(artifacts.write_json(doc, out_dir, "sim_summary.json", h, cfg.seed))
-    if not eq.converged:
-        print("equilibrium run did not converge; simulated policy is approximate",
-              file=sys.stderr)
+    if _stalled([eq], cfg.tol):
+        print("simulated policy is approximate", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path, zero_path
-from .errors import DomainError, UsageError
+from .errors import DomainError
 from .pool import PoolParams
 from .rewards import CostSpec, RewardKind
 from .solver import Policy, ValueReport, evaluate, propagate, propagate_noise, solve_hjb
@@ -74,7 +74,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,
               seed: int | None = None, init: MeanControlPath | None = None,
               reward_fn=None, _log: Mapping | None = None) -> EquilibriumResult:
-    """Damped Picard iteration from ``init`` (default: the zero path).
+    """Damped Picard iteration from ``init`` (default: the zero path) on grids' time grid.
 
     The returned policy is the best response to the final iterate (one extra
     solver round), and the reported value evaluates that policy against it.
@@ -87,18 +87,13 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     """
     seed = grids.seed if seed is None else seed
     noise = propagate_noise(seed, grids, law0) if _log is None else None
-    if init is None:
-        path = zero_path(grids, bounds, params.x0)
-    else:
-        if init.times.shape != (grids.n_t + 1,):
-            raise UsageError("init path does not match the time grid")
-        path = init
+    path = zero_path(grids, bounds, params.x0) if init is None else init
 
     residuals: list[float] = []
     while True:
         policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
-        induced, exit_fraction = propagate(policy, grids, bounds, params, law0, seed=seed,
-                                           noise=noise, _log=_log)
+        induced, exit_fraction = propagate(policy, grids, bounds, params, law0, noise=noise,
+                                           _log=_log)
         # the map's run on the last iterate is the certification round
         if len(residuals) == fp.max_iters or (residuals and residuals[-1] <= fp.tol):
             break

@@ -115,15 +115,14 @@ class MeanControlPath:
     """Average trading rate of the crowd on the time lattice.
 
     values[k] = m(t_k); cumulative[k] = trapezoidal integral of m up to t_k;
-    reserve[k] = x0 - cumulative[k]. eps0 is the admissibility floor the
-    reserve is guaranteed (and checked) to respect.
+    reserve[k] = x0 - cumulative[k], which make_path checks against the
+    floor reserve_floor states.
     """
 
     times: np.ndarray
     values: np.ndarray
     cumulative: np.ndarray = field(repr=False)
     reserve: np.ndarray = field(repr=False)
-    eps0: float = 0.0
 
     def value_at(self, t) -> np.ndarray:
         """Piecewise-linear interpolation of m for off-node queries."""
@@ -188,8 +187,7 @@ def make_path(values, grids: Grids, bounds: ControlBounds, x0: float) -> MeanCon
         raise AdmissibilityError(
             f"node {k} (t={times[k]:.6g}): reserve {reserve[k]} below floor {eps0}"
         )
-    return MeanControlPath(times=times, values=values, cumulative=cumulative,
-                           reserve=reserve, eps0=eps0)
+    return MeanControlPath(times=times, values=values, cumulative=cumulative, reserve=reserve)
 
 
 def zero_path(grids: Grids, bounds: ControlBounds, x0: float) -> MeanControlPath:

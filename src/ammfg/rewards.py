@@ -127,15 +127,15 @@ def check_cost_growth(costs: CostSpec, grids: Grids) -> float:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Admissibility floor and the growth-bound constant.
+    """The growth-bound constant, with what the UPPER reward reads.
 
     bound dominates |terminal| + |running reward| inside c*exp(c*|x|):
-    c = max(c1, 2*k0*M*(x0+T*M)/eps0^4, k0*M*spread_factor/eps0^(2e)).
-    horizon is carried so the UPPER denominator (x0 + T*M) is formable.
+    c = max(c1, 2*k0*M*(x0+T*M)/eps0^4, k0*M*spread_factor/eps0^(2e)), with
+    eps0 the floor grids.reserve_floor states. horizon is carried so the
+    UPPER denominator (x0 + T*M) is formable.
     """
 
     m_bound: float
-    eps0: float
     bound: float
     horizon: float
 
@@ -145,8 +145,7 @@ def bound_constant(params: PoolParams, costs: CostSpec, bounds: ControlBounds,
     m, eps0 = bounds.magnitude, reserve_floor(bounds, params.x0, horizon)
     drift_term = 2.0 * params.k0 * m * (params.x0 + horizon * m) / eps0**4
     cost_term = params.k0 * m * params.spread / eps0 ** (2 * denom_exp)
-    return BoundConstants(m_bound=m, eps0=eps0,
-                          bound=max(costs.c1, drift_term, cost_term), horizon=horizon)
+    return BoundConstants(m_bound=m, bound=max(costs.c1, drift_term, cost_term), horizon=horizon)
 
 
 # --- running-reward pieces ------------------------------------------------
@@ -239,20 +238,19 @@ def check_growth_bound(kind: RewardKind, n_samples: int, seed: int, *,
     ratio and the count of violations; the caller decides what to do with a
     nonzero count.
     """
+    if n_samples < 1:
+        raise UsageError(f"n_samples must be >= 1, got {n_samples}")
     if consts is None:
         consts = bound_constant(params, costs, bounds, grids.horizon, kind.denom_exp)
     rng = substream(seed, "growth", kind.tag)
     n_paths = max(1, min(64, n_samples // 256))
-    per = -(-n_samples // n_paths)  # ceil
+    per = -(-n_samples // n_paths)  # ceil: n_paths**2 - n_paths < n_samples, so no batch is empty
     max_ratio = 0.0
     violations = 0
-    total = 0
-    for _ in range(n_paths):
+    for i in range(n_paths):
         vals = rng.uniform(bounds.a_min, bounds.a_max, grids.n_t + 1)
         path = make_path(vals, grids, bounds, params.x0)
-        m = min(per, n_samples - total)
-        if m <= 0:
-            break
+        m = min(per, n_samples - i * per)
         t = rng.uniform(0.0, grids.horizon, m)
         x = rng.uniform(grids.x_min, grids.x_max, m)
         a = rng.uniform(bounds.a_min, bounds.a_max, m)
@@ -261,6 +259,5 @@ def check_growth_bound(kind: RewardKind, n_samples: int, seed: int, *,
         ratio = (np.abs(g) + np.abs(f)) / (consts.bound * np.exp(consts.bound * np.abs(x)))
         max_ratio = max(max_ratio, float(np.max(ratio)))
         violations += int(np.sum(ratio > 1.0))
-        total += m
-    return GrowthReport(max_ratio=max_ratio, bound=consts.bound, n_samples=total,
+    return GrowthReport(max_ratio=max_ratio, bound=consts.bound, n_samples=n_samples,
                         violations=violations)

@@ -57,10 +57,10 @@ from .streams import substream
 class Policy:
     """Feedback control table a*(t_k, x_j) with the value surface behind it.
 
-    x_nodes is a uniform grid of at least 2 nodes, read by index arithmetic.
-    controls has shape (n_t, n_x): row k applies on [t_k, t_{k+1}). values
-    has shape (n_t+1, n_x) with values[n_t] the terminal reward; it is None
-    for hand-built policies that never went through the solver.
+    x_nodes is a uniform grid of at least 2 nodes, read by index arithmetic
+    on the spacing _dx. controls has shape (n_t, n_x): row k applies on
+    [t_k, t_{k+1}). values has shape (n_t+1, n_x) with values[n_t] the
+    terminal reward; it is None for hand-built policies that skip the solver.
 
     switches has shape (n_t, n_x-1). Where finite, cell j of row k contains
     a sharp control switch at relative position switches[k, j] in (0, 1):
@@ -80,7 +80,7 @@ class Policy:
     switches: np.ndarray | None = None
 
     def __post_init__(self):
-        _uniform_spacing(np.asarray(self.x_nodes, dtype=float))
+        object.__setattr__(self, "_dx", _uniform_spacing(np.asarray(self.x_nodes, dtype=float)))
 
     def control_at(self, k: int, x, record=None) -> np.ndarray:
         """Policy at step k, piecewise linear in x, clamped at the grid edges.
@@ -93,7 +93,7 @@ class Policy:
         # one owned copy of x becomes the position; the rest runs in place
         frac = np.array(x, dtype=float)
         frac -= nodes[0]
-        frac /= nodes[1] - nodes[0]
+        frac /= self._dx
         np.clip(frac, 0.0, len(nodes) - 1.0, out=frac)
         j = frac.astype(np.int64)
         np.minimum(j, len(nodes) - 2, out=j)
@@ -362,26 +362,25 @@ def _warn_exit(exit_fraction: float, stacklevel: int = 3) -> None:
                       "widen [x_min, x_max]", stacklevel=stacklevel)
 
 
-def _replay_or_walk(replay: Mapping, policy: Policy, inputs: tuple, walk):
+def _replay_or_walk(log: Mapping, policy: Policy, walk):
     """(mean control per step, exit fraction) of a push: replayed from the log, else walked.
 
-    Records (m, exit fraction, lo, hi) are keyed by the push's grids and sigma
-    (the log's noise pair is fixed) and the digests of the policy's controls,
-    x-nodes and NaN switch mask. lo and hi bracket each finite switch s by the
-    positions in its cell at its step: the largest below s, the smallest at or
-    above. A same-key policy with every finite switch in its (lo, hi] reads,
-    by induction over the steps, the same control for every particle, so the
-    record is its push bit for bit.
+    A log belongs to one report, whose grids, sigma and noise pair never
+    change, so records (m, exit fraction, lo, hi) are keyed by the digests of
+    the policy's controls and NaN switch mask alone. lo and hi bracket each
+    finite switch s by the positions in its cell at its step: the largest
+    below s, the smallest at or above. A same-key policy with every finite
+    switch in its (lo, hi] reads, by induction over the steps, the same
+    control for every particle, so the record is its push bit for bit.
     """
     sw = np.empty(0) if policy.switches is None else policy.switches
     finite = ~np.isnan(sw)
-    key = inputs + tuple((p.shape, p.dtype.str, hashlib.sha256(np.ascontiguousarray(p)).digest())
-                         for p in (policy.controls, policy.x_nodes, finite))
+    key = tuple(hashlib.sha256(np.ascontiguousarray(p)).digest() for p in (policy.controls, finite))
     s = sw[finite]
-    for m, exit_fraction, lo, hi in replay.get(key, ()):
+    for m, exit_fraction, lo, hi in log.get(key, ()):
         if np.all(lo < s) and np.all(s <= hi):
             return m, exit_fraction
-    if not isinstance(replay, dict):  # a read-only view of a log: walk unlogged
+    if not isinstance(log, dict):  # a read-only view of a log: walk unlogged
         return walk()
     lo, hi = np.full(finite.shape, -np.inf), np.full(finite.shape, np.inf)
 
@@ -394,7 +393,7 @@ def _replay_or_walk(replay: Mapping, policy: Policy, inputs: tuple, walk):
             np.minimum.at(hi[k], j[~below], frac[~below])
 
     m, exit_fraction = walk(record)
-    replay.setdefault(key, []).append((m, exit_fraction, lo[finite], hi[finite]))
+    log.setdefault(key, []).append((m, exit_fraction, lo[finite], hi[finite]))
     return m, exit_fraction
 
 
@@ -433,8 +432,7 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
             lambda xs, a, z: xs + a * dt + scale * z, record=record)
         return m, float(exit_fraction)
 
-    m, exit_fraction = walk() if _log is None else _replay_or_walk(
-        _log, policy, (grids, params.sigma), walk)
+    m, exit_fraction = walk() if _log is None else _replay_or_walk(_log, policy, walk)
     _warn_exit(exit_fraction)
     return make_path(np.append(m, m[-1]), grids, bounds, params.x0), exit_fraction
 
@@ -495,8 +493,7 @@ def _evaluate_walkers(walkers, grids: Grids, bounds: ControlBounds, params: Pool
 
 def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
                       grids: Grids, bounds: ControlBounds, params: PoolParams,
-                      costs: CostSpec, law0: InitialLaw, seed: int | None = None,
-                      reward_fn=None) -> ValueReport:
+                      costs: CostSpec, law0: InitialLaw, seed: int | None = None) -> ValueReport:
     """Weak-form estimate: driftless paths reweighted by the Girsanov density.
 
     Simulates dX = sigma dW, clamped to the grid box as evaluate's paths are,
@@ -506,13 +503,13 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
     and under the weighted measure dW - (a/sigma) dt is Brownian, so the
     clamped driftless walk has the law of evaluate's clamped drifted walk.
     Agreement with evaluate (within combined Monte Carlo error) is the
-    package's independent check that drift handling is correct. reward_fn is
-    called as in evaluate.
+    package's independent check that drift handling is correct. It takes no
+    reward_fn: it values the built-in reward of kind.
     """
     _check_path(path, grids)
     if params.sigma <= 0:
         raise DomainError("girsanov_evaluate needs sigma > 0")
-    f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
+    f = _running_reward(None, kind, grids, bounds, params, costs)
     seed = grids.seed if seed is None else seed
     n, dt, sig = grids.n_particles, grids.dt, params.sigma
     gen, logw = substream(seed, "girsanov"), np.zeros(n)

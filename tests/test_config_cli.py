@@ -313,6 +313,29 @@ def test_cli_solve_nonconvergence_still_writes(small_ini, tmp_path, capsys):
     assert doc["converged"] is False and doc["iterations"] == 1
 
 
+def test_cli_names_the_convergence_test_that_failed(tmp_path, capsys):
+    # at phi = 1 on this grid the in-loop residual meets tol, the certification
+    # round's does not; each run that did not converge says so with both
+    small = ["--set", "pool.phi=1", "--set", "grids.n_t=10", "--set", "grids.n_x=21",
+             "--set", "grids.n_a=5", "--set", "grids.n_particles=500"]
+    out = str(tmp_path / "out")
+    assert run(["solve", "--out", out, *small]) == 3
+    doc = json.load(open(f"{out}/equilibrium.json"))
+    assert doc["residuals"][-1] <= 1e-3 < doc["post_residual"]
+    assert capsys.readouterr().err == (
+        f"run f did not converge after {doc['iterations']} iterations: in-loop residual "
+        f"{doc['residuals'][-1]:.3g}, post-certification residual "
+        f"{doc['post_residual']:.3g}, tol 0.001\n")
+    assert run(["sandwich", "--out", out, *small]) == 3
+    doc = json.load(open(f"{out}/sandwich.json"))
+    *runs, last = capsys.readouterr().err.splitlines()
+    assert [line.split()[:5] for line in runs] == [
+        ["run", tag, "did", "not", "converge"] for tag in ("f1", "f2", "f")
+        if not doc[f"converged_{tag}"]]
+    assert runs and all(", tol 0.001" in line for line in runs)
+    assert last == "sandwich is partial"
+
+
 def test_cli_sweep_worker_count_invisible(small_ini, tmp_path):
     out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
     args = ["sweep", "--phis", "0.9,0.95", "--config", small_ini]

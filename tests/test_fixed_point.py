@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ammfg import (DomainError, FixedPointConfig, Grids, InitialLaw,
-                   PoolParams, RewardKind, UsageError, Variant, make_path,
+                   PoolParams, RewardKind, UsageError, Variant, fixed_point, make_path,
                    solve_mfg, zero_path)
 
 FP = FixedPointConfig(damping=0.5, tol=1e-3, max_iters=60)
@@ -63,11 +63,17 @@ def test_solve_mfg_deterministic(grids_small, bounds_default, params_default,
 
 
 def test_solve_mfg_rejects_bad_init(grids_small, bounds_default, params_default,
-                                    costs_default, law_point):
-    bad = zero_path(Grids(n_t=5, n_x=11), bounds_default, params_default.x0)
-    with pytest.raises(UsageError):
-        solve_mfg(RewardKind(Variant.ORIGINAL), grids_small, bounds_default,
-                  params_default, costs_default, law_point, FP, init=bad)
+                                    costs_default, law_point, monkeypatch):
+    # an init of another length, and one of the right length on another
+    # horizon, are refused before any push
+    pushes = []
+    monkeypatch.setattr(fixed_point, "propagate", lambda *a, **k: pushes.append(a))
+    for other in (Grids(n_t=5, n_x=11), Grids(n_t=grids_small.n_t, n_x=11, horizon=2.0)):
+        bad = zero_path(other, bounds_default, params_default.x0)
+        with pytest.raises(UsageError, match="does not match the time grid"):
+            solve_mfg(RewardKind(Variant.ORIGINAL), grids_small, bounds_default,
+                      params_default, costs_default, law_point, FP, init=bad)
+    assert pushes == []
 
 
 def test_solve_mfg_warm_start_stays_converged(grids_small, bounds_default,

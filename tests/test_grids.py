@@ -67,7 +67,7 @@ def test_make_path_trapezoid_cumulative():
     path = make_path(np.full(5, 0.4), g, b, 100.0)
     np.testing.assert_allclose(path.cumulative, [0.0, 0.1, 0.2, 0.3, 0.4])
     np.testing.assert_allclose(path.reserve, [100.0, 99.9, 99.8, 99.7, 99.6])
-    assert path.eps0 == 99.5
+    assert reserve_floor(b, 100.0, g.horizon) == 99.5
     # a tent of values integrates to the trapezoid of that tent
     tent = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
     path = make_path(tent, g, b, 100.0)

@@ -2,6 +2,7 @@
 modules import nothing beyond the standard library and numpy, and the README's
 quick start calls the package as its signatures allow."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -76,3 +77,15 @@ def test_readme_quick_start_binds_to_the_package_signatures():
         except TypeError as exc:
             unbound.append(f"line {call.lineno}: {call.func.id}: {exc}")
     assert unbound == []
+
+
+def test_the_reward_hooks_and_the_floor_live_in_one_place_each():
+    # the finite-N deviant is built by solve_hjb's hook; the weak-form check
+    # values the built-in reward alone
+    hooked = [f.__name__ for f in (ammfg.solve_hjb, ammfg.solve_mfg, ammfg.evaluate,
+                                   ammfg.girsanov_evaluate)
+              if "reward_fn" in inspect.signature(f).parameters]
+    assert hooked == ["solve_hjb", "solve_mfg", "evaluate"]
+    # the reserve floor is stated by grids.reserve_floor, and no path keeps a copy
+    assert [f.name for f in dataclasses.fields(ammfg.MeanControlPath)] == [
+        "times", "values", "cumulative", "reserve"]

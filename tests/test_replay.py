@@ -3,7 +3,7 @@
 propagate(..., _log=log), where log is a sandwich report's private push log
 holding its noise pair, returns a logged push's mean path and exit fraction
 when the new policy provably reads the same control for every particle at
-every step: same controls, x-nodes and NaN switch mask, and every finite
+every step: same controls and NaN switch mask, and every finite
 switch inside the bracket of particle positions the logged walk saw in its
 cell. Each replay here is compared bit for bit with a fresh walk, and a
 switch moved past one logged position is shown to be walked instead.
@@ -233,8 +233,8 @@ def test_a_report_replays_to_the_report_it_would_walk(monkeypatch, phi):
     pushes = []
     replay_or_walk = solver._replay_or_walk
 
-    def counting(replay, policy, inputs, walk):
-        pushes.append(replay_or_walk(replay, policy, inputs, walk))
+    def counting(log, policy, walk):
+        pushes.append(replay_or_walk(log, policy, walk))
         return pushes[-1]
 
     monkeypatch.setattr(solver, "_replay_or_walk", counting)
@@ -242,7 +242,7 @@ def test_a_report_replays_to_the_report_it_would_walk(monkeypatch, phi):
     logs = {id(m) for m, _ in pushes}  # a replay hands back the logged array itself
     assert len(logs) < len(pushes)
     monkeypatch.setattr(solver, "_replay_or_walk",
-                        lambda replay, policy, inputs, walk: walk())
+                        lambda log, policy, walk: walk())
     walked = sandwich_report(G, B, _params(phi), COSTS, LAW, FP)
     assert replayed.to_dict() == walked.to_dict()
     for eq in ("eq_lower", "eq_upper", "eq_orig"):

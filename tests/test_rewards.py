@@ -13,6 +13,8 @@ from ammfg import (AdmissibilityError, ControlBounds, CostSpec, DomainError, Gri
                    PoolParams, RewardKind, UsageError, Variant, bound_constant,
                    check_cost_growth, check_growth_bound, make_path, quadratic_costs,
                    reward, terminal_reward, zero_path)
+from ammfg import rewards
+from ammfg.grids import reserve_floor
 from ammfg.rewards import (BoundConstants, d_factor, drift_kernel, gamma, lambda_lower,
                            lambda_orig, lambda_upper)
 
@@ -191,10 +193,10 @@ def test_bound_constant_goldens():
     costs = quadratic_costs()
     p997 = PoolParams(x0=100.0, k0=1e6, phi=0.997)
     consts = bound_constant(p997, costs, ControlBounds(-1.0, 1.0), 1.0)
-    assert consts.eps0 == 99.0
+    assert reserve_floor(ControlBounds(-1.0, 1.0), p997.x0, 1.0) == 99.0
     assert consts.bound == pytest.approx(2.102861118484138, rel=1e-13)
     default = bound_constant(p997, costs, B, 1.0)
-    assert default.eps0 == 99.5
+    assert reserve_floor(B, p997.x0, 1.0) == 99.5
     assert default.bound == pytest.approx(1.0253537846615786, rel=1e-13)
     with pytest.raises(AdmissibilityError, match="200.0 not < x0/T = 100.0: .* deplete"):
         bound_constant(p997, costs, ControlBounds(-200.0, 200.0), 1.0)
@@ -212,6 +214,25 @@ def test_growth_bound_holds_on_samples(tag, grids_small, bounds_default,
     assert rep.n_samples == 20_000
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_growth_bound_refuses_an_empty_audit(n_samples, grids_small, bounds_default,
+                                             params_default, costs_default):
+    with pytest.raises(UsageError, match=f"n_samples must be >= 1, got {n_samples}"):
+        check_growth_bound(RewardKind("f"), n_samples, 77, grids=grids_small,
+                           bounds=bounds_default, params=params_default, costs=costs_default)
+
+
+@pytest.mark.parametrize("n_samples", [1, 255, 512, 4097, 16_383, 16_384, 100_001])
+def test_growth_bound_draws_every_sample_in_non_empty_batches(
+        n_samples, monkeypatch, grids_small, bounds_default, params_default, costs_default):
+    batches, real = [], rewards.reward
+    monkeypatch.setattr(rewards, "reward",
+                        lambda kind, t, *args: batches.append(t.size) or real(kind, t, *args))
+    rep = check_growth_bound(RewardKind("f"), n_samples, 77, grids=grids_small,
+                             bounds=bounds_default, params=params_default, costs=costs_default)
+    assert rep.n_samples == sum(batches) == n_samples and min(batches) > 0
+
+
 def test_growth_bound_negative_control(grids_small, bounds_default,
                                        params_default, costs_default):
     kind = RewardKind("f")
@@ -226,5 +247,8 @@ def test_growth_bound_negative_control(grids_small, bounds_default,
 
 
 def test_bound_constants_fields():
-    consts = BoundConstants(m_bound=0.5, eps0=99.5, bound=1.1, horizon=1.0)
+    consts = BoundConstants(m_bound=0.5, bound=1.1, horizon=1.0)
     assert consts.horizon == 1.0
+    # the floor has one statement, reserve_floor; the constants carry no copy
+    assert [f.name for f in dataclasses.fields(BoundConstants)] == ["m_bound", "bound", "horizon"]
+    assert reserve_floor(ControlBounds(0.0, consts.m_bound), 100.0, consts.horizon) == 99.5
