@@ -21,19 +21,19 @@ evaluates once, in lockstep: its seven values are five walks (each
 auxiliary policy on its own path is valued under its own reward and under
 f), moved together on one row of normals per step, and each value is
 bitwise what a lone evaluate call returns. The particle push's draws are
-made once per report, and once per sweep, whose threads share them
-read-only. Each report owns one push log (solver.propagate's _log), which
-holds those draws and is never shared by a sweep's threads: its three
-solves' bang-bang policies often differ only in the last bits of their
-switches, and then the later solves replay the first one's pushes instead of
-walking them. The last solve, the original game, reads the log through a
-read-only view: no solve after it would replay its pushes, so it walks them
-unlogged.
+made once per report, and once per sweep, whose forked worker processes
+inherit them copy-on-write. Each report owns one push log
+(solver.propagate's _log), which holds those draws and is never shared
+between a sweep's fee levels: its three solves' bang-bang policies often
+differ only in the last bits of their switches, and then the later solves
+replay the first one's pushes instead of walking them. The last solve, the
+original game, reads the log through a read-only view: no solve after it
+would replay its pushes, so it walks them unlogged. A sweep with more than
+one worker runs its fee levels in forked processes (see phi_sweep).
 """
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -212,7 +212,7 @@ def epsilon_nash_certificate(report: SandwichReport) -> EpsilonNashCertificate:
 
 SWEEP_COLUMNS = ["phi", "spread_factor", "V_f1", "V_f1_se", "V_f", "V_f_se",
                  "V_f2", "V_f2_se", "gap", "gap_upper", "gap_lower",
-                 "converged_f1", "converged_f2", "error"]
+                 "converged_f1", "converged_f2", "converged_f", "error"]
 
 
 def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
@@ -221,8 +221,14 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
               seed: int | None = None, workers: int = 1) -> list[dict]:
     """Sandwich at each fee level; per-level failures land in the row.
 
-    Rows come back in the order of ``phis`` regardless of worker count; all
-    levels share the same seed, and so one pair of propagate draws.
+    Rows come back in the order of ``phis`` with the same values under any
+    worker count; all levels share the same seed, and so one pair of
+    propagate draws. Besides the SWEEP_COLUMNS a row carries ``stalled``,
+    the stall line (EquilibriumResult.stall_line) of each of its three runs
+    that did not converge. With ``workers`` > 1 and more than one level, the
+    levels run on min(workers, len(phis)) forked processes, which inherit
+    the draws and the inputs: only the fee levels go out and only the rows
+    come back. Without fork (or on one worker or level) they run in order here.
     """
     phis = [float(p) for p in phis]
     seed = grids.seed if seed is None else seed
@@ -231,8 +237,9 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
     def one(phi: float) -> dict:
         row = {c: float("nan") for c in SWEEP_COLUMNS}
         row["phi"] = phi
-        row["converged_f1"] = row["converged_f2"] = False
+        row["converged_f1"] = row["converged_f2"] = row["converged_f"] = False
         row["error"] = ""
+        row["stalled"] = []
         try:
             p = dataclasses.replace(params, phi=phi)
             rep = sandwich_report(grids, bounds, p, costs, law0, fp, young_eps=young_eps,
@@ -244,10 +251,35 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
                 "V_f2": rep.v_f2.value, "V_f2_se": rep.v_f2.stderr,
                 "gap": rep.gap, "gap_upper": rep.gap_upper, "gap_lower": rep.gap_lower,
                 "converged_f1": rep.converged_f1, "converged_f2": rep.converged_f2,
+                "converged_f": rep.converged_f,
+                "stalled": [eq.stall_line(fp.tol) for eq in (rep.eq_lower, rep.eq_upper,
+                                                             rep.eq_orig) if not eq.converged],
             })
         except Exception as exc:  # recorded, sweep continues
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, phis))
+    if workers > 1 and len(phis) > 1:
+        import multiprocessing  # here, not at the top: it would slow every `import ammfg`
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork, not spawn: the costs' lambdas and the closure cannot be
+            # pickled, and the draws are not copied. The pool forks every
+            # worker at its first submit, before it starts a thread of its own
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(min(workers, len(phis)),
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_adopt, initargs=(one,)) as pool:
+                return list(pool.map(_run_level, phis))
+    return [one(phi) for phi in phis]
+
+
+_level = None  # a forked sweep worker's per-level closure; set in the workers alone
+
+
+def _adopt(one) -> None:
+    global _level
+    _level = one
+
+
+def _run_level(phi: float) -> dict:
+    return _level(phi)

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override one configuration value (repeatable)")
         p.add_argument("--workers", type=int,
-                       help="override run.workers, the sweep's worker threads (default 1)")
+                       help="override run.workers, the sweep's worker processes (default 1)")
 
     p = sub.add_parser("solve", help="solve one mean field equilibrium")
     p.add_argument("--kind", choices=[v.value for v in Variant],
@@ -102,9 +102,7 @@ def _bundle(cfg):
 def _stalled(runs, tol: float) -> bool:
     """Print each run that did not converge, with both of its residuals next to tol."""
     for eq in (eq for eq in runs if not eq.converged):
-        print(f"run {eq.kind.tag} did not converge after {eq.iterations} iterations: in-loop "
-              f"residual {eq.residuals[-1]:.3g}, post-certification residual "
-              f"{eq.post_residual:.3g}, tol {tol:.3g}", file=sys.stderr)
+        print(eq.stall_line(tol), file=sys.stderr)
     return not all(eq.converged for eq in runs)
 
 
@@ -150,12 +148,14 @@ def _cmd_sweep(args) -> int:
                      denom_exp=cfg.denom_exp, seed=cfg.seed, workers=cfg.workers, **b)
     table = ([r[c] for c in SWEEP_COLUMNS] for r in rows)
     print(artifacts.write_csv(SWEEP_COLUMNS, table, out_dir, "sweep.csv", h, cfg.seed))
-    failed = [r for r in rows if r["error"]]
-    if failed:
-        for r in failed:
-            print(f"phi={r['phi']}: {r['error']}", file=sys.stderr)
+    for r in rows:
+        for line in [*r["stalled"], r["error"]]:
+            if line:
+                print(f"phi={r['phi']}: {line}", file=sys.stderr)
+    if any(r["error"] for r in rows):
         return EXIT_NUMERICAL
-    if any(not (r["converged_f1"] and r["converged_f2"]) for r in rows):
+    # a level stalls on the rule `sandwich` exits 3 on: any of its three runs
+    if any(r["stalled"] for r in rows):
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -69,6 +69,12 @@ class EquilibriumResult:
     post_residual: float = float("nan")
     exit_fraction: float = 0.0
 
+    def stall_line(self, tol: float) -> str:
+        """The line naming this run as stalled: its iterations and both residuals next to tol."""
+        return (f"run {self.kind.tag} did not converge after {self.iterations} iterations: "
+                f"in-loop residual {self.residuals[-1]:.3g}, post-certification residual "
+                f"{self.post_residual:.3g}, tol {tol:.3g}")
+
 
 def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: PoolParams,
               costs: CostSpec, law0: InitialLaw, fp: FixedPointConfig,

@@ -1,12 +1,18 @@
 import dataclasses
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ammfg import solver, streams
+import ammfg
+from ammfg import certify, solver, streams
 from ammfg.certify import (SWEEP_COLUMNS, epsilon_nash_certificate, phi_sweep,
                            sandwich_report)
 from ammfg.errors import AdmissibilityError, NumericalError, UsageError
@@ -139,30 +145,89 @@ def test_phi_sweep_order_and_workers():
         assert np.isfinite(row["gap"])
 
 
-def test_one_propagate_noise_draw_per_sandwich_and_sweep(monkeypatch):
+def test_one_propagate_noise_draw_per_sandwich_and_sweep(monkeypatch, tmp_path):
     # every Picard push of a report, and of every fee level of a sweep, reads
     # one shared block of normals and one shared starting sample; every
     # evaluation of a report reads one stream of normals and one starting
-    # sample, drawn once per report (per fee level in a sweep) and per solve
-    keys = []
+    # sample, drawn once per report (per fee level in a sweep) and per solve.
+    # The draws are counted in a file: a sweep's forked workers inherit the
+    # patch, and their appends reach it as the parent's do
+    log = tmp_path / "keys.jsonl"
 
     def counting(seed, *labels):
-        keys.append(labels)
+        with open(log, "a") as fh:
+            fh.write(json.dumps(labels) + "\n")
         return streams.substream(seed, *labels)
 
     def draws(*labels):
+        keys = [tuple(json.loads(line)) for line in log.read_text().splitlines()]
+        log.unlink()
         return [keys.count((label,)) for label in labels]
 
     monkeypatch.setattr(solver, "substream", counting)
     rep = sandwich_report(GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP)
     assert draws("propagate", "law0", "evaluate", "evaluate-x0") == [1, 1, 1, 1]
     assert rep.eq_lower.iterations + rep.eq_upper.iterations > 2
-    keys.clear()
     phi_sweep([0.95, 0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=2)
     assert draws("propagate", "law0", "evaluate", "evaluate-x0") == [1, 1, 2, 2]
-    keys.clear()
     solve_mfg(RewardKind(Variant.LOWER), GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP)
     assert draws("propagate", "law0", "evaluate", "evaluate-x0") == [1, 1, 1, 1]
+
+
+def _level_pids(monkeypatch, path):
+    """Patch sandwich_report to append the pid of the process that runs each level to path."""
+    report = certify.sandwich_report
+
+    def recording(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "sandwich_report", recording)
+    return lambda: [int(pid) for pid in path.read_text().split()]
+
+
+def test_phi_sweep_runs_its_levels_in_forked_workers(monkeypatch, tmp_path):
+    pids = _level_pids(monkeypatch, tmp_path / "pids")
+    phis = [0.95, 0.9, 0.99]
+    rows = phi_sweep(phis, GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=2)
+    seen = pids()
+    assert len(seen) == len(phis)
+    assert os.getpid() not in seen and 1 <= len(set(seen)) <= 2
+    assert [r["phi"] for r in rows] == phis
+    # every worker has been joined by the time the sweep returns
+    assert multiprocessing.active_children() == []
+    seq = phi_sweep(phis, GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=1)
+    assert pids()[len(phis):] == [os.getpid()] * len(phis)
+    assert all(_rows_equal(a, b) for a, b in zip(rows, seq))
+
+
+def test_phi_sweep_records_failure_in_a_worker():
+    bad, good = phi_sweep([2.0, 0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=2)
+    assert bad["phi"] == 2.0 and bad["error"].startswith("DomainError")
+    assert math.isnan(bad["V_f1"]) and bad["converged_f1"] is False
+    assert good["error"] == "" and np.isfinite(good["V_f1"])
+    assert multiprocessing.active_children() == []
+
+
+def test_phi_sweep_runs_in_process_without_fork(monkeypatch, tmp_path):
+    pids = _level_pids(monkeypatch, tmp_path / "pids")
+    phis = [0.95, 0.9]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    rows = phi_sweep(phis, GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=2)
+    assert pids() == [os.getpid()] * len(phis)
+    monkeypatch.undo()
+    seq = phi_sweep(phis, GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP, workers=1)
+    assert all(_rows_equal(a, b) for a, b in zip(rows, seq))
+
+
+def test_import_leaves_multiprocessing_out():
+    # the sweep imports it only when it forks: it costs every `import ammfg` ~5 ms
+    src = os.path.dirname(os.path.dirname(ammfg.__file__))
+    code = "import sys, ammfg, ammfg.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def _walkers(grids, kinds_per_walker):

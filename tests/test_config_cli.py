@@ -336,6 +336,28 @@ def test_cli_names_the_convergence_test_that_failed(tmp_path, capsys):
     assert last == "sandwich is partial"
 
 
+def test_cli_sweep_names_each_stalled_run(tmp_path, capsys):
+    # at phi = 1 on this grid all three runs of the level stall; the sweep
+    # names each with sandwich's line, prefixed by the level, and exits 3 as
+    # sandwich does, with the same stderr and bytes on any worker count
+    small = ["--set", "grids.n_t=10", "--set", "grids.n_x=21", "--set", "grids.n_a=5",
+             "--set", "grids.n_particles=500"]
+    assert run(["sandwich", "--out", str(tmp_path / "s"), "--set", "pool.phi=1", *small]) == 3
+    *stalled, _ = capsys.readouterr().err.splitlines()
+    assert len(stalled) == 3
+    seen = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert run(["sweep", "--phis", "1,0.997", "--out", str(out), "--workers", workers,
+                    *small]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"phi=1.0: {ln}" for ln in stalled]
+        seen.append((out / "sweep.csv").read_bytes())
+    assert seen[0] == seen[1]
+    lines = seen[0].decode().splitlines()
+    assert lines[2].endswith(",converged_f1,converged_f2,converged_f,error")
+    assert lines[3].endswith(",false,false,false,") and lines[4].endswith(",true,true,true,")
+
+
 def test_cli_sweep_worker_count_invisible(small_ini, tmp_path):
     out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
     args = ["sweep", "--phis", "0.9,0.95", "--config", small_ini]
