@@ -29,7 +29,8 @@ differ only in the last bits of their switches, and then the later solves
 replay the first one's pushes instead of walking them. The last solve, the
 original game, reads the log through a read-only view: no solve after it
 would replay its pushes, so it walks them unlogged. A sweep with more than
-one worker runs its fee levels in forked processes (see phi_sweep).
+one worker runs its fee levels in forked processes (see phi_sweep), through
+the fork helper _fork.fork_map that the N-trader simulator uses too.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from ._fork import fork_map
 from .errors import AdmissibilityError, UsageError
 from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .grids import ControlBounds, Grids, InitialLaw
@@ -225,10 +227,11 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
     worker count; all levels share the same seed, and so one pair of
     propagate draws. Besides the SWEEP_COLUMNS a row carries ``stalled``,
     the stall line (EquilibriumResult.stall_line) of each of its three runs
-    that did not converge. With ``workers`` > 1 and more than one level, the
-    levels run on min(workers, len(phis)) forked processes, which inherit
-    the draws and the inputs: only the fee levels go out and only the rows
-    come back. Without fork (or on one worker or level) they run in order here.
+    that did not converge. The levels go through _fork.fork_map: with
+    ``workers`` > 1 and more than one level they run on min(workers,
+    len(phis)) forked processes, which inherit the draws and the inputs, so
+    only the fee levels go out and only the rows come back. Without fork (or
+    on one worker or level) they run in order here.
     """
     phis = [float(p) for p in phis]
     seed = grids.seed if seed is None else seed
@@ -259,27 +262,4 @@ def phi_sweep(phis, grids: Grids, bounds: ControlBounds, params: PoolParams,
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    if workers > 1 and len(phis) > 1:
-        import multiprocessing  # here, not at the top: it would slow every `import ammfg`
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork, not spawn: the costs' lambdas and the closure cannot be
-            # pickled, and the draws are not copied. The pool forks every
-            # worker at its first submit, before it starts a thread of its own
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(min(workers, len(phis)),
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_adopt, initargs=(one,)) as pool:
-                return list(pool.map(_run_level, phis))
-    return [one(phi) for phi in phis]
-
-
-_level = None  # a forked sweep worker's per-level closure; set in the workers alone
-
-
-def _adopt(one) -> None:
-    global _level
-    _level = one
-
-
-def _run_level(phi: float) -> dict:
-    return _level(phi)
+    return fork_map(one, phis, workers)

@@ -27,23 +27,26 @@ once, from a stream keyed by (seed, r), and the n-1 conformist traders, whose
 inventories do not depend on the price, are moved once for both arms. Only
 trader 1, the pool and the price carry an arm axis. simulate is the one-arm
 case of the same loop; deviation_gain's pass skips the crowd's cash, running
-cost and profits and arm 0's statistics, which only simulate reports.
+cost and profits and arm 0's statistics, which only simulate reports, and in
+aggregate mode the sequential venue, whose price nothing else reads.
 
-Replications run in chunks of at most 5*10^6 floats (40 MB) of trader noise,
-and every chunk of a pass draws into the buffers of its first. A pass opens
-one thread pool and draws each chunk on it, one contiguous slice of
-replications per usable core: numpy releases the interpreter lock while it
-fills a normal block, and replication r writes only its own rows. Results are
-bitwise reproducible under any batching and any thread count.
+A pass splits its replications into one contiguous span per usable core and
+runs each span on a forked worker process (_fork.fork_map; in order here on
+one core or without fork), which draws and steps it alone. A worker runs its
+span in chunks of at most 5*10^6 // spans floats of trader noise, so a pass
+holds at most 40 MB of it in all, and every chunk of a span draws into the
+buffers of its first. The parent joins the spans' arrays in order and folds
+their partial statistics with max, min and an integer sum, which are exact:
+results are bitwise reproducible under any batching and any worker count.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import fork_map
 from .errors import DomainError, NumericalError
 from .grids import ControlBounds, Grids, InitialLaw, reserve_floor
 from .pool import (PoolParams, PoolState, bid_ask_mid, buy_swap, execute_swap,
@@ -91,11 +94,12 @@ class SimResult:
     floored_steps: int               # price-floor activations, traded mode
 
 
-def _chunks(n_reps: int, n_traders: int, n_t: int) -> list[tuple[int, int]]:
-    # a chunk holds at most 5*10^6 floats (40 MB) of the (n_t, m, n) noise every
-    # arm shares, or one replication when that alone is more; later chunks reuse
-    # the first's buffers, and the rest of a chunk's state holds one step
-    per = max(1, int(5_000_000 // max(1, n_traders * n_t)))
+def _chunks(n_reps: int, n_traders: int, n_t: int, workers: int = 1) -> list[tuple[int, int]]:
+    # a chunk holds at most 5*10^6 // workers floats (40 MB over a pass's
+    # workers) of the (n_t, m, n) noise every arm shares, or one replication
+    # when that alone is more; later chunks reuse the first's buffers, and the
+    # rest of a chunk's state holds one step
+    per = max(1, int(5_000_000 // workers // max(1, n_traders * n_t)))
     return [(s, min(s + per, n_reps)) for s in range(0, n_reps, per)]
 
 
@@ -112,27 +116,21 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _draw(threads: ThreadPoolExecutor, seed: int, law0: InitialLaw, lo: int, scale: float,
+def _draw(seed: int, law0: InitialLaw, lo: int, scale: float,
           x_start: np.ndarray, noise: np.ndarray, xi0: np.ndarray) -> None:
     """Fill a chunk's starting inventories, scaled trader noise and common normals.
 
     Row i of each array is replication lo + i, drawn from its own stream keyed
-    by (seed, "sim", lo + i). The chunk is split into one contiguous slice per
-    usable core, drawn on ``threads``, the pass's pool; each replication
-    writes only its own rows, so the bits do not depend on the number of slices.
+    by (seed, "sim", lo + i), so the bits do not depend on how the
+    replications are split into chunks or spans.
     """
     n_t, m, n = noise.shape
-
-    def fill(span: tuple[int, int]) -> None:
-        a, b = span
-        for i in range(a, b):
-            rng = substream(seed, "sim", lo + i)
-            x_start[i] = law0.sample(n, rng)
-            noise[:, i] = rng.standard_normal((n, n_t)).T
-            xi0[:, i] = rng.standard_normal(n_t)
-        noise[:, a:b] *= scale
-
-    list(threads.map(fill, _slices(m, _usable_cores())))  # re-raises a slice's exception
+    for i in range(m):
+        rng = substream(seed, "sim", lo + i)
+        x_start[i] = law0.sample(n, rng)
+        noise[:, i] = rng.standard_normal((n, n_t)).T
+        xi0[:, i] = rng.standard_normal(n_t)
+    noise *= scale
 
 
 def _venue(seq: PoolState, delta: np.ndarray, phi: float) -> PoolState:
@@ -161,115 +159,147 @@ def _simulate_arms(policy: Policy, trader1_policies: list[Policy], cfg: SimConfi
     """One pass over the replications for several arms that differ only in trader 1.
 
     Trader 1 follows trader1_policies[j] in arm j; the other n-1 traders follow
-    ``policy`` in every arm. Their inventories do not depend on the price, so
-    the crowd's draws, controls and inventories are computed once and shared,
-    while trader 1, the pool and the price carry an arm axis. Returns trader
-    1's profits in every arm, (arms, n_reps), after arm 0's SimResult, which
-    is None unless ``report``: without it the pass skips the crowd's cash,
-    running cost and profits and every statistic only the SimResult holds.
+    ``policy`` in every arm. Returns trader 1's profits in every arm,
+    (arms, n_reps), after arm 0's SimResult, which is None unless ``report``.
+    The replications run in one span per usable core, each on its own forked
+    worker (see _span); the parent joins what the spans return.
     """
     reserve_floor(bounds, params.x0, grids.horizon)
     seed = grids.seed if seed is None else seed
-    n, n_reps, n_t, dt, phi = cfg.n_traders, cfg.n_reps, grids.n_t, grids.dt, params.phi
-    n_arms = len(trader1_policies)
-    t = grids.t_nodes()
-    sqdt = np.sqrt(dt)
-
-    trader1 = np.empty((n_arms, n_reps))
+    spans = _slices(cfg.n_reps, _usable_cores())
+    parts = fork_map(lambda span: _span(span, len(spans), policy, trader1_policies, cfg, grids,
+                                        params, costs, law0, seed, report),
+                     spans, len(spans))
+    trader1 = np.concatenate([t1 for t1, _ in parts], axis=1)
     if report:
-        profits = np.empty((n_reps, n))
-        step_means = np.empty((n_t, n_reps))  # arm 0's mean control, per step and replication
-        first = np.empty((5, n_t + 1))  # replication 0: raw, p_agg, p_seq, k_seq, flow
-    mode_gap = 0.0
-    k_min_inc = np.inf
-    floored = 0
-
-    chunks = _chunks(n_reps, n, n_t)
-    size = chunks[0][1]  # the first chunk is the largest: every chunk draws into its buffers
-    x_buf, noise_buf, xi0_buf = np.empty(size * n), np.empty(n_t * size * n), np.empty(n_t * size)
-    mid = bid_ask_mid(1.0, phi)[2] if cfg.use_mid_price else 1.0  # the fill per unit price
-    with ThreadPoolExecutor(max_workers=_usable_cores()) as threads:
-        for lo, hi in chunks:
-            m = hi - lo
-            x_start = x_buf[:m * n].reshape(m, n)
-            noise = noise_buf[:n_t * m * n].reshape(n_t, m, n)  # step-major: a step reads one block
-            xi0 = xi0_buf[:n_t * m].reshape(n_t, m)
-            _draw(threads, seed, law0, lo, params.sigma * sqdt, x_start, noise, xi0)
-
-            # the crowd (traders 2..n) once; trader 1 per arm
-            xc, x1 = x_start[:, 1:].copy(), np.tile(x_start[:, 0], (n_arms, 1))
-            if report:
-                yc, hc = np.zeros((2, m, n - 1))
-            y1, h1 = np.zeros((2, n_arms, m))
-            a = np.empty((n_arms, m, n))
-            seq = PoolState(np.full((n_arms, m), params.x0), np.full((n_arms, m), params.y0))
-            flow = np.zeros((n_arms, m))  # per-capita cumulative flow
-            w0 = np.zeros(m)
-
-            for k in range(n_t + 1):
-                p_seq = spot_price(seq)
-                p_agg = price_after_aggregate(params, -flow)
-                raw = (p_agg if cfg.price_mode == "aggregate" else p_seq) + params.sigma0 * w0
-                price = np.maximum(raw, cfg.p_min)
-                if report:  # the statistics SimResult reports are arm 0's
-                    k_seq = seq.k
-                    mode_gap = max(mode_gap, float(np.max(np.abs(p_agg[0] - p_seq[0]))))
-                    floored += int(np.sum(raw[0] < cfg.p_min))
-                    if lo == 0:
-                        first[:, k] = raw[0, 0], p_agg[0, 0], p_seq[0, 0], k_seq[0, 0], flow[0, 0]
-                if k == n_t:
-                    break
-
-                crowd = policy.control_at(k, xc)
-                a[:, :, 1:] = crowd
-                for j, own in enumerate(trader1_policies):
-                    a[j, :, 0] = own.control_at(k, x1[j])
-                a1 = a[:, :, 0]
-                # each arm's mean runs over its full (m, n) row, as a one-arm run would
-                m_k = a.mean(axis=2)
-                # as in propagate: a non-finite control is refused at its step (the mean
-                # carries any NaN), before the next step's lookup turns it into a bad index
-                if not np.isfinite(m_k).all():
-                    raise NumericalError(f"non-finite trader controls at step {k}")
-
-                fill = price * mid
-                y1 -= a1 * fill * dt
-                h1 += costs.h(t[k], x1) * dt
-                if report:
-                    step_means[k, lo:hi] = m_k[0]
-                    yc -= crowd * fill[0][:, None] * dt
-                    hc += costs.h(t[k], xc) * dt
-                xc += crowd * dt
-                xc += noise[k, :, 1:]
-                x1 += a1 * dt
-                x1 += noise[k, :, 0]
-
-                seq = _venue(seq, -m_k * dt, phi)
-                if report:
-                    k_min_inc = min(k_min_inc, float(np.min(seq.k[0] - k_seq[0])))
-                flow += m_k * dt
-                w0 = w0 + sqdt * xi0[k]
-
-            trader1[:, lo:hi] = y1 + x1 * price - h1 - costs.l(x1)
-            if report:
-                profits[lo:hi, 1:] = yc + xc * price[0][:, None] - hc - costs.l(xc)
-                profits[lo:hi, 0] = trader1[0, lo:hi]
-
+        profits, step_means, firsts, gaps, k_incs, floors = zip(*(stats for _, stats in parts))
+        profits = np.concatenate(profits)
     if not (np.all(np.isfinite(trader1)) and (not report or np.all(np.isfinite(profits)))):
         raise NumericalError("non-finite trader profits")
     if not report:
         return None, trader1
-    # one reduction over every replication, so chunk boundaries leave no trace;
-    # the terminal node repeats the last interval's controls
-    mean_control = step_means.mean(axis=1)
+    # one reduction over every replication, so chunk and span boundaries leave
+    # no trace; the terminal node repeats the last interval's controls
+    mean_control = np.concatenate(step_means, axis=1).mean(axis=1)
     mean_control = np.append(mean_control, mean_control[-1])
+    first = firsts[0]
     return SimResult(
         profits=profits, mean_control=mean_control,
         price_path=np.maximum(first[0], cfg.p_min), price_aggregate=first[1],
         price_sequential=first[2], k_path_sequential=first[3],
-        k_path_aggregate=execute_swap(params.initial_state(), -first[4], phi).new_state.k,
-        mode_discrepancy=mode_gap, k_min_increment=k_min_inc, floored_steps=floored,
+        k_path_aggregate=execute_swap(params.initial_state(), -first[4], params.phi).new_state.k,
+        mode_discrepancy=max(gaps), k_min_increment=min(k_incs), floored_steps=sum(floors),
     ), trader1
+
+
+def _span(span: tuple[int, int], workers: int, policy: Policy, trader1_policies: list[Policy],
+          cfg: SimConfig, grids: Grids, params: PoolParams, costs: CostSpec, law0: InitialLaw,
+          seed: int, report: bool) -> tuple[np.ndarray, tuple | None]:
+    """Draw and step replications [start, stop) of a pass, one of ``workers`` spans.
+
+    The crowd's inventories do not depend on the price, so its draws,
+    controls and inventories are computed once and shared, while trader 1,
+    the pool and the price carry an arm axis. Returns trader 1's profits,
+    (arms, stop - start), and, with ``report``, the span's share of arm 0's
+    statistics: its profits, its per-step mean controls (n_t, stop - start),
+    replication 0's price and pool paths (None unless start == 0), and its
+    partial mode gap (max), least k increment (min) and floored-step count
+    (sum). Without ``report`` that share is None and the span skips the
+    crowd's cash, running cost and profits; in aggregate mode it skips the
+    sequential venue too.
+    """
+    start, stop = span
+    n, n_t, dt, phi = cfg.n_traders, grids.n_t, grids.dt, params.phi
+    n_arms = len(trader1_policies)
+    t = grids.t_nodes()
+    sqdt = np.sqrt(dt)
+    venue = report or cfg.price_mode == "sequential"  # does anything read the venue?
+
+    trader1 = np.empty((n_arms, stop - start))
+    first = None
+    if report:
+        profits = np.empty((stop - start, n))
+        step_means = np.empty((n_t, stop - start))  # arm 0's mean control per step and rep
+        if start == 0:
+            first = np.empty((5, n_t + 1))  # replication 0: raw, p_agg, p_seq, k_seq, flow
+    mode_gap = 0.0
+    k_min_inc = np.inf
+    floored = 0
+
+    chunks = _chunks(stop - start, n, n_t, workers)  # offsets into the span
+    size = chunks[0][1]  # the first chunk is the largest: every chunk draws into its buffers
+    x_buf, noise_buf, xi0_buf = np.empty(size * n), np.empty(n_t * size * n), np.empty(n_t * size)
+    mid = bid_ask_mid(1.0, phi)[2] if cfg.use_mid_price else 1.0  # the fill per unit price
+    for lo, hi in chunks:
+        m = hi - lo
+        x_start = x_buf[:m * n].reshape(m, n)
+        noise = noise_buf[:n_t * m * n].reshape(n_t, m, n)  # step-major: a step reads one block
+        xi0 = xi0_buf[:n_t * m].reshape(n_t, m)
+        _draw(seed, law0, start + lo, params.sigma * sqdt, x_start, noise, xi0)
+
+        # the crowd (traders 2..n) once; trader 1 per arm
+        xc, x1 = x_start[:, 1:].copy(), np.tile(x_start[:, 0], (n_arms, 1))
+        if report:
+            yc, hc = np.zeros((2, m, n - 1))
+        y1, h1 = np.zeros((2, n_arms, m))
+        a = np.empty((n_arms, m, n))
+        if venue:
+            seq = PoolState(np.full((n_arms, m), params.x0), np.full((n_arms, m), params.y0))
+        flow = np.zeros((n_arms, m))  # per-capita cumulative flow
+        w0 = np.zeros(m)
+
+        for k in range(n_t + 1):
+            p_seq = spot_price(seq) if venue else None
+            p_agg = price_after_aggregate(params, -flow)
+            raw = (p_agg if cfg.price_mode == "aggregate" else p_seq) + params.sigma0 * w0
+            price = np.maximum(raw, cfg.p_min)
+            if report:  # the statistics SimResult reports are arm 0's
+                k_seq = seq.k
+                mode_gap = max(mode_gap, float(np.max(np.abs(p_agg[0] - p_seq[0]))))
+                floored += int(np.sum(raw[0] < cfg.p_min))
+                if start + lo == 0:
+                    first[:, k] = raw[0, 0], p_agg[0, 0], p_seq[0, 0], k_seq[0, 0], flow[0, 0]
+            if k == n_t:
+                break
+
+            crowd = policy.control_at(k, xc)
+            a[:, :, 1:] = crowd
+            for j, own in enumerate(trader1_policies):
+                a[j, :, 0] = own.control_at(k, x1[j])
+            a1 = a[:, :, 0]
+            # each arm's mean runs over its full (m, n) row, as a one-arm run would
+            m_k = a.mean(axis=2)
+            # as in propagate: a non-finite control is refused at its step (the mean
+            # carries any NaN), before the next step's lookup turns it into a bad index
+            if not np.isfinite(m_k).all():
+                raise NumericalError(f"non-finite trader controls at step {k}")
+
+            fill = price * mid
+            y1 -= a1 * fill * dt
+            h1 += costs.h(t[k], x1) * dt
+            if report:
+                step_means[k, lo:hi] = m_k[0]
+                yc -= crowd * fill[0][:, None] * dt
+                hc += costs.h(t[k], xc) * dt
+            xc += crowd * dt
+            xc += noise[k, :, 1:]
+            x1 += a1 * dt
+            x1 += noise[k, :, 0]
+
+            if venue:
+                seq = _venue(seq, -m_k * dt, phi)
+            if report:
+                k_min_inc = min(k_min_inc, float(np.min(seq.k[0] - k_seq[0])))
+            flow += m_k * dt
+            w0 = w0 + sqdt * xi0[k]
+
+        trader1[:, lo:hi] = y1 + x1 * price - h1 - costs.l(x1)
+        if report:
+            profits[lo:hi, 1:] = yc + xc * price[0][:, None] - hc - costs.l(xc)
+            profits[lo:hi, 0] = trader1[0, lo:hi]
+    if not report:
+        return trader1, None
+    return trader1, (profits, step_means, first, mode_gap, k_min_inc, floored)
 
 
 def simulate(policy: Policy, cfg: SimConfig, grids: Grids, bounds: ControlBounds,

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -311,40 +314,90 @@ def test_results_do_not_depend_on_chunking(monkeypatch, price_mode):
             assert _same_bits(getattr(runs[0], field.name), getattr(other, field.name)), field.name
 
 
-_SLICES = nplayer._slices
+def _logged(monkeypatch, name, path):
+    """Patch nplayer.<name> to log each call's pid and last argument to ``path``.
+
+    A file, not a list: a pass's forked workers inherit the patch, and their
+    appends reach the file as the parent's do. Returns a reader that empties
+    the log and gives, per process in order of appearance, the last
+    arguments of its calls.
+    """
+    real = getattr(nplayer, name)
+
+    def logging(*args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {args[-1]}\n")
+        return real(*args)
+
+    def read():
+        by_pid = {}
+        for line in path.read_text().splitlines():
+            pid, last = map(int, line.split())
+            by_pid.setdefault(pid, []).append(last)
+        path.unlink()
+        return by_pid
+
+    monkeypatch.setattr(nplayer, name, logging)
+    return read
 
 
-def _slice_count(monkeypatch, cores):
-    """Draw every chunk on ``cores`` slices; returns the slice lists drawn."""
+def _pinned(monkeypatch, cores):
     monkeypatch.setattr(nplayer, "_usable_cores", lambda: cores)
-    drawn = []
 
-    def recording(m, count):
-        drawn.append(_SLICES(m, count))
-        return drawn[-1]
 
-    monkeypatch.setattr(nplayer, "_slices", recording)
-    return drawn
+def _assert_same_fields(a, b):
+    for field in dataclasses.fields(a):
+        assert _same_bits(getattr(a, field.name), getattr(b, field.name)), field.name
 
 
 @pytest.mark.parametrize("price_mode", PRICE_MODES)
 @pytest.mark.parametrize("chunk", [None, 4])
-def test_results_do_not_depend_on_thread_count(monkeypatch, price_mode, chunk):
+def test_results_do_not_depend_on_worker_count(monkeypatch, tmp_path, price_mode, chunk):
     if chunk is not None:
         _chunked(monkeypatch, chunk)
     crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
     args = (SimConfig(n_traders=5, n_reps=9, price_mode=price_mode), GRIDS, BOUNDS, PARAMS,
             COSTS, LAW)
-    sizes = [9] if chunk is None else [4, 4, 1]  # the replications of each chunk
+    drawn = _logged(monkeypatch, "substream", tmp_path / "draws")
     runs = []
-    for cores in (1, 3):
-        drawn = _slice_count(monkeypatch, cores)
-        runs.append((simulate(crowd, *args, deviant_policy=dev, seed=13),
-                     deviation_gain(crowd, dev, *args, seed=13)))
-        assert [len(s) for s in drawn] == [min(cores, m) for m in sizes] * 2
-    for one, three in zip(*runs):  # the SimResults, then the DeviationGains
-        for field in dataclasses.fields(one):
-            assert _same_bits(getattr(one, field.name), getattr(three, field.name)), field.name
+    for cores in (1, 2, 3):
+        _pinned(monkeypatch, cores)
+        spans = [set(range(lo, hi)) for lo, hi in nplayer._slices(9, cores)]
+        run = []
+        for one_pass in (lambda: simulate(crowd, *args, deviant_policy=dev, seed=13),
+                         lambda: deviation_gain(crowd, dev, *args, seed=13)):
+            run.append(one_pass())
+            assert multiprocessing.active_children() == []
+            # the pass drew each replication once: on one core here, else in
+            # one contiguous span per core, each whole on a forked worker (a
+            # worker that is done with its span may take a second one)
+            by_pid = drawn()
+            if cores == 1:
+                assert by_pid == {os.getpid(): list(range(9))}
+                continue
+            assert os.getpid() not in by_pid and len(by_pid) <= cores
+            assert sorted(r for reps in by_pid.values() for r in reps) == list(range(9))
+            assert all(any(span <= set(reps) for reps in by_pid.values()) for span in spans)
+        runs.append(run)
+    for other in runs[1:]:
+        for one, many in zip(runs[0], other):  # the SimResults, then the DeviationGains
+            _assert_same_fields(one, many)
+
+
+def test_a_pass_runs_in_process_without_fork(monkeypatch, tmp_path):
+    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
+    args = (SimConfig(n_traders=5, n_reps=9), GRIDS, BOUNDS, PARAMS, COSTS, LAW)
+    _pinned(monkeypatch, 3)
+    drawn = _logged(monkeypatch, "substream", tmp_path / "draws")
+    forked = (simulate(crowd, *args, deviant_policy=dev, seed=13),
+              deviation_gain(crowd, dev, *args, seed=13))
+    assert os.getpid() not in drawn()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    here = (simulate(crowd, *args, deviant_policy=dev, seed=13),
+            deviation_gain(crowd, dev, *args, seed=13))
+    assert drawn() == {os.getpid(): list(range(9)) * 2}
+    for a, b in zip(forked, here):
+        _assert_same_fields(a, b)
 
 
 def test_slices_never_outnumber_replications():
@@ -366,21 +419,34 @@ WINDOW = 5_000_000  # floats of trader noise a chunk may hold: 40 MB
 @pytest.mark.parametrize("n_traders, n_t", [(1, 1), (5, 20), (10, 100), (50, 100), (250, 100),
                                             (2000, 120), (49_999, 100), (60_000, 100)])
 def test_chunks_hold_at_most_the_noise_window(n_traders, n_t):
+    # a pass's workers share the window: each holds at most WINDOW // workers
     per_rep = n_traders * n_t
-    for n_reps in (1, 7, 1000, 20_000):
-        chunks = nplayer._chunks(n_reps, n_traders, n_t)
+    for n_reps, workers in itertools.product((1, 7, 1000, 20_000), (1, 2, 3)):
+        chunks = nplayer._chunks(n_reps, n_traders, n_t, workers)
         sizes = [hi - lo for lo, hi in chunks]
         assert chunks[0][0] == 0 and chunks[-1][1] == n_reps
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         assert min(sizes) >= 1 and sizes[0] == max(sizes)  # the first buffer fits them all
-        if per_rep > WINDOW:  # a replication alone is over the window
+        if per_rep > WINDOW // workers:  # a replication alone is over the window
             assert sizes == [1] * n_reps
         else:
-            assert max(sizes) * per_rep <= WINDOW
+            assert max(sizes) * per_rep <= WINDOW // workers
+
+
+def test_a_pass_splits_the_noise_window_among_its_workers(monkeypatch, tmp_path):
+    # each of the pass's 3 workers chunks its own span under a third of the window
+    chunked = _logged(monkeypatch, "_chunks", tmp_path / "chunks")
+    _pinned(monkeypatch, 3)
+    pol = constant_policy(0.1, GRIDS, BOUNDS)
+    simulate(pol, SimConfig(n_traders=5, n_reps=7), GRIDS, BOUNDS, PARAMS, COSTS, LAW, seed=1)
+    by_pid = chunked()
+    assert os.getpid() not in by_pid
+    assert sorted(w for calls in by_pid.values() for w in calls) == [3, 3, 3]
 
 
 def test_chunks_of_a_pass_draw_into_one_buffer(monkeypatch):
     _chunked(monkeypatch, 4)
+    _pinned(monkeypatch, 1)  # one span, drawn in this process, where the spy records
     drawn = []
     draw = nplayer._draw
 
@@ -401,32 +467,6 @@ def test_chunks_of_a_pass_draw_into_one_buffer(monkeypatch):
             assert all(np.shares_memory(a, b) for a, b in zip(drawn[0], arrays))
 
 
-class _CountingPool(nplayer.ThreadPoolExecutor):
-    made = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).made += 1
-        super().__init__(*args, **kwargs)
-
-
-@pytest.mark.parametrize("cores", [1, 3])
-def test_one_draw_pool_per_pass(monkeypatch, cores):
-    _chunked(monkeypatch, 4)  # 9 replications in three chunks
-    monkeypatch.setattr(nplayer, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(nplayer, "ThreadPoolExecutor", _CountingPool)
-    monkeypatch.setattr(_CountingPool, "made", 0)
-    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
-    args = (SimConfig(n_traders=5, n_reps=9), GRIDS, BOUNDS, PARAMS, COSTS, LAW)
-    before = threading.active_count()
-    simulate(crowd, *args, deviant_policy=dev, seed=13)
-    assert _CountingPool.made == 1
-    deviation_gain(crowd, dev, *args, seed=13)
-    assert _CountingPool.made == 2
-    with pytest.raises(RuntimeError):  # a failed draw still joins the pool's threads
-        simulate(crowd, *args[:-1], _RefusingLaw(), seed=13)
-    assert _CountingPool.made == 3 and threading.active_count() == before
-
-
 class _RefusingLaw:
     """An initial law whose sample raises, to follow the error out of the draw."""
 
@@ -440,19 +480,42 @@ class _RefusingLaw:
 @pytest.mark.parametrize("cores", [1, 3])
 def test_a_draw_error_reaches_the_caller_unchanged(monkeypatch, cores, grids_small,
                                                    params_default):
-    _slice_count(monkeypatch, cores)
+    _pinned(monkeypatch, cores)
     law = _RefusingLaw()
     pol = constant_policy(0.1, grids_small, BOUNDS)
     with pytest.raises(RuntimeError) as info:
         simulate(pol, SimConfig(n_traders=3, n_reps=6), grids_small, BOUNDS, params_default,
                  COSTS, law, seed=1)
-    assert info.value is law.error
+    # a forked worker's error comes back pickled: the same type and message
+    assert type(info.value) is RuntimeError and str(info.value) == "refused to sample"
+    assert cores > 1 or info.value is law.error
+    assert multiprocessing.active_children() == []
 
 
-def test_deviation_gain_skips_the_crowd_bookkeeping():
+@pytest.mark.parametrize("cores", [1, 3])
+def test_a_step_error_reaches_the_caller_and_joins_the_workers(monkeypatch, cores):
+    _pinned(monkeypatch, cores)
+    params = PoolParams(x0=100.0, k0=1e6, phi=0.997, sigma=0.5)
+    g = Grids(n_t=3, n_x=11, n_a=3, n_particles=20)
+    good = constant_policy(0.1, g, BOUNDS)
+    controls = np.full((g.n_t, g.n_x), 0.1)
+    controls[1:] = np.nan
+    bad = Policy(t_nodes=g.t_nodes(), x_nodes=g.x_nodes(), controls=controls)
+    args = (SimConfig(n_traders=3, n_reps=6), g, BOUNDS, params, COSTS, InitialLaw(0.0, 0.5))
+    for run in (lambda: simulate(bad, *args, seed=3),
+                lambda: deviation_gain(good, bad, *args, seed=3)):
+        with pytest.raises(NumericalError) as info:
+            run()
+        assert type(info.value) is NumericalError
+        assert str(info.value) == "non-finite trader controls at step 1"
+        assert multiprocessing.active_children() == []
+
+
+def test_deviation_gain_skips_the_crowd_bookkeeping(monkeypatch):
     # deviation_gain reads only trader 1's profits, so its pass charges the
     # running cost to trader 1's (arms, m) inventories alone; simulate also
     # charges the crowd's (m, n - 1)
+    _pinned(monkeypatch, 1)  # one span, run in this process, where the cost spy records
     shapes = []
 
     def h(t, x):
@@ -568,7 +631,7 @@ FUSED_CASES = {
 
 
 @pytest.mark.parametrize("case", FUSED_CASES)
-def test_deviation_gain_equals_two_pass_reference(monkeypatch, case):
+def test_deviation_gain_equals_two_pass_reference(monkeypatch, tmp_path, case):
     # one pass that draws each replication once must give the paired
     # difference of two separate simulate runs, bit for bit
     spec = dict(FUSED_CASES[case])
@@ -583,17 +646,16 @@ def test_deviation_gain_equals_two_pass_reference(monkeypatch, case):
     args = (cfg, grids, BOUNDS, params, COSTS, LAW)
 
     with_dev = simulate(crowd, *args, deviant_policy=dev, seed=17)
-    ref = with_dev.profits[:, 0] - simulate(crowd, *args, seed=17).profits[:, 0]
-    draws = []
-
-    def counting(*key):
-        draws.append(key)
-        return substream(*key)
-
-    monkeypatch.setattr(nplayer, "substream", counting)
+    without = simulate(crowd, *args, seed=17)
+    ref = with_dev.profits[:, 0] - without.profits[:, 0]
+    # the pass's arms are the two runs' trader-1 profits, although without a
+    # report it skips the crowd's bookkeeping and, in aggregate mode, the venue
+    _, arms = nplayer._simulate_arms(crowd, [dev, crowd], *args, seed=17, report=False)
+    assert _same_bits(arms, np.stack([with_dev.profits[:, 0], without.profits[:, 0]]))
+    drawn = _logged(monkeypatch, "substream", tmp_path / "draws")
     out = deviation_gain(crowd, dev, *args, seed=17)
 
-    assert len(draws) == cfg.n_reps
+    assert sorted(r for reps in drawn().values() for r in reps) == list(range(cfg.n_reps))
     assert _same_bits(out.gain, float(ref.mean()))
     assert _same_bits(out.stderr, float(ref.std(ddof=1) / np.sqrt(ref.size)))
     assert out.stderr > 0
