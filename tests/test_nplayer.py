@@ -400,6 +400,51 @@ def test_a_pass_runs_in_process_without_fork(monkeypatch, tmp_path):
         _assert_same_fields(a, b)
 
 
+class _CountingPool:
+    """Wraps the worker pool class and counts the pools made."""
+
+    made = 0
+
+    def __init__(self, real):
+        self.real = real
+
+    def __call__(self, *args, **kwargs):
+        type(self).made += 1
+        return self.real(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_one_draw_pool_per_pass(monkeypatch, cores):
+    # a pass maps its spans once, on at most one pool of forked workers (none
+    # on one core), and joins that pool's processes and threads, also on error
+    import concurrent.futures
+    _chunked(monkeypatch, 4)  # 9 replications in three chunks
+    _pinned(monkeypatch, cores)
+    maps = []
+    real_map = nplayer.fork_map
+
+    def counting_map(fn, items, workers):
+        maps.append(workers)
+        return real_map(fn, items, workers)
+
+    monkeypatch.setattr(nplayer, "fork_map", counting_map)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _CountingPool(concurrent.futures.ProcessPoolExecutor))
+    monkeypatch.setattr(_CountingPool, "made", 0)
+    crowd, dev = _smooth_policy(GRIDS), _best_response(GRIDS, PARAMS)
+    args = (SimConfig(n_traders=5, n_reps=9), GRIDS, BOUNDS, PARAMS, COSTS, LAW)
+    pools = 0 if cores == 1 else 1  # pools a pass makes
+    before = threading.active_count()
+    simulate(crowd, *args, deviant_policy=dev, seed=13)
+    assert maps == [cores] and _CountingPool.made == pools
+    deviation_gain(crowd, dev, *args, seed=13)
+    assert maps == [cores] * 2 and _CountingPool.made == 2 * pools
+    with pytest.raises(RuntimeError):  # a failed draw still joins the pool's workers
+        simulate(crowd, *args[:-1], _RefusingLaw(), seed=13)
+    assert maps == [cores] * 3 and _CountingPool.made == 3 * pools
+    assert threading.active_count() == before and multiprocessing.active_children() == []
+
+
 def test_slices_never_outnumber_replications():
     before = threading.active_count()
     spans = nplayer._slices(9, 1000)
