@@ -1,14 +1,40 @@
-"""Map a function over items on forked worker processes.
+"""Forked processes: a map over worker processes, and a Picard session's twin.
 
-The fee sweep (certify.phi_sweep) and the N-trader simulator
-(nplayer._simulate_arms) both use it. Fork, not spawn: their closures hold
-lambdas and policies that cannot be pickled, and a forked worker inherits
-the parent's arrays copy-on-write, so only the items go out and only the
-results come back.
+fork_map maps a function over items on forked worker processes. The fee
+sweep (certify.phi_sweep) and the N-trader simulator (nplayer._simulate_arms)
+both use it. Fork, not spawn: their closures hold lambdas and policies that
+cannot be pickled, and a forked worker inherits the parent's arrays
+copy-on-write, so only the items go out and only the results come back.
+
+twin opens a Picard session on two processes: a lone solve_mfg opens one for
+its loop, a sandwich report one for its three solves. The with-body runs in
+the calling process and in a forked twin, which runs the same HJB and replay
+code on the same inputs and leaves at the end of the body. Every walked push
+in the session (solver.propagate) is split at split(n): the parent walks
+particles [0, n2), the twin [n2, n), and the two swap their per-step sums,
+exit counts and switch brackets (twin.swap) and combine them in one order.
+n2 is numpy's own top-level pairwise-summation split, so the parent's sum
+over its half plus the twin's over theirs is bitwise the sum over all n:
+the bits never depend on whether a twin runs.
+
+A twin opens only where it can help and cannot nest: with at least two
+usable cores (so ``taskset -c 0`` turns it off), more than 128 particles,
+os.fork, one thread alive (forking a threaded process is unsafe), no session
+already open, and a caller that is not itself a forked process: fork_map's
+workers and the twin set _forked. A twin ignores warnings, so only the
+parent warns, and leaves through os._exit alone: it flushes no inherited
+buffer and runs no exit hook. If the parent raises, it kills and reaps the
+twin; if the twin dies, the parent walks the twin's half itself and reaps
+it at the end of the session.
 """
 from __future__ import annotations
 
+import os
+
 _fn = None  # the function a forked worker runs; set in the workers alone
+_forked = False  # set in a fork_map worker and in a twin: neither opens a twin
+_session = None  # the open twin, in the parent and in its twin
+_BLOCK = 128  # numpy sums up to this many float64 terms in one unrolled loop, unsplit
 
 
 def fork_map(fn, items, workers: int) -> list:
@@ -34,9 +60,123 @@ def fork_map(fn, items, workers: int) -> list:
 
 
 def _adopt(fn) -> None:
-    global _fn
-    _fn = fn
+    global _fn, _forked
+    _fn, _forked = fn, True
 
 
 def _run(item):
     return _fn(item)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+def split(n: int) -> int:
+    """numpy's top-level pairwise split of n > _BLOCK terms: sum(a) == sum(a[:n2]) + sum(a[n2:])."""
+    return n // 2 - (n // 2) % 8
+
+
+def session(n: int) -> twin | None:
+    """The twin a push of n particles shares its walk with, or None to walk them all here."""
+    return _session if _session is not None and _session.alive and n > _BLOCK else None
+
+
+class twin:
+    """A Picard session over n particles: ``with twin(n): body`` runs body here and in a twin.
+
+    Where no twin can open (see the module docstring) body runs here alone.
+    Inside, first is True in the parent, which walks each push's first half.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.pid, self.alive, self.first, self._fds = n, None, False, True, ()
+
+    def __enter__(self) -> twin:
+        global _session, _forked
+        import threading  # loaded at start-up already; here to keep `import ammfg` as it was
+        if (_session is not None or _forked or self.n <= _BLOCK or not hasattr(os, "fork")
+                or _usable_cores() < 2 or threading.active_count() > 1):
+            return self  # no twin: every push walks here
+        down, up = os.pipe(), os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _forked, self.first = True, False
+            os.close(down[1])
+            os.close(up[0])
+            self._fds = down[0], up[1]
+            import warnings
+            warnings.simplefilter("ignore")
+        else:
+            os.close(down[0])
+            os.close(up[1])
+            self._fds, self.pid = (up[0], down[1]), pid
+        self.alive, _session = True, self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        global _session
+        if _session is not self:
+            return False
+        _session = None
+        if not self.first:
+            os._exit(0 if exc_type is None else 1)
+        self._close()
+        if exc_type is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)  # a dead twin stays a zombie until reaped here
+        os.waitpid(self.pid, 0)
+        return False
+
+    def swap(self, data: bytes, head: int) -> bytes | None:
+        """Send this side's bytes, receive the other's, of the same length and first head bytes.
+
+        The parent writes and then reads, the twin reads and then writes, so a
+        message longer than a pipe's buffer cannot deadlock. The head names
+        the message (its length and what it is about): a message whose head
+        differs from this side's means the two sides have parted. The twin
+        then raises, which ends it; the parent, like a parent whose twin has
+        died, closes its ends and gets None: it walks the rest itself.
+        """
+        read, write = self._fds
+        if not self.first:
+            got = _read(read, head)
+            if got != data[:head]:
+                raise EOFError("the twin's pushes parted from its parent's")
+            got += _read(read, len(data) - head)
+            _write(write, data)
+            return got
+        try:
+            _write(write, data)
+            got = _read(read, head)
+            if got == data[:head]:
+                return got + _read(read, len(data) - head)
+        except (OSError, EOFError):  # the twin died: its pipe ends closed with it
+            pass
+        self._close()
+        return None
+
+    def _close(self) -> None:
+        for fd in self._fds:
+            os.close(fd)
+        self._fds, self.alive = (), False
+
+
+def _read(fd: int, size: int) -> bytes:
+    buf = bytearray(size)
+    view, got = memoryview(buf), 0
+    while got < size:
+        k = os.readv(fd, [view[got:]])
+        if k == 0:
+            raise EOFError("the other side of the twin pipe closed")
+        got += k
+    return bytes(buf)
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]

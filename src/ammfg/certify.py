@@ -28,9 +28,14 @@ between a sweep's fee levels: its three solves' bang-bang policies often
 differ only in the last bits of their switches, and then the later solves
 replay the first one's pushes instead of walking them. The last solve, the
 original game, reads the log through a read-only view: no solve after it
-would replay its pushes, so it walks them unlogged. A sweep with more than
+would replay its pushes, so it walks them unlogged. The three solves run in
+one Picard session with a forked twin (_fork.twin) that walks half of each
+walked push's particles, bit for bit; the best responses, the evaluation
+walk and the report itself stay in the calling process. A sweep with more than
 one worker runs its fee levels in forked processes (see phi_sweep), through
-the fork helper _fork.fork_map that the N-trader simulator uses too.
+the fork helper _fork.fork_map that the N-trader simulator uses too; a level
+worker opens no twin, while a sweep on one worker gives each level's report
+its own.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._fork import fork_map
+from ._fork import fork_map, twin
 from .errors import AdmissibilityError, UsageError
 from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .grids import ControlBounds, Grids, InitialLaw
@@ -136,8 +141,9 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
         return solve_mfg(RewardKind(variant, young_eps, denom_exp), grids, bounds, params,
                          costs, law0, fp, seed=seed, _log=view)
 
-    eq1, eq2 = solve(Variant.LOWER), solve(Variant.UPPER)
-    eq_orig = solve(Variant.ORIGINAL, MappingProxyType(log))
+    with twin(grids.n_particles):  # one twin for the three solves' pushes
+        eq1, eq2 = solve(Variant.LOWER), solve(Variant.UPPER)
+        eq_orig = solve(Variant.ORIGINAL, MappingProxyType(log))
     del solve, log  # read no more: a report that drew its noise frees it here
     br1, br2 = (solve_hjb(eq.path, kind_o, grids, bounds, params, costs) for eq in (eq1, eq2))
 

@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                        help="override one configuration value (repeatable)")
         p.add_argument("--workers", type=int,
-                       help="override run.workers, the sweep's worker processes (default 1)")
+                       help="override run.workers, the processes a sweep spreads its fee "
+                            "levels over (default 1); it does not govern a solve's twin process")
 
     p = sub.add_parser("solve", help="solve one mean field equilibrium")
     p.add_argument("--kind", choices=[v.value for v in Variant],

@@ -4,7 +4,8 @@ Validation problems (bad parameters, inadmissible paths, grid mismatches)
 raise ValueError subclasses; numerical breakdowns raise a RuntimeError
 subclass so callers can map them to distinct exit codes. The validation
 errors carry the list of every problem found; a value object words each
-one "<argument name> ...".
+one "<argument name> ...". Every class survives a pickle round trip with its
+type, message and list, as a forked worker's error must (_fork.fork_map).
 """
 from __future__ import annotations
 
@@ -39,6 +40,9 @@ class ConfigError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
+
+    def __reduce__(self):  # rebuilt from the list, not the joined message
+        return type(self), (self.violations,)
 
 
 class NumericalError(RuntimeError):

@@ -41,12 +41,11 @@ results are bitwise reproducible under any batching and any worker count.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_map
+from ._fork import _usable_cores, fork_map
 from .errors import DomainError, NumericalError
 from .grids import ControlBounds, Grids, InitialLaw, reserve_floor
 from .pool import (PoolParams, PoolState, bid_ask_mid, buy_swap, execute_swap,
@@ -107,13 +106,6 @@ def _slices(m: int, cores: int) -> list[tuple[int, int]]:
     """[0, m) as at most ``cores`` contiguous slices, each of one replication or more."""
     parts = max(1, min(cores, m))
     return [(m * i // parts, m * (i + 1) // parts) for i in range(parts)]
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
 
 
 def _draw(seed: int, law0: InitialLaw, lo: int, scale: float,

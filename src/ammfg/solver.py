@@ -23,9 +23,14 @@ _walk moves several walkers in lockstep on one row of draws per step, each
 with per-path totals of its own rewards. propagate pushes particles under the
 policy (Euler-Maruyama) and reads off the mean control path and the exit
 fraction; callers that push many times on one seed draw its normals and
-starting sample once (propagate_noise). A sandwich report's solves share a
-private push log that holds that pair and replays, bit for bit, a push whose
-controls provably match a logged one. evaluate is the matching strong-form
+starting sample once (propagate_noise). _walk returns per-step control sums
+and exit counts, and propagate divides by n once. Inside a Picard session
+with a twin (_fork.twin) a walked push is split at _fork.split(n): this
+process walks particles [0, n2), the twin [n2, n), and _join adds the two
+halves' sums in numpy's own pairwise order, so the mean path and exit
+fraction are bitwise those of one walk over all n. A sandwich report's
+solves share a private push log that holds that pair and replays, bit for
+bit, a push whose controls provably match a logged one. evaluate is the matching strong-form
 estimate of the policy's objective; it is the one-walker case of
 _evaluate_walkers, which values several (policy, path) pairs under several
 rewards in one walk, bitwise as lone calls would.
@@ -46,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from .errors import DomainError, NumericalError, UsageError
 from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path
 from .pool import PoolParams
@@ -327,32 +333,42 @@ def _walk(policies, grids: Grids, x0: np.ndarray, noise, step, rewards=None, rec
     Walker i starts at the clamped x0 and follows policies[i]; rewards[i],
     when given, lists the running rewards f(t, xs, a) whose per-path totals
     it accumulates. Each step k draws z = noise(k) once for every walker, then
-    for each walker looks up the control a at its clamped states xs, refuses a
-    non-finite one, adds f(t_k, xs, a) * dt to each total, moves xs to
-    step(xs, a, z) and clamps it to the grid box. Returns the mean control
-    per walker and step, the exit fraction per walker, the final states per
-    walker and the totals, one list per walker.
+    for each walker looks up the control a at its clamped states xs, sums it,
+    adds f(t_k, xs, a) * dt to each total, moves xs to step(xs, a, z) and
+    clamps it to the grid box. Returns the control sum per walker and step,
+    the exit count per walker, the final states per walker and the totals,
+    one list per walker. A non-finite control sum ends the walk at its step,
+    every later sum left NaN: the caller refuses it (_refuse_non_finite)
+    before it reads anything else.
     """
     lo, hi, t, dt = grids.x_min, grids.x_max, grids.t_nodes(), grids.dt
     xs = [np.clip(x0, lo, hi) for _ in policies]
-    m, ever_out = np.empty((len(policies), grids.n_t)), np.zeros((len(policies), x0.size), bool)
+    sums = np.full((len(policies), grids.n_t), np.nan)
+    ever_out = np.zeros((len(policies), x0.size), bool)
     rewards = rewards or [()] * len(policies)
     totals = [[np.zeros(x0.size) for _ in fs] for fs in rewards]
     for k in range(grids.n_t):
         z = noise(k)
         for i, policy in enumerate(policies):
             a = policy.control_at(k, xs[i], record)
-            m[i, k] = a.mean()
+            sums[i, k] = a.sum()
             # states start finite and stay clamped: only a non-finite control spoils
-            # them, refused here before the next lookup makes them a bad index
-            if not np.isfinite(m[i, k]):
-                raise NumericalError(f"non-finite particle states at step {k}")
+            # them, so the walk ends here, before the next lookup makes them a bad index
+            if not np.isfinite(sums[i, k]):
+                return sums, ever_out.sum(axis=1), xs, totals
             for f, total in zip(rewards[i], totals[i]):
                 total += f(t[k], xs[i], a) * dt
             xs[i] = step(xs[i], a, z)
             ever_out[i] |= (xs[i] < lo) | (xs[i] > hi)
             np.clip(xs[i], lo, hi, out=xs[i])
-    return m, ever_out.mean(axis=1), xs, totals
+    return sums, ever_out.sum(axis=1), xs, totals
+
+
+def _refuse_non_finite(sums: np.ndarray) -> None:
+    """NumericalError at the first step whose control sum, of any walker, is not finite."""
+    bad = np.flatnonzero(~np.isfinite(np.atleast_2d(sums)).all(axis=0))
+    if bad.size:
+        raise NumericalError(f"non-finite particle states at step {bad[0]}")
 
 
 def _warn_exit(exit_fraction: float, stacklevel: int = 3) -> None:
@@ -372,6 +388,8 @@ def _replay_or_walk(log: Mapping, policy: Policy, walk):
     below s, the smallest at or above. A same-key policy with every finite
     switch in its (lo, hi] reads, by induction over the steps, the same
     control for every particle, so the record is its push bit for bit.
+    walk(record, brackets) fills lo and hi, one entry per finite switch, in
+    place over all the push's particles.
     """
     sw = np.empty(0) if policy.switches is None else policy.switches
     finite = ~np.isnan(sw)
@@ -382,19 +400,49 @@ def _replay_or_walk(log: Mapping, policy: Policy, walk):
             return m, exit_fraction
     if not isinstance(log, dict):  # a read-only view of a log: walk unlogged
         return walk()
-    lo, hi = np.full(finite.shape, -np.inf), np.full(finite.shape, np.inf)
+    lo, hi = np.full(s.size, -np.inf), np.full(s.size, np.inf)
+    cell = np.full(finite.shape, -1)
+    cell[finite] = np.arange(s.size)  # a finite switch's entry in lo and hi
 
     def record(k, j, frac, sw_at):
         inside = np.flatnonzero(sw_at == sw_at)  # the queries in finite-switch cells
         if inside.size:
-            j, frac = j[inside], frac[inside]
+            at, frac = cell[k].take(j[inside]), frac[inside]
             below = frac < sw_at[inside]
-            np.maximum.at(lo[k], j[below], frac[below])
-            np.minimum.at(hi[k], j[~below], frac[~below])
+            np.maximum.at(lo, at[below], frac[below])
+            np.minimum.at(hi, at[~below], frac[~below])
 
-    m, exit_fraction = walk(record)
-    log.setdefault(key, []).append((m, exit_fraction, lo[finite], hi[finite]))
+    m, exit_fraction = walk(record, ((np.maximum, lo), (np.minimum, hi)))
+    log.setdefault(key, []).append((m, exit_fraction, lo, hi))
     return m, exit_fraction
+
+
+def _join(twin, policy: Policy, sums: np.ndarray, exits: float, brackets, rest):
+    """Swap one push's half with the twin's: the whole push's (control sums, exit count).
+
+    Sums join as the parent's first half plus the twin's second, numpy's own
+    order for a sum over all the particles (_fork.split); exit counts are
+    exact; each bracket array joins in place under its combine (max or min,
+    exact too). A message opens with its length and its policy's
+    fingerprint, which the two sides must share; if they differ, or the twin
+    is gone, the parent walks the second half itself (rest(), which only the
+    parent calls) and the twin leaves.
+    """
+    sw = np.zeros(0) if policy.switches is None else policy.switches
+    parts = [[exits], sums, *(b for _, b in brackets)]
+    size = 3 + sum(np.size(p) for p in parts)
+    mine = np.concatenate([[size, policy.controls.sum(), np.sum(sw, where=sw == sw)], *parts])
+    got = twin.swap(mine.tobytes(), head=3 * mine.itemsize)
+    if got is None:
+        second, more = rest()  # its record fills the brackets in place
+        return sums + second, exits + more
+    theirs, n_t = np.frombuffer(got), sums.size
+    first, second = (sums, theirs[4:4 + n_t]) if twin.first else (theirs[4:4 + n_t], sums)
+    at = 4 + n_t
+    for combine, b in brackets:
+        combine(b, theirs[at:at + b.size], out=b)
+        at += b.size
+    return first + second, exits + theirs[3]
 
 
 def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolParams,
@@ -425,12 +473,25 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
         raise UsageError(f"propagate noise has shapes {shapes}, expected {expected}")
     normals, starts = noise
     dt, scale = grids.dt, params.sigma * np.sqrt(grids.dt)
+    twin, n2 = _fork.session(n), _fork.split(n)
 
-    def walk(record=None):
-        (m,), (exit_fraction,), _, _ = _walk(
-            [policy], grids, starts, normals.__getitem__,
+    def half(part: slice, record):
+        """This walk over particles part: (control sum per step, exit count)."""
+        (sums,), (exits,), _, _ = _walk(
+            [policy], grids, starts[part], lambda k: normals[k, part],
             lambda xs, a, z: xs + a * dt + scale * z, record=record)
-        return m, float(exit_fraction)
+        return sums, float(exits)
+
+    def walk(record=None, brackets=()):
+        """The push's (m, exit fraction); brackets, (combine, array) pairs record fills, join."""
+        if twin is None:
+            sums, exits = half(slice(None), record)
+        else:
+            sums, exits = half(slice(0, n2) if twin.first else slice(n2, n), record)
+            sums, exits = _join(twin, policy, sums, exits, brackets,
+                                lambda: half(slice(n2, n), record))
+        _refuse_non_finite(sums)
+        return sums / n, exits / n
 
     m, exit_fraction = walk() if _log is None else _replay_or_walk(_log, policy, walk)
     _warn_exit(exit_fraction)
@@ -471,12 +532,13 @@ def _evaluate_walkers(walkers, grids: Grids, bounds: ControlBounds, params: Pool
     n, dt, scale = grids.n_particles, grids.dt, params.sigma * np.sqrt(grids.dt)
     gen = substream(seed, "evaluate")
     # one row of normals per step, read by every walker, keeps a single row alive
-    _, exit_fractions, xs, totals = _walk(
+    sums, exits, xs, totals = _walk(
         [policy for policy, _, _ in walkers], grids,
         law0.sample(n, substream(seed, "evaluate-x0")), lambda k: gen.standard_normal(n),
         lambda xs, a, z: xs + a * dt + scale * z, rewards)
+    _refuse_non_finite(sums)
     reports = []
-    for x_end, walker_totals, exit_fraction in zip(xs, totals, exit_fractions):
+    for x_end, walker_totals, exit_fraction in zip(xs, totals, exits / n):
         _warn_exit(exit_fraction, stacklevel=4)  # at the caller of evaluate or the report
         terminal, exit_fraction = terminal_reward(x_end, costs), float(exit_fraction)
         reports.append([])
@@ -519,10 +581,12 @@ def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,
         logw += (a / sig) * dw - 0.5 * (a / sig) ** 2 * dt
         return xs + sig * dw
 
-    _, (exit_fraction,), (x_end,), ((total,),) = _walk(
+    sums, (exits,), (x_end,), ((total,),) = _walk(
         [policy], grids, law0.sample(n, substream(seed, "girsanov-x0")),
         lambda k: np.sqrt(dt) * gen.standard_normal(n), step,
         [[lambda t, xs, a: f(t, xs, a, path)]])
+    _refuse_non_finite(sums)
+    exit_fraction = exits / n
     _warn_exit(exit_fraction)
     total += terminal_reward(x_end, costs)
     weights = np.exp(logw)

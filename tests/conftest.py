@@ -4,11 +4,28 @@ The unit tests run on deliberately small lattices so the whole suite stays
 fast; the acceptance tests in test_acceptance.py use the full desk-scale
 configuration and are the slow part of a run.
 """
+import os
 import re
 
 import pytest
 
 from ammfg import ControlBounds, Grids, InitialLaw, PoolParams, quadratic_costs
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test leaves no child process behind, running or as a zombie.
+
+    Forked sweep and simulator workers and a Picard session's twin are all
+    reaped before the call that made them returns.
+    """
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process was left behind (waitpid: pid {pid}, status {status}; "
+                "pid 0 is one still running)")
 
 
 @pytest.fixture

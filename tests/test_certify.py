@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ammfg
-from ammfg import certify, solver, streams
+from ammfg import _fork, certify, solver, streams
 from ammfg.certify import (SWEEP_COLUMNS, epsilon_nash_certificate, phi_sweep,
                            sandwich_report)
 from ammfg.errors import AdmissibilityError, NumericalError, UsageError
@@ -293,6 +293,37 @@ def test_report_values_are_bitwise_those_of_lone_evaluate_calls(grids, params, l
     assert np.array_equal(alone.path.values, rep.eq_lower.path.values)
     assert alone.residuals == rep.eq_lower.residuals
     assert alone.value == rep.v_f1
+
+
+@pytest.mark.parametrize("grids, params, law0, seed", PARITY_CASES)
+def test_reports_and_solves_are_bitwise_the_same_with_or_without_a_twin(
+        monkeypatch, grids, params, law0, seed):
+    # a twin walks half of every walked push; the other half and every result
+    # stay bitwise those of one process walking them all
+    fork, forks = os.fork, []
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    def run(cores):
+        monkeypatch.setattr(_fork, "_usable_cores", lambda: cores)
+        rep = sandwich_report(grids, BOUNDS, params, COSTS, law0, FP, seed=seed)
+        return rep, solve_mfg(rep.eq_lower.kind, grids, BOUNDS, params, COSTS, law0, FP,
+                              seed=seed)
+
+    monkeypatch.setattr(os, "fork", counting)
+    (rep, lone), (rep1, lone1) = run(2), run(1)
+    # a report and a lone solve open one twin each, unless there is nothing to split
+    assert len(forks) == (2 if grids.n_particles > 128 else 0)
+    assert json.dumps(rep.to_dict()) == json.dumps(rep1.to_dict())
+    for a, b in ((rep.eq_lower, rep1.eq_lower), (rep.eq_upper, rep1.eq_upper),
+                 (rep.eq_orig, rep1.eq_orig), (lone, lone1)):
+        for arrays in (lambda eq: (eq.path.values, eq.policy.controls, eq.policy.switches),):
+            assert [x.tobytes() for x in arrays(a)] == [x.tobytes() for x in arrays(b)]
+        assert (a.residuals, a.post_residual, a.exit_fraction, a.converged) == \
+            (b.residuals, b.post_residual, b.exit_fraction, b.converged)
+    assert lone.value == lone1.value
 
 
 def test_batch_refuses_a_non_finite_objective_or_control_of_any_walker():
