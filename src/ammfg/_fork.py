@@ -19,10 +19,15 @@ the bits never depend on whether a twin runs.
 
 A twin opens only where it can help and cannot nest: with at least two
 usable cores (so ``taskset -c 0`` turns it off), more than 128 particles,
-os.fork, one thread alive (forking a threaded process is unsafe), no session
-already open, and a caller that is not itself a forked process: fork_map's
-workers and the twin set _forked. A twin ignores warnings, so only the
-parent warns, and leaves through os._exit alone: it flushes no inherited
+os.fork, one Python thread alive (threading.active_count: OpenBLAS's own
+worker threads are not counted, and the fork leans on the fork handlers
+OpenBLAS registers), no session already open, and a caller that is not
+itself a forked process: fork_map's workers and the twin set _forked. Two
+usable cores need not be two idle ones, so the parent keeps the twin only
+while it pays (twin._pace): once the session's rounds, summed, have taken
+longer on the clock than this process would have spent alone, it kills the
+twin and walks every later push itself. A twin ignores warnings, so only
+the parent warns, and leaves through os._exit alone: it flushes no inherited
 buffer and runs no exit hook. If the parent raises, it kills and reaps the
 twin; if the twin dies, the parent walks the twin's half itself and reaps
 it at the end of the session.
@@ -30,6 +35,7 @@ it at the end of the session.
 from __future__ import annotations
 
 import os
+import time
 
 _fn = None  # the function a forked worker runs; set in the workers alone
 _forked = False  # set in a fork_map worker and in a twin: neither opens a twin
@@ -101,19 +107,25 @@ class twin:
         if (_session is not None or _forked or self.n <= _BLOCK or not hasattr(os, "fork")
                 or _usable_cores() < 2 or threading.active_count() > 1):
             return self  # no twin: every push walks here
+        import warnings
         down, up = os.pipe(), os.pipe()
-        pid = os.fork()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns of any other OS thread (OpenBLAS's): raised as
+            # an error, that warning would reach the parent after the fork
+            # and leave the twin orphaned
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
         if pid == 0:
             _forked, self.first = True, False
             os.close(down[1])
             os.close(up[0])
             self._fds = down[0], up[1]
-            import warnings
             warnings.simplefilter("ignore")
         else:
             os.close(down[0])
             os.close(up[1])
             self._fds, self.pid = (up[0], down[1]), pid
+            self._mark, self._wall, self._alone = _clocks(), 0.0, 0.0
         self.alive, _session = True, self
         return self
 
@@ -124,14 +136,13 @@ class twin:
         _session = None
         if not self.first:
             os._exit(0 if exc_type is None else 1)
-        self._close()
         if exc_type is not None:
-            import signal
-            os.kill(self.pid, signal.SIGKILL)  # a dead twin stays a zombie until reaped here
+            self._drop()
+        self._close()
         os.waitpid(self.pid, 0)
         return False
 
-    def swap(self, data: bytes, head: int) -> bytes | None:
+    def swap(self, data: bytes, head: int, own: float) -> bytes | None:
         """Send this side's bytes, receive the other's, of the same length and first head bytes.
 
         The parent writes and then reads, the twin reads and then writes, so a
@@ -139,7 +150,8 @@ class twin:
         the message (its length and what it is about): a message whose head
         differs from this side's means the two sides have parted. The twin
         then raises, which ends it; the parent, like a parent whose twin has
-        died, closes its ends and gets None: it walks the rest itself.
+        died, closes its ends and gets None: it walks the rest itself. own
+        is the parent's CPU time on its half of this push (see _pace).
         """
         read, write = self._fds
         if not self.first:
@@ -153,16 +165,45 @@ class twin:
             _write(write, data)
             got = _read(read, head)
             if got == data[:head]:
-                return got + _read(read, len(data) - head)
+                got += _read(read, len(data) - head)
+                self._pace(own)
+                return got
         except (OSError, EOFError):  # the twin died: its pipe ends closed with it
             pass
         self._close()
         return None
 
+    def _pace(self, own: float) -> None:
+        """Kill the twin once the session's rounds have taken longer than this process alone.
+
+        A round runs from the fork or one swap to the end of the next. Alone,
+        this process would have spent its CPU time of the round and, walking
+        the twin's half as well, about own more. Its rounds took the clock's
+        time instead: more than that, summed over the session, means the twin
+        shares this process's core or lags on a busy one, and costs more than
+        it saves. This push has joined already; every later one walks here.
+        """
+        mark = self._mark
+        self._mark = _clocks()
+        self._wall += self._mark[0] - mark[0]
+        self._alone += self._mark[1] - mark[1] + own
+        if self._wall > self._alone:
+            self._drop()
+            self._close()
+
+    def _drop(self) -> None:
+        import signal
+        os.kill(self.pid, signal.SIGKILL)  # a dead twin stays a zombie until reaped
+
     def _close(self) -> None:
         for fd in self._fds:
             os.close(fd)
         self._fds, self.alive = (), False
+
+
+def _clocks() -> tuple[float, float]:
+    """(the clock's time, this thread's CPU time), in seconds."""
+    return time.perf_counter(), time.thread_time()
 
 
 def _read(fd: int, size: int) -> bytes:

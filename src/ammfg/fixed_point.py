@@ -10,9 +10,9 @@ normals and one starting sample (solver.propagate_noise), drawn once per
 solve. A sandwich report's solves draw nothing: each passes the push log
 they share (solver.propagate's _log) through to its pushes. A lone solve
 logs nothing, and runs its loop in a Picard session with a forked twin
-(_fork.twin), which walks half of each push's particles on a second core;
-inside a report's session it opens none. The halves join bit for bit, so
-the iterates never depend on the twin.
+(_fork.twin), which walks half of each push's particles on a second core
+while that pays; inside a report's session it opens none. The halves join
+bit for bit, so the iterates never depend on the twin.
 
 Convergence of this iteration is an empirical matter, not a theorem;
 a run that exhausts max_iters reports converged=False and still returns its

@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import time
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -417,7 +418,7 @@ def _replay_or_walk(log: Mapping, policy: Policy, walk):
     return m, exit_fraction
 
 
-def _join(twin, policy: Policy, sums: np.ndarray, exits: float, brackets, rest):
+def _join(twin, policy: Policy, sums: np.ndarray, exits: float, brackets, rest, own: float):
     """Swap one push's half with the twin's: the whole push's (control sums, exit count).
 
     Sums join as the parent's first half plus the twin's second, numpy's own
@@ -426,13 +427,14 @@ def _join(twin, policy: Policy, sums: np.ndarray, exits: float, brackets, rest):
     exact too). A message opens with its length and its policy's
     fingerprint, which the two sides must share; if they differ, or the twin
     is gone, the parent walks the second half itself (rest(), which only the
-    parent calls) and the twin leaves.
+    parent calls) and the twin leaves. own is this side's CPU time on its
+    half, by which the parent judges whether the twin pays (_fork.twin._pace).
     """
     sw = np.zeros(0) if policy.switches is None else policy.switches
     parts = [[exits], sums, *(b for _, b in brackets)]
     size = 3 + sum(np.size(p) for p in parts)
     mine = np.concatenate([[size, policy.controls.sum(), np.sum(sw, where=sw == sw)], *parts])
-    got = twin.swap(mine.tobytes(), head=3 * mine.itemsize)
+    got = twin.swap(mine.tobytes(), head=3 * mine.itemsize, own=own)
     if got is None:
         second, more = rest()  # its record fills the brackets in place
         return sums + second, exits + more
@@ -487,9 +489,10 @@ def propagate(policy: Policy, grids: Grids, bounds: ControlBounds, params: PoolP
         if twin is None:
             sums, exits = half(slice(None), record)
         else:
+            cpu = time.thread_time()
             sums, exits = half(slice(0, n2) if twin.first else slice(n2, n), record)
             sums, exits = _join(twin, policy, sums, exits, brackets,
-                                lambda: half(slice(n2, n), record))
+                                lambda: half(slice(n2, n), record), time.thread_time() - cpu)
         _refuse_non_finite(sums)
         return sums / n, exits / n
 

@@ -308,6 +308,9 @@ def test_reports_and_solves_are_bitwise_the_same_with_or_without_a_twin(
 
     def run(cores):
         monkeypatch.setattr(_fork, "_usable_cores", lambda: cores)
+        # the twin walks every push, even where the parent would kill it
+        # for not paying on these small grids
+        monkeypatch.setattr(_fork.twin, "_pace", lambda self, own: None)
         rep = sandwich_report(grids, BOUNDS, params, COSTS, law0, FP, seed=seed)
         return rep, solve_mfg(rep.eq_lower.kind, grids, BOUNDS, params, COSTS, law0, FP,
                               seed=seed)

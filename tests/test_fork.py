@@ -40,8 +40,14 @@ KIND = RewardKind(Variant.ORIGINAL)
 
 @pytest.fixture(autouse=True)
 def two_cores(monkeypatch):
-    """A twin opens here whatever the host's core count (tests switch it off at 1)."""
+    """A twin opens here whatever the host's core count (tests switch it off at 1).
+
+    It also stays for the whole session: on these small grids a twin does not
+    pay, and the parent would kill it after its first push
+    (test_a_twin_that_does_not_pay_is_killed checks that rule).
+    """
     monkeypatch.setattr(_fork, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_fork.twin, "_pace", lambda self, own: None)
 
 
 def _one_core(monkeypatch):
@@ -202,6 +208,52 @@ def test_a_lost_twin_leaves_the_parent_walking_its_half(monkeypatch):
     monkeypatch.undo()
     _one_core(monkeypatch)
     assert _report_bits(lost) == _report_bits(sandwich_report(G, B, PARAMS, COSTS, LAW, FP))
+
+
+def test_a_twin_that_does_not_pay_is_killed(monkeypatch, tmp_path):
+    # a twin that lags far behind its parent (a busy second core) is killed
+    # at the end of its first push, and the parent walks every later push
+    # whole; the bits stay those of one process
+    log, walk, me = tmp_path / "walks", solver._walk, os.getpid()
+
+    def lagging(policies, grids, x0, noise, step, rewards=None, record=None):
+        if rewards is None:
+            if os.getpid() == me:
+                with open(log, "a") as fh:
+                    fh.write(f"{x0.size}\n")
+            else:
+                time.sleep(0.2)
+        return walk(policies, grids, x0, noise, step, rewards, record)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(_fork, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(solver, "_walk", lagging)
+    lagged = _solve()
+    n2 = _fork.split(G.n_particles)
+    assert list(map(int, log.read_text().split())) == \
+        [n2] + [G.n_particles] * lagged.iterations
+    monkeypatch.undo()
+    _one_core(monkeypatch)
+    _same_solve(lagged, _solve())
+
+
+def test_a_twin_that_pays_stays_for_the_session(monkeypatch):
+    # the rule itself, on made-up clocks: rounds that took less wall time
+    # than this process alone would have spent keep the twin, and the first
+    # round that tips the session's totals over kills it
+    killed = []
+    monkeypatch.undo()
+    monkeypatch.setattr(_fork.twin, "_drop", lambda self: killed.append(self.pid))
+    ticks = iter([(0.0, 0.0), (1.0, 0.6), (2.0, 1.2), (5.0, 1.6)])
+    monkeypatch.setattr(_fork, "_clocks", lambda: next(ticks))
+    session = _fork.twin(G.n_particles)
+    session.pid, session.alive, session._fds = 1, True, ()
+    session._mark, session._wall, session._alone = _fork._clocks(), 0.0, 0.0
+    session._pace(0.5)  # wall 1.0 against 0.6 + 0.5 alone
+    session._pace(0.5)  # 2.0 against 2.2
+    assert session.alive and killed == []
+    session._pace(0.5)  # 5.0 against 3.1: the twin costs more than it saves
+    assert not session.alive and killed == [1]
 
 
 def test_a_twin_whose_policy_differs_is_dropped(monkeypatch):
