@@ -17,10 +17,13 @@ candidates and is a lower bound on the true supremum.
 All runs share one seed, so every value estimate in a report (and across the
 fee levels of a sweep) is computed on common random numbers; the reported
 standard errors are the conservative unpaired combinations. A report
-evaluates once, in lockstep: its seven values are five walks (each
+evaluates once, in lockstep: its seven values come from five walkers (each
 auxiliary policy on its own path is valued under its own reward and under
-f), moved together on one row of normals per step, and each value is
-bitwise what a lone evaluate call returns. The particle push's draws are
+f) on one row of normals per step, and each value is bitwise what a lone
+evaluate call returns. Walkers whose policies provably read the same
+controls share one walk (solver._walk); at the desk fee levels the five
+policies do, so the report walks once and totals its five distinct
+(path, reward) pairs once each. The particle push's draws are
 made once per report, and once per sweep, whose forked worker processes
 inherit them copy-on-write. Each report owns one push log
 (solver.propagate's _log), which holds those draws and is never shared
@@ -147,8 +150,8 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
     del solve, log  # read no more: a report that drew its noise frees it here
     br1, br2 = (solve_hjb(eq.path, kind_o, grids, bounds, params, costs) for eq in (eq1, eq2))
 
-    # the report's five distinct (policy, path) walks, in one lockstep pass:
-    # each auxiliary policy is held under its own reward and under f
+    # the report's five (policy, path) walkers, in one lockstep pass: each
+    # auxiliary policy is held under its own reward and under f
     [(eq1.value, held1), (eq2.value, held2), (v_br1,), (v_br2,), (eq_orig.value,)] = \
         _evaluate_walkers([(eq1.policy, eq1.path, [eq1.kind, kind_o]),
                            (eq2.policy, eq2.path, [eq2.kind, kind_o]),

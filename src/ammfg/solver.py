@@ -20,7 +20,13 @@ propagate, evaluate and girsanov_evaluate call one Monte Carlo walk, _walk,
 with one clamping rule: paths clamp to the grid box, as the solver's
 continuation reads do, and each warns when over 1% of its paths hit the edges.
 _walk moves several walkers in lockstep on one row of draws per step, each
-with per-path totals of its own rewards. propagate pushes particles under the
+with per-path totals of its own rewards. Walkers that provably read the same
+controls share one walk: a policy bytewise equal to an earlier one outright,
+and one that differs from it in finite switches only while, step by step,
+each of those lies inside the bracket of the walk's positions in its cell
+(_fold_brackets, the rule by which the push log replays). A shared walk looks
+up, steps and totals each distinct reward once for all its walkers; a lone
+walker records no brackets. propagate pushes particles under the
 policy (Euler-Maruyama) and reads off the mean control path and the exit
 fraction; callers that push many times on one seed draw its normals and
 starting sample once (propagate_noise). _walk returns per-step control sums
@@ -30,10 +36,10 @@ process walks particles [0, n2), the twin [n2, n), and _join adds the two
 halves' sums in numpy's own pairwise order, so the mean path and exit
 fraction are bitwise those of one walk over all n. A sandwich report's
 solves share a private push log that holds that pair and replays, bit for
-bit, a push whose controls provably match a logged one. evaluate is the matching strong-form
-estimate of the policy's objective; it is the one-walker case of
-_evaluate_walkers, which values several (policy, path) pairs under several
-rewards in one walk, bitwise as lone calls would.
+bit, a push whose controls provably match a logged one. evaluate is the
+matching strong-form estimate of the policy's objective; it is the
+one-walker case of _evaluate_walkers, which values several (policy, path)
+pairs under several rewards in one call, bitwise as lone calls would.
 girsanov_evaluate estimates it on driftless paths reweighted by the
 discrete Girsanov density; the clamp keeps the weights exact, as it is a
 function of the increments dW and under the weighted measure dW - (a/sigma) dt
@@ -48,7 +54,7 @@ import math
 import time
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -328,41 +334,166 @@ def propagate_noise(seed: int, grids: Grids, law0: InitialLaw) -> tuple[np.ndarr
     return normals, starts
 
 
+def _digest(array) -> tuple:
+    """An array's dtype, shape and sha256: equal digests, equal arrays bit for bit."""
+    array = np.asarray(array)
+    return array.dtype.str, array.shape, hashlib.sha256(np.ascontiguousarray(array)).digest()
+
+
+def _reads_key(policy: Policy) -> tuple:
+    """Digests of what Policy.control_at reads besides the finite switches' values:
+    the nodes, the controls and the NaN switch mask (None without switches)."""
+    sw = policy.switches
+    mask = None if sw is None else _digest(np.isnan(sw))
+    return _digest(policy.x_nodes), _digest(policy.controls), mask
+
+
+def _fold_brackets(lo, hi, at, j, frac, sw) -> None:
+    """Fold one lookup's queries into the brackets (lo, hi] of their cells' finite switches.
+
+    Query i sits at position frac[i] of cell j[i], whose switch is sw[i] (NaN:
+    none) and whose bracket is entry at[j[i]] of lo and hi. lo rises to the
+    largest position below the switch, hi falls to the smallest at or above
+    it. A switch s with lo < s <= hi (_inside) sends every query folded here
+    to the node that sw does (Policy.control_at: queries left of a switch
+    read the left node), so it reads the same control for each of them.
+    """
+    inside = np.flatnonzero(sw == sw)  # the queries in finite-switch cells
+    if inside.size:
+        at, frac = at.take(j[inside]), frac[inside]
+        below = frac < sw[inside]
+        np.maximum.at(lo, at[below], frac[below])
+        np.minimum.at(hi, at[~below], frac[~below])
+
+
+def _inside(s, lo, hi) -> bool:
+    """Whether every finite switch s lies in its bracket (lo, hi] (_fold_brackets); NaN passes."""
+    return not np.any((s <= lo) | (s > hi))
+
+
+@dataclass(eq=False)
+class _Walk:
+    """One path of states in _walk, read by every walker that rides it.
+
+    policy leads it; members are the walkers with its very bytes, and each
+    follower a (policy, members) pair that differs from it in finite
+    switches only. xs, out and totals are its states, exit flags and
+    per-path reward totals, one per reward callable its riders list.
+    """
+    policy: Policy
+    members: list
+    xs: np.ndarray
+    out: np.ndarray
+    followers: list = field(default_factory=list)
+    totals: dict = field(default_factory=dict)
+
+    def riders(self) -> list:
+        return self.members + [i for _, members in self.followers for i in members]
+
+    def look(self, k: int, record, rewards) -> tuple[np.ndarray, list]:
+        """The lead's controls at step k, and the walk of the followers that leave there.
+
+        A follower stays while every finite switch of its row k lies in the
+        bracket of this walk's positions in its cell, so it reads these very
+        controls. The followers that leave at step k go on as one new walk,
+        the first of them leading: it starts from copies of the states, exit
+        flags and totals before step k, and this walk stops the totals only
+        they read.
+        """
+        if not self.followers:
+            return self.policy.control_at(k, self.xs, record), []
+        sw = self.policy.switches[k]
+        lo, hi, cells = np.full(sw.size, -np.inf), np.full(sw.size, np.inf), np.arange(sw.size)
+        a = self.policy.control_at(
+            k, self.xs, lambda k, j, frac, sw_at: _fold_brackets(lo, hi, cells, j, frac, sw_at))
+        stays = [_inside(policy.switches[k], lo, hi) for policy, _ in self.followers]
+        if all(stays):
+            return a, []
+        leaving = [f for f, stay in zip(self.followers, stays) if not stay]
+        self.followers = [f for f, stay in zip(self.followers, stays) if stay]
+        kept = {f for i in self.riders() for f in rewards[i]}
+        (policy, members), *rest = leaving
+        walk = _Walk(policy, members, self.xs.copy(), self.out.copy(), rest)
+        walk.totals = {f: self.totals[f].copy() for i in walk.riders() for f in rewards[i]}
+        self.totals = {f: total for f, total in self.totals.items() if f in kept}
+        return a, [walk]
+
+
+def _walks(policies, rewards, xs: np.ndarray) -> list[_Walk]:
+    """_walk's walks at its start, one per group that reads the same controls.
+
+    A policy whose bytes (nodes, controls, switches) equal an earlier one's
+    rides its walk; one whose controls, nodes and NaN switch mask do follows
+    the first such policy's walk. A lone walker skips the digests.
+    """
+    walks, exact, lead = [], {}, {}
+    for i, policy in enumerate(policies):
+        key = full = ()
+        if len(policies) > 1:
+            sw = policy.switches
+            key = _reads_key(policy)
+            full = key + (None if sw is None else _digest(sw),)
+        if full in exact:
+            exact[full].append(i)
+            continue
+        members = exact[full] = [i]
+        if key in lead:
+            lead[key].followers.append((policy, members))
+        else:
+            lead[key] = _Walk(policy, members, xs.copy(), np.zeros(xs.size, bool))
+            walks.append(lead[key])
+    for walk in walks:
+        walk.totals = {f: np.zeros(xs.size) for i in walk.riders() for f in rewards[i]}
+    return walks
+
+
 def _walk(policies, grids: Grids, x0: np.ndarray, noise, step, rewards=None, record=None):
     """The one Monte Carlo step loop, for several walkers in lockstep.
 
     Walker i starts at the clamped x0 and follows policies[i]; rewards[i],
     when given, lists the running rewards f(t, xs, a) whose per-path totals
     it accumulates. Each step k draws z = noise(k) once for every walker, then
-    for each walker looks up the control a at its clamped states xs, sums it,
+    for each walk looks up the control a at its clamped states xs, sums it,
     adds f(t_k, xs, a) * dt to each total, moves xs to step(xs, a, z) and
-    clamps it to the grid box. Returns the control sum per walker and step,
-    the exit count per walker, the final states per walker and the totals,
-    one list per walker. A non-finite control sum ends the walk at its step,
-    every later sum left NaN: the caller refuses it (_refuse_non_finite)
-    before it reads anything else.
+    clamps it to the grid box. record, a push's hook, sees every lookup of a
+    walk without followers.
+
+    Walkers that provably read the same controls share one walk (_walks,
+    _Walk.look), so each walk looks up, steps and totals a reward callable
+    once per step for all its riders. Returns the control sum per walker and
+    step, the exit count per walker, the final states per walker and the
+    totals, one list per walker; riders of one walk share these arrays. A
+    non-finite control sum ends the walk at its step, every later sum left
+    NaN: the caller refuses it (_refuse_non_finite) before it reads anything
+    else.
     """
     lo, hi, t, dt = grids.x_min, grids.x_max, grids.t_nodes(), grids.dt
-    xs = [np.clip(x0, lo, hi) for _ in policies]
     sums = np.full((len(policies), grids.n_t), np.nan)
-    ever_out = np.zeros((len(policies), x0.size), bool)
     rewards = rewards or [()] * len(policies)
-    totals = [[np.zeros(x0.size) for _ in fs] for fs in rewards]
+    walks = _walks(policies, rewards, np.clip(x0, lo, hi))
+
+    def results():
+        of = {i: walk for walk in walks for i in walk.riders()}
+        ws = [of[i] for i in range(len(policies))]
+        return (sums, np.array([w.out.sum() for w in ws]), [w.xs for w in ws],
+                [[w.totals[f] for f in fs] for w, fs in zip(ws, rewards)])
+
     for k in range(grids.n_t):
         z = noise(k)
-        for i, policy in enumerate(policies):
-            a = policy.control_at(k, xs[i], record)
-            sums[i, k] = a.sum()
+        for w in walks:  # a follower that leaves joins the list and walks at this step
+            a, leaving = w.look(k, record, rewards)
+            walks += leaving
+            sums[w.riders(), k] = a.sum()
             # states start finite and stay clamped: only a non-finite control spoils
             # them, so the walk ends here, before the next lookup makes them a bad index
-            if not np.isfinite(sums[i, k]):
-                return sums, ever_out.sum(axis=1), xs, totals
-            for f, total in zip(rewards[i], totals[i]):
-                total += f(t[k], xs[i], a) * dt
-            xs[i] = step(xs[i], a, z)
-            ever_out[i] |= (xs[i] < lo) | (xs[i] > hi)
-            np.clip(xs[i], lo, hi, out=xs[i])
-    return sums, ever_out.sum(axis=1), xs, totals
+            if not np.isfinite(sums[w.members[0], k]):
+                return results()
+            for f, total in w.totals.items():
+                total += f(t[k], w.xs, a) * dt
+            w.xs = step(w.xs, a, z)
+            w.out |= (w.xs < lo) | (w.xs > hi)
+            np.clip(w.xs, lo, hi, out=w.xs)
+    return results()
 
 
 def _refuse_non_finite(sums: np.ndarray) -> None:
@@ -383,21 +514,19 @@ def _replay_or_walk(log: Mapping, policy: Policy, walk):
     """(mean control per step, exit fraction) of a push: replayed from the log, else walked.
 
     A log belongs to one report, whose grids, sigma and noise pair never
-    change, so records (m, exit fraction, lo, hi) are keyed by the digests of
-    the policy's controls and NaN switch mask alone. lo and hi bracket each
-    finite switch s by the positions in its cell at its step: the largest
-    below s, the smallest at or above. A same-key policy with every finite
-    switch in its (lo, hi] reads, by induction over the steps, the same
-    control for every particle, so the record is its push bit for bit.
-    walk(record, brackets) fills lo and hi, one entry per finite switch, in
-    place over all the push's particles.
+    change, so records (m, exit fraction, lo, hi) are keyed by _reads_key
+    alone. lo and hi bracket each finite switch by the positions in its cell
+    at its step (_fold_brackets). A same-key policy with every finite switch
+    in its (lo, hi] reads, by induction over the steps, the same control for
+    every particle, so the record is its push bit for bit. walk(record,
+    brackets) fills lo and hi, one entry per finite switch, in place over
+    all the push's particles.
     """
     sw = np.empty(0) if policy.switches is None else policy.switches
     finite = ~np.isnan(sw)
-    key = tuple(hashlib.sha256(np.ascontiguousarray(p)).digest() for p in (policy.controls, finite))
-    s = sw[finite]
+    key, s = _reads_key(policy), sw[finite]
     for m, exit_fraction, lo, hi in log.get(key, ()):
-        if np.all(lo < s) and np.all(s <= hi):
+        if _inside(s, lo, hi):
             return m, exit_fraction
     if not isinstance(log, dict):  # a read-only view of a log: walk unlogged
         return walk()
@@ -406,12 +535,7 @@ def _replay_or_walk(log: Mapping, policy: Policy, walk):
     cell[finite] = np.arange(s.size)  # a finite switch's entry in lo and hi
 
     def record(k, j, frac, sw_at):
-        inside = np.flatnonzero(sw_at == sw_at)  # the queries in finite-switch cells
-        if inside.size:
-            at, frac = cell[k].take(j[inside]), frac[inside]
-            below = frac < sw_at[inside]
-            np.maximum.at(lo, at[below], frac[below])
-            np.minimum.at(hi, at[~below], frac[~below])
+        _fold_brackets(lo, hi, cell[k], j, frac, sw_at)
 
     m, exit_fraction = walk(record, ((np.maximum, lo), (np.minimum, hi)))
     log.setdefault(key, []).append((m, exit_fraction, lo, hi))
@@ -523,14 +647,20 @@ def _evaluate_walkers(walkers, grids: Grids, bounds: ControlBounds, params: Pool
     """evaluate's reports for (policy, path, [kind, ...]) walkers, in one walk.
 
     Every walker reads evaluate's starting sample and its one row of normals
-    per step, so each report is bitwise the lone evaluate call's. Returns one
-    ValueReport per reward of each walker; a walker over 1% exit warns once.
+    per step, so each report is bitwise the lone evaluate call's. Walkers
+    that read the same controls share a walk (_walk), and each distinct
+    (path object, kind) is one reward callable, so a walk totals it once and
+    its riders share the report. Returns one ValueReport per reward of each
+    walker; a walker over 1% exit warns once.
     """
-    rewards = []
+    fns, rewards = {}, []
     for _, path, kinds in walkers:
         _check_path(path, grids)
-        fs = [_running_reward(reward_fn, kind, grids, bounds, params, costs) for kind in kinds]
-        rewards.append([lambda t, xs, a, f=f, path=path: f(t, xs, a, path) for f in fs])
+        for kind in kinds:
+            if (id(path), kind) not in fns:
+                f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
+                fns[id(path), kind] = lambda t, xs, a, f=f, path=path: f(t, xs, a, path)
+        rewards.append([fns[id(path), kind] for kind in kinds])
     seed = grids.seed if seed is None else seed
     n, dt, scale = grids.n_particles, grids.dt, params.sigma * np.sqrt(grids.dt)
     gen = substream(seed, "evaluate")
@@ -540,19 +670,22 @@ def _evaluate_walkers(walkers, grids: Grids, bounds: ControlBounds, params: Pool
         law0.sample(n, substream(seed, "evaluate-x0")), lambda k: gen.standard_normal(n),
         lambda xs, a, z: xs + a * dt + scale * z, rewards)
     _refuse_non_finite(sums)
-    reports = []
+    reports, terminals, shared = [], {}, {}  # by id: the arrays riders of one walk share
     for x_end, walker_totals, exit_fraction in zip(xs, totals, exits / n):
         _warn_exit(exit_fraction, stacklevel=4)  # at the caller of evaluate or the report
-        terminal, exit_fraction = terminal_reward(x_end, costs), float(exit_fraction)
+        if id(x_end) not in terminals:
+            terminals[id(x_end)] = terminal_reward(x_end, costs)
         reports.append([])
         for total in walker_totals:
-            total += terminal
-            if not np.all(np.isfinite(total)):
-                raise NumericalError("non-finite path objective in evaluate")
-            value = float(total.mean())
-            reports[-1].append(ValueReport(value=value, stderr=_stderr(total), n_paths=n,
-                                           bias_budget=_bias_budget(grids, value),
-                                           exit_fraction=exit_fraction))
+            if id(total) not in shared:
+                total += terminals[id(x_end)]
+                if not np.all(np.isfinite(total)):
+                    raise NumericalError("non-finite path objective in evaluate")
+                value = float(total.mean())
+                shared[id(total)] = ValueReport(
+                    value=value, stderr=_stderr(total), n_paths=n,
+                    bias_budget=_bias_budget(grids, value), exit_fraction=float(exit_fraction))
+            reports[-1].append(shared[id(total)])
     return reports
 
 

@@ -17,7 +17,7 @@ from ammfg.certify import (SWEEP_COLUMNS, epsilon_nash_certificate, phi_sweep,
                            sandwich_report)
 from ammfg.errors import AdmissibilityError, NumericalError, UsageError
 from ammfg.fixed_point import FixedPointConfig, solve_mfg
-from ammfg.grids import ControlBounds, Grids, InitialLaw, zero_path
+from ammfg.grids import ControlBounds, Grids, InitialLaw, make_path, zero_path
 from ammfg.pool import PoolParams
 from ammfg.rewards import RewardKind, Variant, quadratic_costs
 from ammfg.solver import Policy, _evaluate_walkers, evaluate, solve_hjb
@@ -327,6 +327,232 @@ def test_reports_and_solves_are_bitwise_the_same_with_or_without_a_twin(
         assert (a.residuals, a.post_residual, a.exit_fraction, a.converged) == \
             (b.residuals, b.post_residual, b.exit_fraction, b.converged)
     assert lone.value == lone1.value
+
+
+# Walkers that provably read the same controls share one walk. The cases below
+# build a bang-bang lead by hand and place followers' switches against the
+# brackets of the lead's particle positions, computed here from its own lone walk.
+
+SPREAD = InitialLaw(0.0, 0.5)  # particles in every switch cell from the first step
+
+
+def _bang_bang():
+    """a_max left of -0.5 and right of 0.5, a_min between; switches at 0.3."""
+    x = GRIDS.x_nodes()
+    row = np.where(np.abs(x) > 0.5, BOUNDS.a_max, BOUNDS.a_min)
+    switches = np.full((GRIDS.n_t, GRIDS.n_x - 1), np.nan)
+    switches[:, np.flatnonzero(row[:-1] != row[1:])] = 0.3
+    return Policy(t_nodes=GRIDS.t_nodes(), x_nodes=x, controls=np.tile(row, (GRIDS.n_t, 1)),
+                  switches=switches)
+
+
+def _lone_brackets(lead):
+    """(lo, hi) per (step, cell): the largest position of a lone evaluate walk below
+    the lead's switch in that cell, and the smallest at or above it."""
+    lo, hi = np.full(lead.switches.shape, -np.inf), np.full(lead.switches.shape, np.inf)
+    control_at = Policy.control_at
+
+    def spy(self, k, x, record=None):
+        frac = np.array(x, dtype=float)
+        frac = (frac - self.x_nodes[0]) / self._dx
+        j = np.minimum(frac.astype(np.int64), len(self.x_nodes) - 2)
+        frac -= j
+        for cell in np.flatnonzero(np.isfinite(self.switches[k])):
+            at, s = frac[j == cell], self.switches[k, cell]
+            lo[k, cell] = at[at < s].max(initial=-np.inf)
+            hi[k, cell] = at[at >= s].min(initial=np.inf)
+        return control_at(self, k, x, record)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Policy, "control_at", spy)
+        evaluate(lead, zero_path(GRIDS, BOUNDS, PARAMS.x0), RewardKind(Variant.ORIGINAL),
+                 GRIDS, BOUNDS, PARAMS, COSTS, SPREAD)
+    return lo, hi
+
+
+def _moved(policy, k=None, cell=None, s=None, inside=None):
+    """policy with its finite switches at the middles of the brackets inside, then
+    switch (k, cell) at s."""
+    sw = policy.switches.copy()
+    if inside is not None:
+        lo, hi = inside
+        finite = np.isfinite(sw)
+        sw[finite] = ((np.maximum(lo, 0.0) + np.minimum(hi, 1.0)) / 2)[finite]
+    if k is not None:
+        sw[k, cell] = s
+    return dataclasses.replace(policy, switches=sw)
+
+
+def _first_bracket(bound, start=1):
+    """The first (step, cell) from step start on whose bracket end bound is finite."""
+    k, cell = np.argwhere(np.isfinite(bound[start:]))[0]
+    return int(k) + start, int(cell)
+
+
+def _case(name):
+    """(policies, lookups): walkers for one sharing case and the lookups one
+    _evaluate_walkers call makes on them, n_t per walk plus the steps of a
+    follower's own walk after it leaves at step k."""
+    n_t, lead = GRIDS.n_t, _bang_bang()
+    inside = _lone_brackets(lead)
+    lo, hi = inside
+    if name == "byte-equal":
+        copy = dataclasses.replace(lead, controls=lead.controls.copy(),
+                                   switches=lead.switches.copy())
+        return [lead, copy, lead], n_t
+    if name == "inside-brackets":
+        follower = _moved(lead, inside=inside)
+        assert not np.array_equal(follower.switches, lead.switches, equal_nan=True)
+        return [lead, follower], n_t
+    if name == "leaves-at-lo":
+        k, cell = _first_bracket(lo)
+        return [lead, _moved(lead, k, cell, lo[k, cell], inside)], 2 * n_t - k
+    if name == "two-leave-as-one-walk":
+        # both leave at step k with the same switches from there on, so the
+        # second follows the first's new walk
+        k, cell = _first_bracket(lo)
+        first = _moved(lead, k, cell, lo[k, cell], inside)
+        second = _moved(first, 0, np.isfinite(lead.switches[0]), 0.3)  # the lead's row 0
+        assert not np.array_equal(first.switches, second.switches, equal_nan=True)
+        return [lead, first, second], 2 * n_t - k
+    if name == "on-the-hi-edge":
+        k, cell = _first_bracket(hi)
+        return [lead, _moved(lead, k, cell, hi[k, cell], inside)], n_t
+    if name == "past-the-hi-edge":
+        k, cell = _first_bracket(hi)
+        return [lead, _moved(lead, k, cell, np.nextafter(hi[k, cell], np.inf), inside)], \
+            2 * n_t - k
+    if name == "other-nan-mask":
+        sw = lead.switches.copy()
+        sw[:, 0] = 0.5  # a finite switch in a cell whose nodes agree: the same controls
+        return [lead, dataclasses.replace(lead, switches=sw)], 2 * n_t
+    plain = Policy(t_nodes=GRIDS.t_nodes(), x_nodes=GRIDS.x_nodes(),
+                   controls=np.tile(np.linspace(0.0, 0.5, GRIDS.n_x), (n_t, 1)))
+    if name == "switchless-equal-bits":
+        return [plain, dataclasses.replace(plain, controls=plain.controls.copy())], n_t
+    if name == "switchless-one-bit-off":
+        nudged = plain.controls.copy()
+        nudged[3, 30] = np.nextafter(nudged[3, 30], 1.0)
+        return [plain, dataclasses.replace(plain, controls=nudged)], 2 * n_t
+    assert name == "signed-zeros"
+    zero = constant_policy(0.0, GRIDS, BOUNDS)
+    return [zero, dataclasses.replace(zero, controls=-zero.controls)], 2 * n_t
+
+
+SHARING_CASES = ["byte-equal", "inside-brackets", "leaves-at-lo", "two-leave-as-one-walk",
+                 "on-the-hi-edge", "past-the-hi-edge", "other-nan-mask",
+                 "switchless-equal-bits", "switchless-one-bit-off", "signed-zeros"]
+
+
+@pytest.mark.parametrize("name", SHARING_CASES)
+def test_walkers_share_a_walk_only_while_they_read_the_same_controls(monkeypatch, name):
+    policies, lookups = _case(name)
+    path = zero_path(GRIDS, BOUNDS, PARAMS.x0)
+    lower, orig = RewardKind(Variant.LOWER), RewardKind(Variant.ORIGINAL)
+    kinds = [[lower, orig]] + [[orig]] * (len(policies) - 1)
+    lone = [[evaluate(p, path, kind, GRIDS, BOUNDS, PARAMS, COSTS, SPREAD) for kind in ks]
+            for p, ks in zip(policies, kinds)]
+    calls, control_at = [], Policy.control_at
+
+    def counting(self, k, x, record=None):
+        calls.append(k)
+        return control_at(self, k, x, record)
+
+    monkeypatch.setattr(Policy, "control_at", counting)
+    batch = _evaluate_walkers([(p, path, ks) for p, ks in zip(policies, kinds)],
+                              GRIDS, BOUNDS, PARAMS, COSTS, SPREAD)
+    # ValueReport equality: value, stderr, n_paths, bias_budget, exit_fraction
+    assert batch == lone
+    assert len(calls) == lookups
+    if name in ("leaves-at-lo", "two-leave-as-one-walk", "past-the-hi-edge"):
+        # the follower reads other controls than the lead
+        assert batch[1][0] != batch[0][1]
+
+
+def _evaluate_walk(policies, f):
+    """_walk on evaluate's draws for SPREAD, each walker totalling the one callable f."""
+    n, dt, seed = GRIDS.n_particles, GRIDS.dt, GRIDS.seed
+    gen, x0 = streams.substream(seed, "evaluate"), streams.substream(seed, "evaluate-x0")
+    return solver._walk(policies, GRIDS, SPREAD.sample(n, x0), lambda k: gen.standard_normal(n),
+                        lambda xs, a, z: xs + a * dt + PARAMS.sigma * np.sqrt(dt) * z,
+                        [[f] for _ in policies])
+
+
+def test_a_follower_that_leaves_walks_on_its_own_arrays():
+    lead = _bang_bang()
+    inside = _lone_brackets(lead)
+    k, cell = _first_bracket(inside[0])
+    policies = [lead, _moved(lead, inside=inside),
+                _moved(lead, k, cell, inside[0][k, cell], inside)]
+    def f(t, xs, a):  # one callable for every walker: one total per walk
+        return xs * a
+
+    sums, exits, xs, totals = _evaluate_walk(policies, f)
+    # the follower inside its brackets rides the lead's walk: the same arrays
+    assert xs[1] is xs[0] and totals[1][0] is totals[0][0]
+    # the one that left at step k owns copies, and they moved apart from there
+    assert not np.shares_memory(xs[2], xs[0])
+    assert not np.shares_memory(totals[2][0], totals[0][0])
+    assert np.array_equal(sums[2, :k], sums[0, :k]) and sums[2, k] != sums[0, k]
+    for i, policy in enumerate(policies):
+        (lone_sums,), (lone_exits,), (lone_xs,), ((lone_total,),) = _evaluate_walk([policy], f)
+        assert lone_sums.tobytes() == sums[i].tobytes() and lone_exits == exits[i]
+        assert lone_xs.tobytes() == xs[i].tobytes()
+        assert lone_total.tobytes() == totals[i][0].tobytes()
+
+
+def test_a_follower_reading_nan_after_it_leaves_is_refused_at_that_step():
+    # the lead never reads node m at step k2: cell m-1 sends every query left,
+    # cell m right. The follower leaves at step k1 < k2, and at k2 sends the
+    # queries of cell m-1 to node m's NaN.
+    lead = _bang_bang()
+    inside = _lone_brackets(lead)
+    k1, cell = _first_bracket(inside[0])
+    k2, m = k1 + 3, GRIDS.n_x // 2 + 1
+    controls, sw = lead.controls.copy(), lead.switches.copy()
+    controls[k2, m], sw[k2, m - 1], sw[k2, m] = np.nan, 1.0, 0.0
+    lead = dataclasses.replace(lead, controls=controls, switches=sw)
+    follower = _moved(_moved(lead, k1, cell, inside[0][k1, cell]), k2, m - 1, 0.0)
+    path, orig = zero_path(GRIDS, BOUNDS, PARAMS.x0), RewardKind(Variant.ORIGINAL)
+    evaluate(lead, path, orig, GRIDS, BOUNDS, PARAMS, COSTS, SPREAD)  # finite
+    message = f"^non-finite particle states at step {k2}$"
+    with pytest.raises(NumericalError, match=message):
+        evaluate(follower, path, orig, GRIDS, BOUNDS, PARAMS, COSTS, SPREAD)
+    with pytest.raises(NumericalError, match=message):
+        _evaluate_walkers([(lead, path, [orig]), (follower, path, [orig])],
+                          GRIDS, BOUNDS, PARAMS, COSTS, SPREAD)
+
+
+def test_a_walk_looks_up_and_totals_each_reward_once_per_step(monkeypatch):
+    lead = _bang_bang()
+    inside = _lone_brackets(lead)
+    masked = lead.switches.copy()
+    masked[:, 0] = 0.5
+    path = zero_path(GRIDS, BOUNDS, PARAMS.x0)
+    other = make_path(np.full(GRIDS.n_t + 1, 0.2), GRIDS, BOUNDS, PARAMS.x0)
+    lower, orig = RewardKind(Variant.LOWER), RewardKind(Variant.ORIGINAL)
+    follower = _moved(lead, inside=inside)
+    walkers = [(lead, path, [lower, orig]), (dataclasses.replace(lead), path, [orig]),
+               (follower, path, [orig]), (follower, other, [orig]),
+               (dataclasses.replace(lead, switches=masked), path, [orig])]
+    lookups, rewards, control_at, reward = [], [], Policy.control_at, solver.reward
+
+    def looking(self, k, x, record=None):
+        lookups.append(k)
+        return control_at(self, k, x, record)
+
+    def rewarding(kind, t, x, a, path, **kwargs):
+        rewards.append(t)
+        return reward(kind, t, x, a, path, **kwargs)
+
+    monkeypatch.setattr(Policy, "control_at", looking)
+    monkeypatch.setattr(solver, "reward", rewarding)
+    _evaluate_walkers(walkers, GRIDS, BOUNDS, PARAMS, COSTS, SPREAD)
+    # two walks: the lead's, with its copy and both follower walkers, and the
+    # other mask's; (path, f1), (path, f) and (other, f) on the first, (path, f)
+    # on the second
+    assert len(lookups) == 2 * GRIDS.n_t
+    assert len(rewards) == 4 * GRIDS.n_t
 
 
 def test_batch_refuses_a_non_finite_objective_or_control_of_any_walker():
