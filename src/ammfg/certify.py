@@ -22,8 +22,9 @@ auxiliary policy on its own path is valued under its own reward and under
 f) on one row of normals per step, and each value is bitwise what a lone
 evaluate call returns. Walkers whose policies provably read the same
 controls share one walk (solver._walk); at the desk fee levels the five
-policies do, so the report walks once and totals its five distinct
-(path, reward) pairs once each. The particle push's draws are
+policies do, so the report walks once and totals each distinct (path
+bytes, reward) pair once: three where its three paths have the same bytes,
+as they often do at φ >= 0.997. The particle push's draws are
 made once per report, and once per sweep, whose forked worker processes
 inherit them copy-on-write. Each report owns one push log
 (solver.propagate's _log), which holds those draws and is never shared
@@ -32,9 +33,13 @@ differ only in the last bits of their switches, and then the later solves
 replay the first one's pushes instead of walking them. The last solve, the
 original game, reads the log through a read-only view: no solve after it
 would replay its pushes, so it walks them unlogged. The three solves run in
-one Picard session with a forked twin (_fork.twin) that walks half of each
-walked push's particles, bit for bit; the best responses, the evaluation
-walk and the report itself stay in the calling process. A sweep with more than
+one Picard session with a forked twin (solver._twin) that shares each of
+their best responses and walks half of each walked push's particles, bit for
+bit; the report's two best responses under f, the evaluation walk and the
+report itself stay in the calling process. A best response to a path whose
+bytes are the original game's own equilibrium path is that game's last
+solve, so the report reuses its policy there (at the desk fee levels
+φ >= 0.997 both auxiliary paths often are). A sweep with more than
 one worker runs its fee levels in forked processes (see phi_sweep), through
 the fork helper _fork.fork_map that the N-trader simulator uses too; a level
 worker opens no twin, while a sweep on one worker gives each level's report
@@ -48,13 +53,13 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._fork import fork_map, twin
+from ._fork import fork_map
 from .errors import AdmissibilityError, UsageError
 from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .grids import ControlBounds, Grids, InitialLaw
 from .pool import PoolParams
 from .rewards import CostSpec, RewardKind, Variant
-from .solver import ValueReport, _evaluate_walkers, propagate_noise, solve_hjb
+from .solver import ValueReport, _evaluate_walkers, _path_key, _twin, propagate_noise, solve_hjb
 
 
 @dataclass
@@ -144,11 +149,13 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
         return solve_mfg(RewardKind(variant, young_eps, denom_exp), grids, bounds, params,
                          costs, law0, fp, seed=seed, _log=view)
 
-    with twin(grids.n_particles):  # one twin for the three solves' pushes
+    with _twin(grids):  # one twin for the three solves
         eq1, eq2 = solve(Variant.LOWER), solve(Variant.UPPER)
         eq_orig = solve(Variant.ORIGINAL, MappingProxyType(log))
     del solve, log  # read no more: a report that drew its noise frees it here
-    br1, br2 = (solve_hjb(eq.path, kind_o, grids, bounds, params, costs) for eq in (eq1, eq2))
+    # a best response to eq_orig's own path is eq_orig's last solve, bit for bit
+    br1, br2 = (eq_orig.policy if _path_key(eq.path) == _path_key(eq_orig.path) else
+                solve_hjb(eq.path, kind_o, grids, bounds, params, costs) for eq in (eq1, eq2))
 
     # the report's five (policy, path) walkers, in one lockstep pass: each
     # auxiliary policy is held under its own reward and under f

@@ -10,9 +10,11 @@ normals and one starting sample (solver.propagate_noise), drawn once per
 solve. A sandwich report's solves draw nothing: each passes the push log
 they share (solver.propagate's _log) through to its pushes. A lone solve
 logs nothing, and runs its loop in a Picard session with a forked twin
-(_fork.twin), which walks half of each push's particles on a second core
-while that pays; inside a report's session it opens none. The halves join
-bit for bit, so the iterates never depend on the twin.
+(solver._twin), which, while that pays, evaluates each best response's
+rewards and refines its controls, and walks half of each push's particles,
+on a second core; inside a report's session it opens none. Only elementwise work
+moves and the halves join bit for bit, so the iterates never depend on the
+twin.
 
 Convergence of this iteration is an empirical matter, not a theorem;
 a run that exhausts max_iters reports converged=False and still returns its
@@ -28,12 +30,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from ._fork import twin
 from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path, zero_path
 from .errors import DomainError
 from .pool import PoolParams
 from .rewards import CostSpec, RewardKind
-from .solver import Policy, ValueReport, evaluate, propagate, propagate_noise, solve_hjb
+from .solver import (Policy, ValueReport, _twin, evaluate, propagate, propagate_noise,
+                     solve_hjb)
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     path = zero_path(grids, bounds, params.x0) if init is None else init
 
     residuals: list[float] = []
-    with twin(grids.n_particles):  # a no-op inside a report's session
+    with _twin(grids):  # a no-op inside a report's session
         while True:
             policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
             induced, exit_fraction = propagate(policy, grids, bounds, params, law0, noise=noise,

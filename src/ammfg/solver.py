@@ -14,7 +14,12 @@ step before it reads (the value row) and what the second pass reads (the
 argmax, and q there and at four entries around it). The second pass is vectorised over the
 block's steps: it refines interior controls to the vertex of a parabola and
 places the switches of a bang-bang row. It applies the per-step formulas
-elementwise, so the split moves no bit.
+elementwise, so the split moves no bit. The expectation stencil is built
+once per distinct grid, drift and noise scale (_expectation_kernel). Inside a
+Picard session with a twin (_fork.twin) each best response is a pipeline
+(_Hand): this process runs the backward loop on reward rows that the twin
+evaluates, and the twin refines each recorded block; both hand rows over
+through shared memory, bit for bit.
 
 propagate, evaluate and girsanov_evaluate call one Monte Carlo walk, _walk,
 with one clamping rule: paths clamp to the grid box, as the solver's
@@ -161,8 +166,18 @@ def _expectation_kernel(x_nodes: np.ndarray, drift: np.ndarray, scale: float, n_
 
     Row j of reads (n_x, taps) is node j's window of V, edge-padded by index
     clamping; kernel (taps, n_a) is the same at every node. Offsets are capped
-    at +-n_x cells, which changes no read.
+    at +-n_x cells, which changes no read. Every solve of a run reads the same
+    stencil, so it is built once per distinct input bytes and handed out
+    read-only.
     """
+    return _stencil(np.asarray(x_nodes, dtype=float).tobytes(),
+                    np.asarray(drift, dtype=float).tobytes(), np.float64(scale).tobytes(),
+                    int(n_quad))
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil(x_nodes: bytes, drift: bytes, scale: bytes, n_quad: int):
+    x_nodes, drift, scale = np.frombuffer(x_nodes), np.frombuffer(drift), np.frombuffer(scale)[0]
     z, w = np.polynomial.hermite_e.hermegauss(n_quad)  # probabilists' nodes: Z ~ N(0, 1)
     w = w / w.sum()
     n_x = len(x_nodes)
@@ -176,6 +191,7 @@ def _expectation_kernel(x_nodes: np.ndarray, drift: np.ndarray, scale: float, n_
     np.add.at(kernel, (rows, cols), w * (1.0 - frac))
     np.add.at(kernel, (rows + 1, cols), w * frac)
     reads = np.clip(np.arange(n_x)[:, None] + np.arange(lo, hi + 1), 0, n_x - 1)
+    reads.flags.writeable = kernel.flags.writeable = False
     return reads, kernel
 
 
@@ -188,6 +204,12 @@ def _stderr(samples: np.ndarray) -> float:
 def _bias_budget(grids: Grids, value: float) -> float:
     """Discretization allowance O(dt + dx^2), scaled by the value magnitude."""
     return (grids.dt + _uniform_spacing(grids.x_nodes())**2) * max(1.0, abs(value))
+
+
+def _path_key(path: MeanControlPath) -> bytes:
+    """A path's bytes: paths with equal keys give every reward the same bits."""
+    return b"".join(np.ascontiguousarray(v, dtype=float).tobytes()
+                    for v in (path.times, path.values, path.cumulative, path.reserve))
 
 
 def _check_path(path: MeanControlPath, grids: Grids) -> None:
@@ -218,19 +240,38 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     reward_fn(t, x, a, path) with t of shape (b, 1, 1), x of shape (1, n_x, 1)
     and a of shape (1, 1, n_a), and its result must broadcast to
     (b, n_x, n_a). The first block called ends at t_{n_t}; the last one may be
-    shorter. The terminal reward is always -l(x).
+    shorter. The terminal reward is always -l(x). Inside a Picard session
+    with a twin (_Hand) the twin makes these calls. Where it fails (a call
+    that raised or warned in it ends it) the calling process calls, as
+    alone, the block it was in and every later one.
 
     Each block's steps are solved in two passes. The backward loop computes
     q = dt * reward + E[V_{k+1}], its tie-broken argmax and V_k = max q, and
     refuses a non-finite V_k at its step. It records q at the argmax and at
     the four entries around it that _refine reads. _refine then sets the
     block's controls and switches in one vectorised pass over the cells that
-    need them.
+    need them. In a session the loop stays in the calling process and the
+    twin evaluates the rewards and refines (_Hand).
     """
     _check_path(path, grids)
     f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
     t, x, a, dt = grids.t_nodes(), grids.x_nodes(), bounds.grid(grids.n_a), grids.dt
     n_t, n_x, n_a = grids.n_t, grids.n_x, grids.n_a
+    # the reward is evaluated one block of time nodes at a time: sqrt-sized
+    # blocks hold ~sqrt(n_t) rows of the (n_t+1, n_x, n_a) lattice for
+    # ~sqrt(n_t) calls, and the reward is elementwise in t, so the bits do
+    # not depend on the blocking
+    block = math.isqrt(n_t) + 1  # ceil(sqrt(n_t + 1)), at least 2
+    blocks = [(max(stop - block, 0), stop) for stop in range(n_t + 1, 0, -block)]
+
+    def rewards(start: int, stop: int) -> np.ndarray:
+        """The running reward on time nodes [start, stop), as (stop - start, n_x, n_a)."""
+        return np.broadcast_to(f(t[start:stop, None, None], x[None, :, None], a[None, None, :],
+                                 path), (stop - start, n_x, n_a))
+
+    hand = _Hand.open(grids, blocks, a)
+    if hand is not None and not hand.session.first:
+        return hand.serve(rewards, t, x, dt)
 
     # tie-break order: smallest |a| first, then smaller a; argmax picks the
     # first maximal entry, so scanning in this order implements the rule. On a
@@ -239,45 +280,242 @@ def solve_hjb(path: MeanControlPath, kind: RewardKind, grids: Grids,
     reorder = not np.array_equal(order, np.arange(n_a))
 
     values = np.empty((n_t + 1, n_x))
-    controls = np.empty((n_t, n_x))
-    switches = np.full((n_t, n_x - 1), np.nan)
     reads, kernel = _expectation_kernel(x, dt * a, params.sigma * np.sqrt(dt), grids.n_quad)
     values[-1] = terminal_reward(x, costs)
-    # the reward is evaluated one block of time nodes at a time: sqrt-sized
-    # blocks hold ~sqrt(n_t) rows of the (n_t+1, n_x, n_a) lattice for
-    # ~sqrt(n_t) calls, and the reward is elementwise in t, so the bits do
-    # not depend on the blocking
-    block = math.isqrt(n_t) + 1  # ceil(sqrt(n_t + 1)), at least 2
     # per step of a block: the argmax, and q at flat offsets 0, -1, +1, -n_a,
     # +n_a from it: at (j, best), (j, best-1), (j, best+1), (j-1, best[j]) and
     # (j+1, best[j]). An offset that leaves node j's row (best at a bound) or
     # q itself (j at a grid end) reads a wrong or clipped entry, which _refine
-    # never reads.
-    best = np.empty((block, n_x), dtype=np.min_scalar_type(n_a - 1))
-    near = np.empty((block, 5, n_x))
+    # never reads. Alone, one block's record and the policy's rows live here;
+    # in a session, in the rows shared with the twin (_Hand).
+    rows = hand.rows if hand is not None else {
+        "best": np.empty((1, block, n_x), dtype=np.min_scalar_type(n_a - 1)),
+        "near": np.empty((1, block, 5, n_x)),
+        "controls": np.empty((n_t, n_x)), "switches": np.empty((n_t, n_x - 1))}
     flat = np.arange(n_x) * n_a + np.array([0, -1, 1, -n_a, n_a])[:, None]
     q = np.empty((n_x, n_a))
     q_flat = q.reshape(-1)
-    for stop in range(n_t + 1, 0, -block):
-        start = max(stop - block, 0)
-        running = None  # one block alive at a time: drop the last before the next
-        running = np.broadcast_to(
-            f(t[start:stop, None, None], x[None, :, None], a[None, None, :], path),
-            (stop - start, n_x, n_a))
-        steps = slice(start, min(stop, n_t))
-        for k in range(steps.stop - 1, start - 1, -1):
-            i = k - start
-            np.multiply(running[i], dt, out=q)
-            q += values[k + 1].take(reads) @ kernel
-            best[i] = order[q[:, order].argmax(axis=1)] if reorder else q.argmax(axis=1)
-            q_flat.take(flat + best[i], out=near[i], mode="clip")
-            values[k] = near[i, 0]
-            if not np.isfinite(values[k]).all():
-                raise NumericalError(f"non-finite value surface at step {k}")
-        n = steps.stop - start
-        _refine(a, best[:n], near[:n], controls[steps], switches[steps])
-    return Policy(t_nodes=t, x_nodes=x, controls=controls, values=values,
-                  switches=switches)
+
+    def step(k: int, s: int, i: int) -> None:
+        """Step k's argmax and V_k, recorded at row i of slot s; q is dt * reward + E[V_{k+1}]."""
+        best = order[q[:, order].argmax(axis=1)] if reorder else q.argmax(axis=1)
+        rows["best"][s, i] = best
+        q_flat.take(flat + best, out=rows["near"][s, i], mode="clip")
+        values[k] = rows["near"][s, i, 0]
+        if not np.isfinite(values[k]).all():
+            raise NumericalError(f"non-finite value surface at step {k}")
+
+    for b, (start, stop) in enumerate(blocks):
+        s, top = b % len(rows["best"]), min(stop, n_t) - 1
+        while top >= start:
+            chunk = None if hand is None else hand.chunk(top)
+            if chunk is None:  # the block's rest is evaluated here
+                running = None  # one block alive at a time: drop the last before the next
+                running = rewards(start, stop)
+                for k in range(top, start - 1, -1):
+                    np.multiply(running[k - start], dt, out=q)
+                    q += values[k + 1].take(reads) @ kernel
+                    step(k, s, k - start)
+                break
+            c, low = chunk  # steps top down to low, from the twin's ring
+            for k in range(top, low - 1, -1):
+                np.add(hand.ring(c, k), values[k + 1].take(reads) @ kernel, out=q)
+                step(k, s, k - start)
+            hand.read(c)
+            top = low - 1
+        if hand is None:
+            _refine_block(a, rows, blocks, b)
+        else:
+            hand.recorded(b)
+    if hand is None:
+        controls, switches = rows["controls"], rows["switches"]
+    else:
+        hand.finish()  # nothing shared outlives the session: this process keeps copies
+        controls, switches = rows["controls"].copy(), rows["switches"].copy()
+    return Policy(t_nodes=t, x_nodes=x, controls=controls, values=values, switches=switches)
+
+
+def _twin(grids: Grids) -> _fork.twin:
+    """A Picard session on grids, its shared mapping sized for solve_hjb's handoff (_Hand)."""
+    return _fork.twin(grids.n_particles, _Hand.size(grids))
+
+
+def _refine_block(a: np.ndarray, rows: dict, blocks: list, b: int) -> None:
+    """_refine on block b's steps, recorded in slot b % slots of rows' best and near."""
+    start, stop = blocks[b]
+    s, n = b % len(rows["best"]), min(stop, len(rows["controls"])) - start
+    _refine(a, rows["best"][s, :n], rows["near"][s, :n], rows["controls"][start:stop],
+            rows["switches"][start:stop])
+
+
+class _Hand:
+    """One best response split across a Picard session's twin (_fork.twin), bit for bit.
+
+    The parent runs the backward loop; the twin evaluates every block's
+    rewards and refines every block. The twin writes each block's rewards,
+    times dt, into a ring of two chunks that holds one block, half a block
+    at a time, and evaluates the next block while the parent runs this one:
+    a block's reward is one call, so a ring of less than a block would
+    leave the parent waiting for it. The parent records each block's argmax
+    and q around it in one of two slots, and the twin refines every
+    recorded block (_refine) into the policy's shared rows, which it wraps
+    as its Policy and the parent copies. Each handoff is one byte on the
+    session's pipes, written after its shared writes, so the system call
+    orders them: L (a chunk is in the ring) and F (a block is refined) from
+    the twin; c (a chunk is read, its slot free) and b (a block is
+    recorded) from the parent. Only elementwise functions of the same inputs
+    change process, so the bits are those of one process. A twin that dies,
+    raises or warns hands over nothing more: the parent evaluates every row
+    and refines every block it has not had, as alone.
+    """
+
+    def __init__(self, session, rows: dict, blocks: list, chunk: int, a: np.ndarray):
+        self.session, self.rows, self.blocks, self.a = session, rows, blocks, a
+        self.n_t = blocks[0][1] - 1
+        # the ring's chunks, in the order the loop reads them: (block, top step, low step)
+        self.chunks = [(b, top, max(top - chunk + 1, start))
+                       for b, (start, stop) in enumerate(blocks)
+                       for top in range(min(stop, self.n_t) - 1, start - 1, -chunk)]
+        self.tops = {top: c for c, (_, top, _) in enumerate(self.chunks)}
+        self.got = dict.fromkeys(b"LFcb", 0)  # handoff bytes received, by tag
+        # the bytes the other side sends in this solve: read no further
+        self.due = len(blocks) + (len(self.chunks) if session.first
+                                  else max(len(self.chunks) - 2, 0))
+        self.refined = 0  # blocks the parent has refined itself
+
+    @staticmethod
+    def layout(grids: Grids) -> tuple[int, dict]:
+        """(rows per ring chunk, {name: (dtype, shape)}) of the shared rows on grids."""
+        n_t, n_x, n_a = grids.n_t, grids.n_x, grids.n_a
+        block = math.isqrt(n_t) + 1
+        chunk = -(-block // 2)  # a ring of two chunks holds a block
+        return chunk, {"cpu": (np.float64, (1,)), "ring": (np.float64, (2, chunk, n_x, n_a)),
+                       "best": (np.min_scalar_type(n_a - 1), (2, block, n_x)),
+                       "near": (np.float64, (2, block, 5, n_x)),
+                       "controls": (np.float64, (n_t, n_x)),
+                       "switches": (np.float64, (n_t, n_x - 1))}
+
+    @staticmethod
+    def _bytes(dtype, shape) -> int:
+        return -(-np.dtype(dtype).itemsize * math.prod(shape) // 64) * 64  # 64-byte aligned
+
+    @classmethod
+    def size(cls, grids: Grids) -> int:
+        """Bytes of the shared rows on grids."""
+        return sum(cls._bytes(*spec) for spec in cls.layout(grids)[1].values())
+
+    @classmethod
+    def open(cls, grids: Grids, blocks: list, a: np.ndarray) -> _Hand | None:
+        """This solve's handoff in the open session, or None to solve here alone."""
+        session = _fork.shared()
+        if session is None or len(session.buf) < cls.size(grids):
+            return None
+        chunk, shapes = cls.layout(grids)
+        grid = (grids.n_t, grids.n_x, grids.n_a)
+        if session.views is None or session.views["grid"] != grid:
+            session.views, at = {"grid": grid}, 0
+            for name, (dtype, shape) in shapes.items():
+                session.views[name] = np.frombuffer(session.buf, dtype, math.prod(shape),
+                                                    at).reshape(shape)
+                at += cls._bytes(dtype, shape)
+        return cls(session, session.views, blocks, chunk, a)
+
+    def _more(self) -> bool:
+        """Count the handoffs the other side has sent, waiting for one; False once it has gone."""
+        got = self.session.take(self.due) if self.session.alive and self.due else b""
+        self.due -= len(got)
+        for tag in set(got):
+            self.got[tag] += got.count(tag)
+        return bool(got)
+
+    def _wait(self, tag: str, count: int) -> bool:
+        """Whether the other side's handoffs of tag reach count: False once it has gone."""
+        while self.got[ord(tag)] < count:
+            if not self._more():
+                return False
+        return True
+
+    # -- the parent: the backward loop ---------------------------------------
+
+    def chunk(self, top: int) -> tuple[int, int] | None:
+        """(ring chunk, low step) of the chunk whose top step is top, once the twin has
+        written it; None once the twin has gone, for the parent to evaluate the rest."""
+        c = self.tops[top]
+        return (c, self.chunks[c][2]) if self._wait("L", c + 1) else None
+
+    def ring(self, c: int, k: int) -> np.ndarray:
+        """Step k's dt * reward row, in ring chunk c."""
+        return self.rows["ring"][c % 2, self.chunks[c][1] - k]
+
+    def read(self, c: int) -> None:
+        """The loop has read chunk c: its slot is free for chunk c + 2."""
+        if c + 2 < len(self.chunks) and self.session.alive:
+            self.session.post(b"c")
+
+    def recorded(self, b: int) -> None:
+        """The loop has recorded block b: the twin refines it, else the parent refines
+        every block the twin has not. Either way block b - 1's slot is free on return."""
+        if self.session.alive and self.session.post(b"b") and \
+                (b + 1 == len(self.blocks) or self._wait("F", b)):
+            return
+        for done in range(max(self.got[ord("F")], self.refined), b + 1):
+            _refine_block(self.a, self.rows, self.blocks, done)
+        self.refined = b + 1
+
+    def finish(self) -> None:
+        """Wait for the twin's last refine and lend its CPU time to _pace (twin.lend)."""
+        if self._wait("F", len(self.blocks)):
+            self.session.lend(float(self.rows["cpu"][0]))
+        else:
+            self.recorded(len(self.blocks) - 1)
+
+    # -- the twin: the rewards and the refines ---------------------------------
+
+    def serve(self, rewards, t: np.ndarray, x: np.ndarray, dt: float) -> Policy:
+        """The twin's side of the solve; its Policy wraps the shared rows and has no values.
+
+        The twin evaluates each block as soon as the last one is in the
+        ring, then writes it a chunk at a time, refining recorded blocks
+        while it waits for a free slot. The CPU time of that work, which the
+        parent lends to _fork.twin._pace, precedes each handoff in the rows.
+        """
+        rows, blocks, refined, running = self.rows, self.blocks, 0, None
+        rows["cpu"][0] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+
+            def work(job, tag: bytes = b""):
+                mark = time.thread_time()
+                done = job()
+                rows["cpu"][0] += time.thread_time() - mark
+                if caught:  # the twin leaves: the parent redoes the work, and warns
+                    raise RuntimeError(f"the twin's work warned: {caught[0].message}")
+                if tag:
+                    self.session.post(tag)
+                return done
+
+            def gap() -> None:
+                """Refine the next recorded block, else wait for the parent's next handoff."""
+                nonlocal refined
+                if refined < self.got[ord("b")]:
+                    work(lambda: _refine_block(self.a, rows, blocks, refined), b"F")
+                    refined += 1
+                elif not self._more():  # take raises first once the parent has gone
+                    raise EOFError("the parent's handoffs stopped short")
+
+            for c, (b, top, low) in enumerate(self.chunks):
+                start = blocks[b][0]
+                if top == min(blocks[b][1], self.n_t) - 1:  # a block's first chunk
+                    running = None  # one block alive at a time: drop the last before the next
+                    running = work(lambda: rewards(*blocks[b]))
+                while c >= self.got[ord("c")] + 2:  # slot c % 2 still holds chunk c - 2
+                    gap()
+                work(lambda: np.multiply(running[low - start:top - start + 1][::-1], dt,
+                                         out=rows["ring"][c % 2, :top - low + 1]), b"L")
+            running = None
+            while refined < len(blocks):
+                gap()
+        return Policy(t_nodes=t, x_nodes=x, controls=rows["controls"], switches=rows["switches"])
 
 
 def _refine(a, best, near, controls, switches) -> None:
@@ -300,6 +538,7 @@ def _refine(a, best, near, controls, switches) -> None:
     n_a = len(a)
     da = a[1] - a[0] if n_a > 1 else 0.0
     np.take(a, best, out=controls)
+    switches.fill(np.nan)
     k, j = np.nonzero(np.abs(controls[:, :-1] - controls[:, 1:]) > 1.5 * da)
     if k.size:
         dl = near[k, 0, j] - near[k, 3, j + 1]  # q[j, best[j]] - q[j, best[j+1]]
@@ -649,18 +888,19 @@ def _evaluate_walkers(walkers, grids: Grids, bounds: ControlBounds, params: Pool
     Every walker reads evaluate's starting sample and its one row of normals
     per step, so each report is bitwise the lone evaluate call's. Walkers
     that read the same controls share a walk (_walk), and each distinct
-    (path object, kind) is one reward callable, so a walk totals it once and
+    (path bytes, kind) is one reward callable, so a walk totals it once and
     its riders share the report. Returns one ValueReport per reward of each
     walker; a walker over 1% exit warns once.
     """
     fns, rewards = {}, []
     for _, path, kinds in walkers:
         _check_path(path, grids)
-        for kind in kinds:
-            if (id(path), kind) not in fns:
+        keys = [(_path_key(path), kind) for kind in kinds]
+        for key, kind in zip(keys, kinds):
+            if key not in fns:
                 f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
-                fns[id(path), kind] = lambda t, xs, a, f=f, path=path: f(t, xs, a, path)
-        rewards.append([fns[id(path), kind] for kind in kinds])
+                fns[key] = lambda t, xs, a, f=f, path=path: f(t, xs, a, path)
+        rewards.append([fns[key] for key in keys])
     seed = grids.seed if seed is None else seed
     n, dt, scale = grids.n_particles, grids.dt, params.sigma * np.sqrt(grids.dt)
     gen = substream(seed, "evaluate")

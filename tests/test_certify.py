@@ -622,3 +622,68 @@ def test_phi_sweep_young_eps_fn():
         fixed[0],
         phi_sweep([0.9], GRIDS, BOUNDS, PARAMS, COSTS, LAW0, FP,
                   young_eps=1.0)[0])
+
+
+def _small_desk(phi):
+    """The default model on a small lattice at fee level phi: its three solves end on
+    one path bit for bit at phi = 0.997, and on three paths at phi = 0.9."""
+    from ammfg import config
+    cfg = config.load_config(None, ["grids.n_t=30", "grids.n_x=61", "grids.n_a=11",
+                                    "grids.n_particles=3000", f"pool.phi={phi}"])
+    return (config.grids(cfg), config.bounds(cfg), config.pool_params(cfg),
+            config.cost_spec(cfg), config.law0(cfg))
+
+
+@pytest.mark.parametrize("phi, solves", [(0.997, 0), (0.9, 2)])
+def test_a_best_response_to_the_original_game_s_path_is_its_last_solve(monkeypatch, phi,
+                                                                      solves):
+    grids, bounds, params, costs, law0 = _small_desk(phi)
+    solve, calls = certify.solve_hjb, []
+
+    def spy(path, *args, **kwargs):
+        calls.append(path)
+        return solve(path, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "solve_hjb", spy)
+    rep = sandwich_report(grids, bounds, params, costs, law0, FixedPointConfig())
+    own = rep.eq_orig.path.values.tobytes()
+    same = [eq.path.values.tobytes() == own for eq in (rep.eq_lower, rep.eq_upper)]
+    assert len(calls) == same.count(False) == solves
+    kind_o = rep.eq_orig.kind
+    for label, key, eq, reused in (("against_f1_path", "alpha_hat_1", rep.eq_lower, same[0]),
+                                   ("against_f2_path", "alpha_hat_2", rep.eq_upper, same[1])):
+        br = solve(eq.path, kind_o, grids, bounds, params, costs)
+        if reused:  # the skipped solve is the original game's last one, bit for bit
+            for name in ("controls", "switches", "values"):
+                assert getattr(br, name).tobytes() == getattr(rep.eq_orig.policy, name).tobytes()
+        # so the report's values are those of the solved best response
+        v_br = evaluate(br, eq.path, kind_o, grids, bounds, params, costs, law0)
+        assert rep.candidates[label] == v_br
+        held = evaluate(eq.policy, eq.path, kind_o, grids, bounds, params, costs, law0)
+        assert rep.direct_bounds[key] == v_br.value - held.value
+
+
+def test_an_evaluation_keys_its_rewards_by_path_bytes(monkeypatch):
+    # three path objects with the same bytes: their five (path, kind) pairs
+    # are three rewards, totalled once per step and shared by their riders
+    policy = constant_policy(0.2, GRIDS, BOUNDS)
+    path = make_path(np.linspace(0.1, 0.3, GRIDS.n_t + 1), GRIDS, BOUNDS, PARAMS.x0)
+    copies = [make_path(path.values.copy(), GRIDS, BOUNDS, PARAMS.x0) for _ in range(2)]
+    lower, upper, orig = (RewardKind(v) for v in (Variant.LOWER, Variant.UPPER,
+                                                  Variant.ORIGINAL))
+    walkers = [(policy, path, [lower, orig]), (policy, copies[0], [upper, orig]),
+               (policy, copies[1], [orig])]
+    rewards, reward = [], solver.reward
+
+    def rewarding(kind, t, x, a, path, **kwargs):
+        rewards.append(kind)
+        return reward(kind, t, x, a, path, **kwargs)
+
+    monkeypatch.setattr(solver, "reward", rewarding)
+    reports = _evaluate_walkers(walkers, GRIDS, BOUNDS, PARAMS, COSTS, LAW0)
+    assert len(rewards) == 3 * GRIDS.n_t
+    assert reports[0][1] is reports[1][1] is reports[2][0]
+    monkeypatch.undo()
+    for (pol, p, kinds), got in zip(walkers, reports):
+        assert got == [evaluate(pol, p, kind, GRIDS, BOUNDS, PARAMS, COSTS, LAW0)
+                       for kind in kinds]

@@ -1,19 +1,25 @@
-"""A Picard session's twin: half of every walked push on a forked process, bit for bit.
+"""A Picard session's twin: a share of every best response and half of every walked push.
 
-A lone solve_mfg or a sandwich report opens one twin (_fork.twin); the twin
-runs the same solves, walks particles [n2, n) of every walked push while the
-parent walks [0, n2), and the two swap their per-step sums, exit counts and
-switch brackets. These tests pin where a twin opens, that it never nests,
-that the bits do not depend on it, and that neither side hangs or leaves a
-child behind when the other fails. Forks are counted through a file, where
-forked processes' appends land as the parent's do.
+A lone solve_mfg or a sandwich report opens one twin (_fork.twin). In each
+best response the twin evaluates the rewards and refines while the parent
+runs the backward recursion (solver._Hand); of every walked push it walks
+particles [n2, n) while the parent walks [0, n2), and the two swap their
+per-step sums, exit counts and switch brackets. These tests pin where a twin
+opens, that it never nests, that the bits do not depend on it, and that
+neither side hangs or leaves a child, a mapping or a pipe behind when the
+other fails. Forks are counted through a file, where forked processes'
+appends land as the parent's do.
 """
+import contextlib
 import dataclasses
+import mmap
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,10 +29,10 @@ from ammfg import _fork, fixed_point, solver
 from ammfg.certify import phi_sweep, sandwich_report
 from ammfg.errors import NumericalError
 from ammfg.fixed_point import FixedPointConfig, solve_mfg
-from ammfg.grids import ControlBounds, Grids, InitialLaw
+from ammfg.grids import ControlBounds, Grids, InitialLaw, make_path
 from ammfg.pool import PoolParams
 from ammfg.rewards import RewardKind, Variant, quadratic_costs
-from ammfg.solver import Policy, propagate, propagate_noise
+from ammfg.solver import Policy, propagate, propagate_noise, solve_hjb
 
 G = Grids(horizon=1.0, n_t=20, x_min=-3.0, x_max=3.0, n_x=61, n_a=11,
           n_particles=2000, n_quad=5, seed=101)
@@ -141,7 +147,8 @@ def test_each_walked_push_is_split_between_the_parent_and_its_twin(monkeypatch, 
     assert len({pid for pid, _ in rows}) == 2
 
 
-@pytest.mark.parametrize("off", ["one core", "no fork", "128 particles", "a second thread"])
+@pytest.mark.parametrize("off", ["one core", "no fork", "128 particles", "a second thread",
+                                 "no shared memory"])
 def test_no_twin_where_it_cannot_open(monkeypatch, tmp_path, off):
     grids = dataclasses.replace(G, n_particles=128) if off == "128 particles" else G
     twinned = _solve(grids)
@@ -150,6 +157,10 @@ def test_no_twin_where_it_cannot_open(monkeypatch, tmp_path, off):
         _one_core(monkeypatch)
     elif off == "no fork":
         monkeypatch.delattr(os, "fork")
+    elif off == "no shared memory":
+        def refused(*args):
+            raise OSError("no memory to map")
+        monkeypatch.setattr(mmap, "mmap", refused)
     if off == "a second thread":
         done = threading.Event()
         waiter = threading.Thread(target=done.wait)
@@ -256,6 +267,53 @@ def test_a_twin_that_pays_stays_for_the_session(monkeypatch):
     assert not session.alive and killed == [1]
 
 
+def test_the_twin_s_share_of_a_best_response_counts_as_time_it_saved(monkeypatch):
+    # the twin's CPU time on a round's best responses (twin.lend) adds to
+    # what this process would have spent alone, in that round only
+    killed = []
+    monkeypatch.undo()
+    monkeypatch.setattr(_fork.twin, "_drop", lambda self: killed.append(self.pid))
+    ticks = iter([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)])
+    monkeypatch.setattr(_fork, "_clocks", lambda: next(ticks))
+    session = _fork.twin(G.n_particles)
+    session.pid, session.alive, session._fds = 1, True, ()
+    session._mark, session._wall, session._alone = _fork._clocks(), 0.0, 0.0
+    session.lend(0.4)
+    session._pace(0.2)  # wall 1.0 against 0.5 + 0.2 + 0.4 lent
+    assert session.alive and killed == []
+    session._pace(0.2)  # 2.0 against 1.1 + 0.5 + 0.2, nothing lent: the twin is dropped
+    assert not session.alive and killed == [1]
+
+
+def test_a_twin_that_lags_in_its_best_responses_is_killed(monkeypatch, tmp_path):
+    # a twin slow to hand over its rewards (a busy second core) lends little
+    # CPU time while its parent waits: it is killed at the first push, and
+    # the bits stay those of one process
+    log, walk, me = tmp_path / "walks", solver._walk, os.getpid()
+    builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
+
+    def slow(t, x, a, path):
+        if os.getpid() != me:
+            time.sleep(0.05)
+        return builtin(t, x, a, path)
+
+    def logging(policies, grids, x0, noise, step, rewards=None, record=None):
+        if rewards is None and os.getpid() == me:
+            with open(log, "a") as fh:
+                fh.write(f"{x0.size}\n")
+        return walk(policies, grids, x0, noise, step, rewards, record)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(_fork, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(solver, "_walk", logging)
+    lagged = solve_mfg(KIND, G, B, PARAMS, COSTS, LAW, FP, reward_fn=slow)
+    assert list(map(int, log.read_text().split())) == \
+        [_fork.split(G.n_particles)] + [G.n_particles] * lagged.iterations
+    monkeypatch.undo()
+    _one_core(monkeypatch)
+    _same_solve(lagged, solve_mfg(KIND, G, B, PARAMS, COSTS, LAW, FP, reward_fn=builtin))
+
+
 def test_a_twin_whose_policy_differs_is_dropped(monkeypatch):
     me, solve_hjb, solves = os.getpid(), fixed_point.solve_hjb, []
 
@@ -338,7 +396,7 @@ def test_the_twin_leaves_without_a_trace(tmp_path):
         import atexit, dataclasses, sys
         from ammfg import _fork
         from ammfg.fixed_point import FixedPointConfig, solve_mfg
-        from ammfg.grids import ControlBounds, Grids, InitialLaw
+        from ammfg.grids import ControlBounds, Grids, InitialLaw, make_path
         from ammfg.pool import PoolParams
         from ammfg.rewards import RewardKind, Variant, quadratic_costs
         _fork._usable_cores = lambda: 2
@@ -369,3 +427,179 @@ def test_import_leaves_the_fork_machinery_out():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# -- a best response split across the twin (solver._Hand) ---------------------
+
+def _path(grids, bounds=B):
+    top = min(bounds.a_max, 0.3)
+    return make_path(np.linspace(max(bounds.a_min, 0.0), top, grids.n_t + 1), grids, bounds,
+                     PARAMS.x0)
+
+
+def _same_policy(a, b):
+    for name in ("controls", "switches", "values"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def _split_solve(grids, bounds=B, params=PARAMS, kind=KIND, reward_fn=None):
+    """solve_hjb in a session of its own: (the policy, whether the twin lent it work)."""
+    with solver._twin(grids) as session:
+        assert session.alive
+        policy = solve_hjb(_path(grids, bounds), kind, grids, bounds, params, COSTS,
+                           reward_fn=reward_fn)
+        served = session._lent > 0
+    return policy, served
+
+
+SPLIT_CASES = [
+    *(pytest.param(G, B, PARAMS, RewardKind(variant, 1.0, e), id=f"{variant.value}-e{e}")
+      for variant in Variant for e in (1, 2)),
+    pytest.param(dataclasses.replace(G, n_a=10), ControlBounds(-0.5, 0.5), PARAMS, KIND,
+                 id="a_min<0"),
+    pytest.param(dataclasses.replace(G, n_t=1), B, PARAMS, KIND, id="n_t=1"),
+    pytest.param(dataclasses.replace(G, n_a=1), B, PARAMS, KIND, id="n_a=1"),
+    pytest.param(G, B, dataclasses.replace(PARAMS, sigma=0.0), KIND, id="sigma=0"),
+    pytest.param(Grids(), B, dataclasses.replace(PARAMS, phi=0.997), KIND, id="desk"),
+]
+
+
+@pytest.mark.parametrize("grids, bounds, params, kind", SPLIT_CASES)
+def test_a_best_response_split_across_the_twin_is_bitwise_the_lone_one(grids, bounds, params,
+                                                                       kind):
+    split, served = _split_solve(grids, bounds, params, kind)
+    assert served
+    _same_policy(split, solve_hjb(_path(grids, bounds), kind, grids, bounds, params, COSTS))
+
+
+def test_a_custom_reward_runs_in_the_twin_and_solves_bitwise(monkeypatch):
+    builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
+    me, calls = os.getpid(), []
+
+    def custom(t, x, a, path):
+        if os.getpid() == me:
+            calls.append(t.size)
+        return builtin(t, x, a, path) - 0.01 * a ** 2
+
+    twinned = solve_mfg(KIND, G, B, PARAMS, COSTS, LAW, FP, reward_fn=custom)
+    # the twin evaluates every block of every solve: the parent only the
+    # evaluation's steps, after the session
+    assert calls == [1] * G.n_t
+    _one_core(monkeypatch)
+    _same_solve(twinned, solve_mfg(KIND, G, B, PARAMS, COSTS, LAW, FP, reward_fn=custom))
+
+
+def _dies_in_the_twin(me, at, calls):
+    """A hook that kills the twin at its at-th call; the parent's calls pass."""
+    def hook():
+        if os.getpid() != me:
+            calls.append(None)
+            if len(calls) == at:
+                os.kill(os.getpid(), signal.SIGKILL)
+    return hook
+
+
+@pytest.mark.parametrize("where, at", [("reward", 1), ("reward", 3), ("refine", 2)],
+                         ids=["before-the-first-block", "mid-lattice", "mid-refine"])
+def test_a_twin_killed_mid_solve_leaves_the_parent_solving_alone(monkeypatch, where, at):
+    grids = Grids()  # two chunks to a block: a kill lands between handoffs
+    builtin = solver._running_reward(None, KIND, grids, B, PARAMS, COSTS)
+    hook, refine = _dies_in_the_twin(os.getpid(), at, []), solver._refine
+
+    def reward(t, x, a, path):
+        if where == "reward":
+            hook()
+        return builtin(t, x, a, path)
+
+    def refining(*args):
+        if where == "refine":
+            hook()
+        return refine(*args)
+
+    monkeypatch.setattr(solver, "_refine", refining)
+    with solver._twin(grids) as session:
+        split = solve_hjb(_path(grids), KIND, grids, B, PARAMS, COSTS, reward_fn=reward)
+        alive = session.alive
+    assert not alive
+    _same_policy(split, solve_hjb(_path(grids), KIND, grids, B, PARAMS, COSTS,
+                                  reward_fn=builtin))
+
+
+def test_a_reward_that_fails_in_the_twin_alone_leaves_the_parent_solving(monkeypatch):
+    builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
+    me = os.getpid()
+
+    def raising(t, x, a, path):
+        if os.getpid() != me:
+            raise ZeroDivisionError("in the twin only")
+        return builtin(t, x, a, path)
+
+    def warning(t, x, a, path):
+        if os.getpid() != me:
+            warnings.warn("in the twin only")
+        return builtin(t, x, a, path)
+
+    alone = solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS)
+    for reward_fn in (raising, warning):
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            split, _ = _split_solve(G, reward_fn=reward_fn)
+        assert shown == []
+        _same_policy(split, alone)
+
+
+def test_a_reward_that_raises_or_warns_in_a_twin_block_does_so_in_the_parent():
+    builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
+    late = G.t_nodes()[8]  # a node of the third block
+
+    def raising(t, x, a, path):
+        if np.any(t == late):
+            raise ZeroDivisionError("a late node")
+        return builtin(t, x, a, path)
+
+    def warning(t, x, a, path):
+        if np.any(t == late):
+            warnings.warn("a late node", UserWarning)
+        return builtin(t, x, a, path)
+
+    with pytest.raises(ZeroDivisionError, match="a late node"):
+        _split_solve(G, reward_fn=raising)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        split, _ = _split_solve(G, reward_fn=warning)
+    assert [str(w.message) for w in shown] == ["a late node"]
+    _same_policy(split, solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS))
+
+
+def _shared_mappings() -> int:
+    with open("/proc/self/maps") as fh:
+        return sum("/dev/zero" in line or "SYSV" in line for line in fh)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+@pytest.mark.parametrize("end", ["clean", "twin killed", "parent raises"])
+def test_no_shared_mapping_or_pipe_outlives_the_session(monkeypatch, end):
+    maps, fds = _shared_mappings(), sorted(os.listdir("/proc/self/fd"))
+    builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
+    me = os.getpid()
+
+    def reward(t, x, a, path):
+        if os.getpid() != me and end == "twin killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        out = builtin(t, x, a, path)
+        if end == "parent raises":  # the parent's loop refuses step n_t - 2
+            out = np.where(t == G.t_nodes()[G.n_t - 2], np.inf, out)
+        return out
+
+    with contextlib.ExitStack() as stack:
+        if end == "parent raises":
+            raised = stack.enter_context(pytest.raises(NumericalError))
+        with solver._twin(G) as session:
+            assert session.buf is not None and _shared_mappings() == maps + 1
+            for _ in range(2):
+                solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS, reward_fn=reward)
+    if end == "parent raises":  # its traceback, which holds solve_hjb's frame, lives on
+        assert raised.value.__traceback__ is not None
+    assert session.buf is None and session.views is None
+    assert _shared_mappings() == maps
+    assert sorted(os.listdir("/proc/self/fd")) == fds

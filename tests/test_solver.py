@@ -699,3 +699,21 @@ def test_fee_free_lower_kind_yields_identical_policy(grids_small, bounds_default
     for k in range(grids_small.n_t + 1):
         level = pf.values[k] - p1.values[k]
         assert np.ptp(level) <= 1e-10
+
+
+def test_the_expectation_stencil_is_built_once_per_grid():
+    solver._stencil.cache_clear()
+    g, a = Grids(n_t=20, n_x=21, n_a=6), ControlBounds(0.0, 0.5).grid(6)
+
+    def stencil(grids):  # fresh arrays each time, as every solve makes them
+        return solver._expectation_kernel(grids.x_nodes(), grids.dt * a,
+                                          0.5 * np.sqrt(grids.dt), grids.n_quad)
+
+    reads, kernel = stencil(g)
+    assert not reads.flags.writeable and not kernel.flags.writeable
+    again = stencil(g)
+    assert again[0] is reads and again[1] is kernel
+    other = stencil(dataclasses.replace(g, n_x=31))
+    assert other[0] is not reads and other[0].shape[0] == 31
+    info = solver._stencil.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
