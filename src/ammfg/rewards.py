@@ -200,16 +200,24 @@ def reward(kind: RewardKind, t, x, a, path: MeanControlPath, params: PoolParams,
     UPPER needs the bound constants for its worst-case denominator; pass the
     result of bound_constant (a UsageError reminds you if you forget).
     """
-    base = np.asarray(x) * gamma(t, path, params) - costs.h(t, np.asarray(x))
+    return _base(t, x, path, params, costs) + _lam(kind, t, a, path, params, consts)
+
+
+def _base(t, x, path: MeanControlPath, params: PoolParams, costs: CostSpec):
+    """reward's part that no kind changes: x*gamma(t) - h(t, x)."""
+    return np.asarray(x) * gamma(t, path, params) - costs.h(t, np.asarray(x))
+
+
+def _lam(kind: RewardKind, t, a, path: MeanControlPath, params: PoolParams,
+         consts: BoundConstants | None):
+    """reward's transaction-cost term lam_kind(t, a)."""
     if kind.variant is Variant.ORIGINAL:
-        lam = lambda_orig(a, t, path, params, kind)
-    elif kind.variant is Variant.LOWER:
-        lam = lambda_lower(a, t, path, params, kind)
-    else:
-        if consts is None:
-            raise UsageError("reward(kind=UPPER, ...) requires consts=bound_constant(...)")
-        lam = lambda_upper(a, params, consts, kind)
-    return base + lam
+        return lambda_orig(a, t, path, params, kind)
+    if kind.variant is Variant.LOWER:
+        return lambda_lower(a, t, path, params, kind)
+    if consts is None:
+        raise UsageError("reward(kind=UPPER, ...) requires consts=bound_constant(...)")
+    return lambda_upper(a, params, consts, kind)
 
 
 def terminal_reward(x, costs: CostSpec):

@@ -21,6 +21,15 @@ Picard session with a twin (_fork.twin) each best response is a pipeline
 evaluates, and the twin refines each recorded block; both hand rows over
 through shared memory, bit for bit.
 
+Policy.control_at interpolates in x. A bang-bang row whose ramps round to
+its plateaus, one finite switch between a plateau vL and a plateau vR
+(_thresholds), it reads as one threshold X instead: x < X reads vL, x >= X
+vR, NaN NaN, one comparison and a gather from three entries. X is the least
+float the interpolation sends to vR, found once per policy by bisection with
+the interpolation itself as the oracle, so both read the same bits. A
+record hook on such a row sees the nearest query on each side of X, which
+bound the switch as all the queries do.
+
 propagate, evaluate and girsanov_evaluate call one Monte Carlo walk, _walk,
 with one clamping rule: paths clamp to the grid box, as the solver's
 continuation reads do, and each warns when over 1% of its paths hit the edges.
@@ -44,7 +53,8 @@ solves share a private push log that holds that pair and replays, bit for
 bit, a push whose controls provably match a logged one. evaluate is the
 matching strong-form estimate of the policy's objective; it is the
 one-walker case of _evaluate_walkers, which values several (policy, path)
-pairs under several rewards in one call, bitwise as lone calls would.
+pairs under several rewards in one call, bitwise as lone calls would; the
+built-in rewards on one path form its base term once per walk and step.
 girsanov_evaluate estimates it on driftless paths reweighted by the
 discrete Girsanov density; the clamp keeps the weights exact, as it is a
 function of the increments dW and under the weighted measure dW - (a/sigma) dt
@@ -67,7 +77,8 @@ from . import _fork
 from .errors import DomainError, NumericalError, UsageError
 from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path
 from .pool import PoolParams
-from .rewards import CostSpec, RewardKind, bound_constant, reward, terminal_reward
+from .rewards import (CostSpec, RewardKind, _base, _lam, bound_constant, reward,
+                      terminal_reward)
 from .streams import substream
 
 
@@ -99,15 +110,11 @@ class Policy:
 
     def __post_init__(self):
         object.__setattr__(self, "_dx", _uniform_spacing(np.asarray(self.x_nodes, dtype=float)))
+        object.__setattr__(self, "_cuts", None)  # _thresholds, built at the first array lookup
 
-    def control_at(self, k: int, x, record=None) -> np.ndarray:
-        """Policy at step k, piecewise linear in x, clamped at the grid edges.
-
-        A policy with switches hands record, when given, the lookup's own
-        (k, cell, position in the cell, the cell's switch or NaN) per query.
-        """
+    def _position(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(cell, position in the cell) of each query x, as control_at reads them."""
         nodes = self.x_nodes
-        c = self.controls[k]
         # one owned copy of x becomes the position; the rest runs in place
         frac = np.array(x, dtype=float)
         frac -= nodes[0]
@@ -116,6 +123,26 @@ class Policy:
         j = frac.astype(np.int64)
         np.minimum(j, len(nodes) - 2, out=j)
         frac -= j
+        return j, frac
+
+    def control_at(self, k: int, x, record=None) -> np.ndarray:
+        """Policy at step k, piecewise linear in x, clamped at the grid edges.
+
+        Queries must be finite; a NaN query reads NaN where row k is one
+        threshold (_thresholds), and raises elsewhere. A policy with
+        switches hands record, when given, (k, cell, position in the cell,
+        the cell's switch or NaN) for queries of this lookup, at least for
+        those that bound each finite switch: the largest position below it
+        and the smallest at or above it in its cell (_fold_brackets).
+        """
+        if self.switches is not None and type(x) is np.ndarray and x.dtype == np.float64 \
+                and x.ndim:
+            if self._cuts is None:
+                object.__setattr__(self, "_cuts", _thresholds(self))
+            if self._cuts[k] is not None:
+                return self._threshold_at(k, x, record)
+        c = self.controls[k]
+        j, frac = self._position(x)
         left, right = c.take(j), c[1:].take(j)
         out = np.subtract(1.0, frac, out=np.empty_like(frac))  # an array even at 0-d
         out *= left
@@ -130,6 +157,115 @@ class Policy:
         np.copyto(out, right, where=sw == sw)
         np.copyto(out, left, where=frac < sw)
         return out
+
+    def _threshold_at(self, k: int, x: np.ndarray, record) -> np.ndarray:
+        """control_at on threshold row k (_thresholds): x < X reads vL, x >= X vR, NaN NaN.
+
+        record sees the nearest query on each side of X, which hold the
+        largest position below the switch and the smallest at or above it
+        in its cell, since the position grows with x; queries of other cells
+        carry a NaN switch, which _fold_brackets skips.
+        """
+        cut, key, table = self._cuts[k]
+        index = np.less(x, cut).view(np.uint8)
+        index = index + index
+        index += np.greater_equal(x, cut).view(np.uint8)
+        out = table.take(index)
+        if record is not None:
+            near = x.reshape(-1)
+            if near.size:
+                # keys in value order, less X's: below X they wrap to the top of uint64
+                gap = _order_keys(near)
+                gap -= key
+                gap = gap.view(np.uint64)
+                near = near.take([gap.argmax(), gap.argmin()])
+                near = near[near == near]
+            j, frac = self._position(near)
+            record(k, j, frac, self.switches[k].take(j))
+        return out
+
+
+_KEY_MASK = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _order_keys(x: np.ndarray) -> np.ndarray:
+    """int64 keys of float64 bits, in the order of the values: -0.0 sits just below +0.0
+    and NaN outside +-inf. The map is its own inverse on the bits."""
+    bits = x.view(np.int64)
+    keys = bits >> 63
+    keys &= _KEY_MASK
+    keys ^= bits
+    return keys
+
+
+def _thresholds(policy: Policy) -> list:
+    """Per row of policy: (X, its key, [nan, vR, vL]) where the row reads as one threshold
+    in x, else None.
+
+    A row qualifies when it has exactly one finite switch, in cell s; nodes
+    0..s hold one value vL and nodes s+1.. one value vR, bit for bit; and
+    each is +-0 or a power of two of magnitude at least 2**-900, so that
+    the ramp (1-f)*v + v*f between two equal nodes rounds to v exactly.
+    Such a row reads vL at every position left of the switch and vR at every
+    other, and the position grows with x, so x < X reads vL and x >= X vR,
+    X the least float that control_at sends to vR. X is found by bisection
+    over the floats, with control_at's own position as the oracle, within 8
+    ulps of the grid's span around x0 + (s + switch) * dx (a fraction of one
+    ulp off on the desk grid), else between the grid's ends. Where every
+    float reads vR, X is -inf; where none does, +inf, and the table reads vL
+    there too.
+    """
+    c = np.asarray(policy.controls, dtype=float)
+    sw = np.asarray(policy.switches, dtype=float)
+    finite = sw == sw
+    s = finite.argmax(axis=1)
+    bits = c.view(np.int64)
+    steps = bits[:, 1:] != bits[:, :-1]  # a qualifying row steps in cell s alone, if at all
+    vl, vr = c[:, 0], c[:, -1]
+    exact = [(v == 0) | ((np.abs(np.frexp(v)[0]) == 0.5) & (np.abs(v) >= 2.0**-900))
+             for v in (vl, vr)]
+    ok = np.flatnonzero((finite.sum(axis=1) == 1) & exact[0] & exact[1]
+                        & (steps.sum(axis=1) == steps[np.arange(len(c)), s]))
+    cuts = [None] * len(c)
+    if not ok.size:
+        return cuts
+    s, at = s[ok, None], sw[ok, s[ok]][:, None]
+    x0, x1, dx = policy.x_nodes[0], policy.x_nodes[-1], policy._dx
+
+    def right(x, rows=slice(None)):  # whether control_at reads vR at x, a row of x per row
+        j, frac = policy._position(x)
+        return (j > s[rows]) | ((j == s[rows]) & ~(frac < at[rows]))
+
+    guess = x0 + (s + at) * dx
+    reach = 8 * np.spacing(abs(x0) + abs(x1))
+    ends = np.concatenate([guess - reach, guess + reach, np.full_like(guess, x0 - dx),
+                           np.full_like(guess, x1 + dx)], axis=1)
+    reads = right(ends)
+    # the position is clamped left of x0 - dx and right of x1 + dx: where the
+    # first reads vR every float does, and where the second reads vL none does
+    cut = np.where(reads[:, 2], -np.inf, np.inf)
+    live = np.flatnonzero(reads[:, 3] & ~reads[:, 2])
+    # lo reads vL and hi vR; a guess off by more than reach widens to the ends
+    keys, reads = _order_keys(ends[live]), reads[live]
+    lo = np.where(reads[:, 0], keys[:, 2], np.where(reads[:, 1], keys[:, 0], keys[:, 1]))
+    hi = np.where(reads[:, 0], keys[:, 0], np.where(reads[:, 1], keys[:, 1], keys[:, 3]))
+    probes, picked = np.arange(1, 16, dtype=np.uint64), np.arange(len(live))
+    while live.size:  # 15 probes split each gap
+        width = (hi - lo).view(np.uint64)  # below 2**64, so exact
+        if (width <= 1).all():
+            break
+        step = np.maximum(width // 16, 1)[:, None] * probes
+        between = np.minimum(lo[:, None] + step.view(np.int64), hi[:, None] - 1)
+        n_left = 1 + (~right(_order_keys(between).view(np.float64), live)).sum(axis=1)
+        bounds = np.concatenate([lo[:, None], between, hi[:, None]], axis=1)
+        lo, hi = bounds[picked, n_left - 1], bounds[picked, n_left]
+    cut[live] = _order_keys(hi).view(np.float64)
+    vl, vr = vl[ok], np.where(cut == np.inf, vl[ok], vr[ok])  # no float reads vR: vL throughout
+    tables = np.stack([np.full(len(ok), np.nan), vr, vl], axis=1)
+    for row, x_cut, key, table in zip(ok.tolist(), cut.tolist(), _order_keys(cut).tolist(),
+                                      tables):
+        cuts[row] = x_cut, key, table
+    return cuts
 
 
 @dataclass(frozen=True)
@@ -892,15 +1028,15 @@ def _evaluate_walkers(walkers, grids: Grids, bounds: ControlBounds, params: Pool
     its riders share the report. Returns one ValueReport per reward of each
     walker; a walker over 1% exit warns once.
     """
-    fns, rewards = {}, []
+    paths = {}  # path bytes -> (path, the kinds walkers read on it)
     for _, path, kinds in walkers:
         _check_path(path, grids)
-        keys = [(_path_key(path), kind) for kind in kinds]
-        for key, kind in zip(keys, kinds):
-            if key not in fns:
-                f = _running_reward(reward_fn, kind, grids, bounds, params, costs)
-                fns[key] = lambda t, xs, a, f=f, path=path: f(t, xs, a, path)
-        rewards.append([fns[key] for key in keys])
+        read = paths.setdefault(_path_key(path), (path, []))[1]
+        read += [kind for kind in kinds if kind not in read]
+    fns = {(key, kind): f for key, (path, kinds) in paths.items()
+           for kind, f in zip(kinds, _path_rewards(path, kinds, grids, bounds, params, costs,
+                                                   reward_fn))}
+    rewards = [[fns[_path_key(path), kind] for kind in kinds] for _, path, kinds in walkers]
     seed = grids.seed if seed is None else seed
     n, dt, scale = grids.n_particles, grids.dt, params.sigma * np.sqrt(grids.dt)
     gen = substream(seed, "evaluate")
@@ -927,6 +1063,30 @@ def _evaluate_walkers(walkers, grids: Grids, bounds: ControlBounds, params: Pool
                     bias_budget=_bias_budget(grids, value), exit_fraction=float(exit_fraction))
             reports[-1].append(shared[id(total)])
     return reports
+
+
+def _path_rewards(path: MeanControlPath, kinds, grids: Grids, bounds: ControlBounds,
+                  params: PoolParams, costs: CostSpec, reward_fn=None) -> list:
+    """f(t, xs, a) per kind on path: reward_fn, else the kind's built-in reward, bit for bit.
+
+    The built-in kinds share the path's base term x*gamma(t, path) - h(t, x):
+    the first of them a walk calls at a states array and time forms it, and
+    each adds its own cost term to it, as reward does. The bound constants
+    are formed either way, as in _running_reward.
+    """
+    consts = [bound_constant(params, costs, bounds, grids.horizon, kind.denom_exp)
+              for kind in kinds]
+    if reward_fn is not None:
+        return [lambda t, xs, a: reward_fn(t, xs, a, path) for _ in kinds]
+    last = []  # the time, states and base term of the last call; held, so `is` is sound
+
+    def base(t, xs):
+        if not last or last[1] is not xs or last[0] != t:
+            last[:] = t, xs, _base(t, xs, path, params, costs)
+        return last[2]
+
+    return [lambda t, xs, a, kind=kind, c=c: base(t, xs) + _lam(kind, t, a, path, params, c)
+            for kind, c in zip(kinds, consts)]
 
 
 def girsanov_evaluate(policy: Policy, path: MeanControlPath, kind: RewardKind,

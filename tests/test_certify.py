@@ -535,24 +535,31 @@ def test_a_walk_looks_up_and_totals_each_reward_once_per_step(monkeypatch):
     walkers = [(lead, path, [lower, orig]), (dataclasses.replace(lead), path, [orig]),
                (follower, path, [orig]), (follower, other, [orig]),
                (dataclasses.replace(lead, switches=masked), path, [orig])]
-    lookups, rewards, control_at, reward = [], [], Policy.control_at, solver.reward
+    lookups, rewards, bases = [], [], []
+    control_at, lam, base = Policy.control_at, solver._lam, solver._base
 
     def looking(self, k, x, record=None):
         lookups.append(k)
         return control_at(self, k, x, record)
 
-    def rewarding(kind, t, x, a, path, **kwargs):
+    def rewarding(kind, t, a, path, params, consts):  # each reward's own cost term
         rewards.append(t)
-        return reward(kind, t, x, a, path, **kwargs)
+        return lam(kind, t, a, path, params, consts)
+
+    def basing(t, x, path, params, costs):
+        bases.append(t)
+        return base(t, x, path, params, costs)
 
     monkeypatch.setattr(Policy, "control_at", looking)
-    monkeypatch.setattr(solver, "reward", rewarding)
+    monkeypatch.setattr(solver, "_lam", rewarding)
+    monkeypatch.setattr(solver, "_base", basing)
     _evaluate_walkers(walkers, GRIDS, BOUNDS, PARAMS, COSTS, SPREAD)
     # two walks: the lead's, with its copy and both follower walkers, and the
     # other mask's; (path, f1), (path, f) and (other, f) on the first, (path, f)
-    # on the second
+    # on the second; the base term once per path a walk carries
     assert len(lookups) == 2 * GRIDS.n_t
     assert len(rewards) == 4 * GRIDS.n_t
+    assert len(bases) == 3 * GRIDS.n_t
 
 
 def test_batch_refuses_a_non_finite_objective_or_control_of_any_walker():
@@ -673,15 +680,21 @@ def test_an_evaluation_keys_its_rewards_by_path_bytes(monkeypatch):
                                                   Variant.ORIGINAL))
     walkers = [(policy, path, [lower, orig]), (policy, copies[0], [upper, orig]),
                (policy, copies[1], [orig])]
-    rewards, reward = [], solver.reward
+    rewards, bases, lam, base = [], [], solver._lam, solver._base
 
-    def rewarding(kind, t, x, a, path, **kwargs):
+    def rewarding(kind, t, a, path, params, consts):  # each reward's own cost term
         rewards.append(kind)
-        return reward(kind, t, x, a, path, **kwargs)
+        return lam(kind, t, a, path, params, consts)
 
-    monkeypatch.setattr(solver, "reward", rewarding)
+    def basing(t, x, path, params, costs):
+        bases.append(t)
+        return base(t, x, path, params, costs)
+
+    monkeypatch.setattr(solver, "_lam", rewarding)
+    monkeypatch.setattr(solver, "_base", basing)
     reports = _evaluate_walkers(walkers, GRIDS, BOUNDS, PARAMS, COSTS, LAW0)
     assert len(rewards) == 3 * GRIDS.n_t
+    assert len(bases) == GRIDS.n_t  # the three kinds share one base term per step
     assert reports[0][1] is reports[1][1] is reports[2][0]
     monkeypatch.undo()
     for (pol, p, kinds), got in zip(walkers, reports):

@@ -603,3 +603,24 @@ def test_no_shared_mapping_or_pipe_outlives_the_session(monkeypatch, end):
     assert session.buf is None and session.views is None
     assert _shared_mappings() == maps
     assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_twin_s_policy_reads_the_thresholds_of_its_own_solve(tmp_path):
+    # the twin's policies wrap the same shared rows, which each solve rewrites:
+    # a threshold built at one solve's first lookup must not serve the next
+    # solve's policy, whose switches sit elsewhere
+    paths = [_path(G), make_path(np.full(G.n_t + 1, 0.1), G, B, PARAMS.x0)]
+    noise = propagate_noise(G.seed, G, LAW)
+    with solver._twin(G) as session:
+        pushed = []
+        for path in paths:
+            policy = solve_hjb(path, KIND, G, B, PARAMS, COSTS)
+            pushed.append((policy, propagate(policy, G, B, PARAMS, LAW, noise=noise)))
+        assert session.alive  # the twin walked the second half of both pushes
+    first, second = (policy for policy, _ in pushed)
+    assert first.switches.tobytes() != second.switches.tobytes()
+    assert all(cut is not None for policy in (first, second)
+               for cut in solver._thresholds(policy))
+    for policy, (path, exit_fraction) in pushed:
+        alone, alone_exit = propagate(policy, G, B, PARAMS, LAW, noise=noise)
+        assert (path.values.tobytes(), exit_fraction) == (alone.values.tobytes(), alone_exit)

@@ -282,3 +282,33 @@ def test_a_report_logs_no_push_of_its_last_solve(monkeypatch):
     assert solves[-1][2] > after  # a logging last solve adds records
     assert report.to_dict() == logging.to_dict()
     assert report.eq_orig.path.values.tobytes() == logging.eq_orig.path.values.tobytes()
+
+
+def test_a_desk_report_walks_and_logs_as_many_pushes_as_before(monkeypatch):
+    # the threshold lookup hands the push log and the evaluation followers only
+    # the queries next to each switch; the brackets they fold are those of
+    # every query, so the same pushes replay and the same followers stay.
+    # One core: a twin's lost half would add walks.
+    from ammfg import _fork, config
+    monkeypatch.setattr(_fork, "_usable_cores", lambda: 1)
+    walks, logs, walk, replay = [], [], solver._walk, solver._replay_or_walk
+
+    def walking(*args, **kwargs):
+        walks.append(1)
+        return walk(*args, **kwargs)
+
+    def logging(log, policy, walk):
+        logs.append(log)
+        return replay(log, policy, walk)
+
+    monkeypatch.setattr(solver, "_walk", walking)
+    monkeypatch.setattr(solver, "_replay_or_walk", logging)
+    counts = []
+    for phi in (0.9, 0.99, 0.9999, 0.997):
+        cfg = config.load_config(None, [f"pool.phi={phi}", "grids.seed=20240814"])
+        walks.clear()
+        logs.clear()
+        sandwich_report(config.grids(cfg), config.bounds(cfg), config.pool_params(cfg),
+                        config.cost_spec(cfg), config.law0(cfg), config.fixed_point_config(cfg))
+        counts.append((len(walks), _records(logs[0])))
+    assert counts == [(46, 32), (22, 21), (17, 16), (17, 16)]

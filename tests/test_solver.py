@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ammfg import (ControlBounds, DomainError, Grids, InitialLaw, NumericalError,
                    PoolParams, Policy, RewardKind, UsageError, Variant, evaluate,
@@ -482,6 +483,145 @@ def test_control_at_is_the_reference_formula_on_a_solved_policy(grids_small, bou
     xs = np.random.default_rng(5).normal(0.0, 2.0, 4000)
     for k in range(grids_small.n_t):
         assert _same_bits(pol.control_at(k, xs), _reference_control_at(pol, k, xs))
+
+
+def _bang_bang(n_x=9, s=3, at=0.4, vl=0.5, vr=0.0, x_min=-1.3, x_max=2.1):
+    """One row: vl at nodes 0..s, vr after them, a switch at at in cell s."""
+    controls = np.where(np.arange(n_x) <= s, vl, vr)[None, :]
+    switches = np.full((1, n_x - 1), np.nan)
+    switches[0, s] = at
+    return Policy(t_nodes=np.array([0.0, 1.0]), x_nodes=np.linspace(x_min, x_max, n_x),
+                  controls=controls, switches=switches)
+
+
+def _cut(pol, k=0):
+    """Row k's threshold X, or None where the row takes the generic lookup."""
+    cut = solver._thresholds(pol)[k]
+    return None if cut is None else cut[0]
+
+
+def _folds(pol, k, x, lookup):
+    """The brackets (lo, hi) that lookup's record hook folds over one lookup of x."""
+    n = pol.switches.shape[1]
+    lo, hi, cells = np.full(n, -np.inf), np.full(n, np.inf), np.arange(n)
+    lookup(pol, k, x, lambda k, *queries: solver._fold_brackets(
+        lo, hi, cells, *(np.ravel(a) for a in queries)))
+    return lo, hi
+
+
+def _agrees_with_the_reference(pol, k, x):
+    assert _same_bits(pol.control_at(k, x), _reference_control_at(pol, k, x))
+    for got, want in zip(_folds(pol, k, x, Policy.control_at),
+                         _folds(pol, k, x, _reference_control_at)):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("vl, vr", [(0.5, 0.0), (0.0, 0.5), (-0.25, -0.0), (-0.0, 4.0),
+                                    (2.0**-900, -1.0), (2.0**1023, 0.0), (0.5, 0.5)])
+def test_a_bang_bang_row_reads_as_one_threshold(vl, vr):
+    pol = _bang_bang(vl=vl, vr=vr)
+    cut = _cut(pol)
+    assert cut is not None
+    # X is the least float that the formula reads as vr
+    for q, v in ((cut, vr), (np.nextafter(cut, -np.inf), vl)):
+        assert _same_bits(_reference_control_at(pol, 0, np.array([q])), np.array([v]))
+    _agrees_with_the_reference(pol, 0, np.array([cut, np.nextafter(cut, -np.inf), -9.0, 9.0]))
+
+
+@pytest.mark.parametrize("controls, switches", [
+    ([0.0, -0.0, 0.0, 0.0, 0.5, 0.5], [np.nan, np.nan, np.nan, 0.4, np.nan]),  # a +-0 mixture
+    ([0.45, 0.45, 0.45, 0.45, 0.0, 0.0], [np.nan, np.nan, np.nan, 0.4, np.nan]),
+    ([0.5, 0.5, 0.5, 0.5, 1.7, 1.7], [np.nan, np.nan, np.nan, 0.4, np.nan]),
+    ([5e-324] * 4 + [0.0, 0.0], [np.nan, np.nan, np.nan, 0.4, np.nan]),  # subnormal
+    ([2.0**-1000] * 4 + [0.0, 0.0], [np.nan, np.nan, np.nan, 0.4, np.nan]),
+    ([0.5, 0.0, 0.0, 0.5, 0.0, 0.0], [0.3, np.nan, 0.6, 0.4, np.nan]),  # two switches
+    ([0.5] * 4 + [0.0, 0.0], [np.nan] * 5),  # no switch
+    ([0.5, 0.5, 0.25, 0.5, 0.0, 0.0], [np.nan, np.nan, np.nan, 0.4, np.nan]),  # no plateau
+    ([0.5] * 4 + [0.0, 0.0], [np.nan, np.nan, 0.4, np.nan, np.nan]),  # switch off the step
+])
+def test_a_row_that_is_not_one_exact_threshold_reads_generically(controls, switches):
+    x = np.linspace(-1.0, 1.5, 6)
+    pol = Policy(t_nodes=np.array([0.0, 1.0]), x_nodes=x, controls=np.array([controls]),
+                 switches=np.array([switches]))
+    assert _cut(pol) is None
+    queries = np.concatenate([np.linspace(-2.0, 2.0, 401), x, x + 0.4 * (x[1] - x[0])])
+    _agrees_with_the_reference(pol, 0, queries)
+
+
+@pytest.mark.parametrize("s, at", [(0, 0.0), (0, 1.0), (0, 0.3), (3, 0.0), (3, 1.0),
+                                   (3, 0.5), (7, 0.0), (7, 1.0), (7, 0.999), (7, 1.5),
+                                   (4, 1e-300), (4, np.nextafter(1.0, 0.0))])
+@pytest.mark.parametrize("x_min, x_max", [(-1.3, 2.1), (-3.0, 3.0), (0.0, 0.8), (1e6, 1e6 + 3)])
+def test_a_threshold_lookup_is_the_reference_formula_bit_for_bit(s, at, x_min, x_max):
+    pol = _bang_bang(s=s, at=at, x_min=x_min, x_max=x_max)
+    cut = _cut(pol)
+    assert cut is not None
+    x, h = pol.x_nodes, pol._dx
+    near = [cut, np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf)] if np.isfinite(cut) \
+        else []
+    edges = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    queries = np.concatenate([near, edges, x + at * h, x + 0.5 * h, [-0.0, 0.0],
+                              [x[0] - 1e9, x[-1] + 1e9, x[0] - h, x[-1] + h],
+                              np.random.default_rng(s).uniform(x[0] - h, x[-1] + h, 300)])
+    # a 2-D crowd array; and queries that are no float64 array read generically
+    for q in (queries, queries.reshape(-1, 3), queries[::-1].copy(), queries.tolist(),
+              float(queries[0]), np.array(queries[1]), queries.astype(np.float32)):
+        _agrees_with_the_reference(pol, 0, q)
+    # a switch at the left end of cell 0 reads vr everywhere; one past cell n-2's
+    # right end reads vl everywhere, and so does a query beyond the grid there
+    assert (cut == -np.inf) == (s == 0 and at == 0.0)
+    assert (cut == np.inf) == (s == 7 and at > 1.0)
+
+
+def test_the_threshold_hook_folds_the_brackets_of_every_query():
+    pol = _bang_bang(n_x=9, s=4, at=0.25, x_min=-1.0, x_max=1.0)  # cell 4 is [0, 0.25]
+    cut, h = _cut(pol), pol._dx
+    rng = np.random.default_rng(7)
+    in_cell = rng.uniform(0.0, h, 50)
+    cases = [
+        np.repeat(in_cell, 3),  # ties
+        np.array([-0.0, 0.0, -0.0, cut, cut, np.nextafter(cut, -np.inf)]),  # +-0 and X
+        np.array([-0.5, -0.3, 0.9]),  # nothing in the switch cell
+        np.array([np.nextafter(cut, -np.inf)] * 4 + [-0.5]),  # one side only
+        np.array([cut, 0.9, cut]),
+        np.concatenate([in_cell, rng.uniform(-2.0, 2.0, 500)]).reshape(50, 11),
+    ]
+    for x in cases:
+        _agrees_with_the_reference(pol, 0, x)
+
+
+def test_a_threshold_row_reads_nan_at_a_nan_query_and_empty_at_none():
+    pol = _bang_bang()
+    cut = _cut(pol)
+    out = pol.control_at(0, np.array([np.nan, cut, -np.nan, np.nextafter(cut, -np.inf)]))
+    assert _same_bits(np.isnan(out), np.array([True, False, True, False]))
+    assert _same_bits(out[[1, 3]], np.array([0.0, 0.5]))
+    # a NaN bounds no switch
+    for got, want in zip(_folds(pol, 0, np.array([np.nan, cut, np.nan]), Policy.control_at),
+                         _folds(pol, 0, np.array([cut]), _reference_control_at)):
+        assert _same_bits(got, want)
+    for empty in (np.empty(0), np.empty((0, 4))):
+        handed = []
+        out = pol.control_at(0, empty, lambda *r: handed.append(r))
+        assert _same_bits(out, _reference_control_at(pol, 0, empty))
+        (k, j, frac, sw), = handed
+        assert k == 0 and j.size == frac.size == sw.size == 0
+        assert _same_bits(out, pol.control_at(0, empty))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_x=st.integers(2, 40), data=st.data(),
+       vl=st.sampled_from([0.5, 0.0, -0.0, -0.25, 1.0, 2.0**-900, 8.0]),
+       vr=st.sampled_from([0.5, 0.0, -0.0, -0.25, 1.0, 2.0**-900, 8.0]),
+       x_min=st.floats(-5.0, 5.0), span=st.floats(1e-3, 10.0),
+       x=st.lists(st.floats(-20.0, 20.0), max_size=60))
+def test_any_threshold_row_is_the_reference_formula(n_x, data, vl, vr, x_min, span, x):
+    s = data.draw(st.integers(0, n_x - 2))
+    at = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5])))
+    pol = _bang_bang(n_x=n_x, s=s, at=at, vl=vl, vr=vr, x_min=x_min, x_max=x_min + span)
+    cut = _cut(pol)
+    near = [cut, np.nextafter(cut, -np.inf)] if np.isfinite(cut) else []
+    _agrees_with_the_reference(pol, 0, np.array(x + near + list(pol.x_nodes), dtype=float))
 
 
 def test_policy_refuses_non_uniform_or_short_grids():
