@@ -32,18 +32,13 @@ between a sweep's fee levels: its three solves' bang-bang policies often
 differ only in the last bits of their switches, and then the later solves
 replay the first one's pushes instead of walking them. The last solve, the
 original game, reads the log through a read-only view: no solve after it
-would replay its pushes, so it walks them unlogged. The three solves run in
-one Picard session with a forked twin (solver._twin) that shares each of
-their best responses and walks half of each walked push's particles, bit for
-bit; the report's two best responses under f, the evaluation walk and the
-report itself stay in the calling process. A best response to a path whose
-bytes are the original game's own equilibrium path is that game's last
-solve, so the report reuses its policy there (at the desk fee levels
-φ >= 0.997 both auxiliary paths often are). A sweep with more than
-one worker runs its fee levels in forked processes (see phi_sweep), through
-the fork helper _fork.fork_map that the N-trader simulator uses too; a level
-worker opens no twin, while a sweep on one worker gives each level's report
-its own.
+would replay its pushes, so it walks them unlogged. A best response to a
+path whose bytes are the original game's own equilibrium path is that
+game's last solve, so the report reuses its policy there (at the desk fee
+levels φ >= 0.997 both auxiliary paths often are). A report runs in one
+process, solves and evaluation alike. A sweep with more than one worker
+runs its fee levels in forked processes (see phi_sweep), through the fork
+helper _fork.fork_map that the N-trader simulator uses too.
 """
 from __future__ import annotations
 
@@ -59,7 +54,7 @@ from .fixed_point import EquilibriumResult, FixedPointConfig, solve_mfg
 from .grids import ControlBounds, Grids, InitialLaw
 from .pool import PoolParams
 from .rewards import CostSpec, RewardKind, Variant
-from .solver import ValueReport, _evaluate_walkers, _path_key, _twin, propagate_noise, solve_hjb
+from .solver import ValueReport, _evaluate_walkers, _path_key, propagate_noise, solve_hjb
 
 
 @dataclass
@@ -149,9 +144,8 @@ def sandwich_report(grids: Grids, bounds: ControlBounds, params: PoolParams,
         return solve_mfg(RewardKind(variant, young_eps, denom_exp), grids, bounds, params,
                          costs, law0, fp, seed=seed, _log=view)
 
-    with _twin(grids):  # one twin for the three solves
-        eq1, eq2 = solve(Variant.LOWER), solve(Variant.UPPER)
-        eq_orig = solve(Variant.ORIGINAL, MappingProxyType(log))
+    eq1, eq2 = solve(Variant.LOWER), solve(Variant.UPPER)
+    eq_orig = solve(Variant.ORIGINAL, MappingProxyType(log))
     del solve, log  # read no more: a report that drew its noise frees it here
     # a best response to eq_orig's own path is eq_orig's last solve, bit for bit
     br1, br2 = (eq_orig.policy if _path_key(eq.path) == _path_key(eq_orig.path) else

@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override one configuration value (repeatable)")
         p.add_argument("--workers", type=int,
                        help="override run.workers, the processes a sweep spreads its fee "
-                            "levels over (default 1); it does not govern a solve's twin process")
+                            "levels over (default 1)")
 
     p = sub.add_parser("solve", help="solve one mean field equilibrium")
     p.add_argument("--kind", choices=[v.value for v in Variant],

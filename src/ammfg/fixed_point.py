@@ -9,12 +9,7 @@ is meaningful below the Monte Carlo scale. That noise is one block of
 normals and one starting sample (solver.propagate_noise), drawn once per
 solve. A sandwich report's solves draw nothing: each passes the push log
 they share (solver.propagate's _log) through to its pushes. A lone solve
-logs nothing, and runs its loop in a Picard session with a forked twin
-(solver._twin), which, while that pays, evaluates each best response's
-rewards and refines its controls, and walks half of each push's particles,
-on a second core; inside a report's session it opens none. Only elementwise work
-moves and the halves join bit for bit, so the iterates never depend on the
-twin.
+logs nothing. The loop runs in the calling process.
 
 Convergence of this iteration is an empirical matter, not a theorem;
 a run that exhausts max_iters reports converged=False and still returns its
@@ -34,8 +29,7 @@ from .grids import ControlBounds, Grids, InitialLaw, MeanControlPath, make_path,
 from .errors import DomainError
 from .pool import PoolParams
 from .rewards import CostSpec, RewardKind
-from .solver import (Policy, ValueReport, _twin, evaluate, propagate, propagate_noise,
-                     solve_hjb)
+from .solver import Policy, ValueReport, evaluate, propagate, propagate_noise, solve_hjb
 
 
 @dataclass(frozen=True)
@@ -102,18 +96,17 @@ def solve_mfg(kind: RewardKind, grids: Grids, bounds: ControlBounds, params: Poo
     path = zero_path(grids, bounds, params.x0) if init is None else init
 
     residuals: list[float] = []
-    with _twin(grids):  # a no-op inside a report's session
-        while True:
-            policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
-            induced, exit_fraction = propagate(policy, grids, bounds, params, law0, noise=noise,
-                                               _log=_log)
-            # the map's run on the last iterate is the certification round
-            if len(residuals) == fp.max_iters or (residuals and residuals[-1] <= fp.tol):
-                break
-            mixed = (1.0 - fp.damping) * path.values + fp.damping * induced.values
-            nxt = make_path(mixed, grids, bounds, params.x0)
-            residuals.append(path.sup_distance(nxt))
-            path = nxt
+    while True:
+        policy = solve_hjb(path, kind, grids, bounds, params, costs, reward_fn=reward_fn)
+        induced, exit_fraction = propagate(policy, grids, bounds, params, law0, noise=noise,
+                                           _log=_log)
+        # the map's run on the last iterate is the certification round
+        if len(residuals) == fp.max_iters or (residuals and residuals[-1] <= fp.tol):
+            break
+        mixed = (1.0 - fp.damping) * path.values + fp.damping * induced.values
+        nxt = make_path(mixed, grids, bounds, params.x0)
+        residuals.append(path.sup_distance(nxt))
+        path = nxt
 
     post = fp.damping * path.sup_distance(induced)
     value = evaluate(policy, path, kind, grids, bounds, params, costs, law0,

@@ -16,8 +16,8 @@ from ammfg import ControlBounds, Grids, InitialLaw, PoolParams, quadratic_costs
 def no_child_left():
     """Every test leaves no child process behind, running or as a zombie.
 
-    Forked sweep and simulator workers and a Picard session's twin are all
-    reaped before the call that made them returns.
+    Forked sweep and simulator workers are reaped before the call that made
+    them returns.
     """
     yield
     try:

@@ -222,12 +222,13 @@ def test_phi_sweep_runs_in_process_without_fork(monkeypatch, tmp_path):
 
 
 def test_import_leaves_multiprocessing_out():
-    # the sweep imports it only when it forks: it costs every `import ammfg` ~5 ms
+    # fork_map imports these only when it forks: they cost every `import ammfg` ~5 ms
     src = os.path.dirname(os.path.dirname(ammfg.__file__))
-    code = "import sys, ammfg, ammfg.cli; print('multiprocessing' in sys.modules)"
+    code = ("import sys, ammfg, ammfg.cli; "
+            "print(sorted({'multiprocessing', 'socket', 'signal'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def _walkers(grids, kinds_per_walker):
@@ -296,29 +297,30 @@ def test_report_values_are_bitwise_those_of_lone_evaluate_calls(grids, params, l
 
 
 @pytest.mark.parametrize("grids, params, law0, seed", PARITY_CASES)
-def test_reports_and_solves_are_bitwise_the_same_with_or_without_a_twin(
+def test_reports_and_solves_are_bitwise_the_same_in_a_forked_worker(
         monkeypatch, grids, params, law0, seed):
-    # a twin walks half of every walked push; the other half and every result
-    # stay bitwise those of one process walking them all
+    # a sweep level runs its report in a forked worker (_fork.fork_map), and
+    # the report runs all its solves there: every result comes back bitwise
+    # that of this process
     fork, forks = os.fork, []
 
     def counting():
         forks.append(os.getpid())
         return fork()
 
-    def run(cores):
-        monkeypatch.setattr(_fork, "_usable_cores", lambda: cores)
-        # the twin walks every push, even where the parent would kill it
-        # for not paying on these small grids
-        monkeypatch.setattr(_fork.twin, "_pace", lambda self, own: None)
-        rep = sandwich_report(grids, BOUNDS, params, COSTS, law0, FP, seed=seed)
-        return rep, solve_mfg(rep.eq_lower.kind, grids, BOUNDS, params, COSTS, law0, FP,
-                              seed=seed)
+    def run(what):
+        if what == "report":
+            return sandwich_report(grids, BOUNDS, params, COSTS, law0, FP, seed=seed)
+        return solve_mfg(rep1.eq_lower.kind, grids, BOUNDS, params, COSTS, law0, FP,
+                         seed=seed)
 
     monkeypatch.setattr(os, "fork", counting)
-    (rep, lone), (rep1, lone1) = run(2), run(1)
-    # a report and a lone solve open one twin each, unless there is nothing to split
-    assert len(forks) == (2 if grids.n_particles > 128 else 0)
+    rep1 = run("report")
+    lone1 = run("solve")
+    assert forks == []
+    rep, lone = _fork.fork_map(run, ["report", "solve"], 2)
+    # the two workers alone fork: neither a report nor a lone solve does
+    assert len(forks) == 2
     assert json.dumps(rep.to_dict()) == json.dumps(rep1.to_dict())
     for a, b in ((rep.eq_lower, rep1.eq_lower), (rep.eq_upper, rep1.eq_upper),
                  (rep.eq_orig, rep1.eq_orig), (lone, lone1)):

@@ -1,24 +1,21 @@
-"""A Picard session's twin: a share of every best response and half of every walked push.
+"""Where the work runs: a Picard session in the calling process, levels and spans on fork_map.
 
-A lone solve_mfg or a sandwich report opens one twin (_fork.twin). In each
-best response the twin evaluates the rewards and refines while the parent
-runs the backward recursion (solver._Hand); of every walked push it walks
-particles [n2, n) while the parent walks [0, n2), and the two swap their
-per-step sums, exit counts and switch brackets. These tests pin where a twin
-opens, that it never nests, that the bits do not depend on it, and that
-neither side hangs or leaves a child, a mapping or a pipe behind when the
-other fails. Forks are counted through a file, where forked processes'
-appends land as the parent's do.
+A lone solve_mfg or a sandwich report runs every best response and every
+push in the calling process, whatever the host's cores. Only fork_map forks:
+the fee sweep's level workers and the simulator's span workers. These tests
+pin that a session forks nothing, that each push walks all its particles
+here, that a forked worker returns the bits this process computes, and
+fork_map's own contract (order, errors, fallbacks). Forks are counted
+through a file, where forked processes' appends land as the parent's do.
 """
 import contextlib
 import dataclasses
 import mmap
+import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -26,6 +23,7 @@ import pytest
 
 import ammfg
 from ammfg import _fork, fixed_point, solver
+from ammfg._fork import fork_map
 from ammfg.certify import phi_sweep, sandwich_report
 from ammfg.errors import NumericalError
 from ammfg.fixed_point import FixedPointConfig, solve_mfg
@@ -46,18 +44,8 @@ KIND = RewardKind(Variant.ORIGINAL)
 
 @pytest.fixture(autouse=True)
 def two_cores(monkeypatch):
-    """A twin opens here whatever the host's core count (tests switch it off at 1).
-
-    It also stays for the whole session: on these small grids a twin does not
-    pay, and the parent would kill it after its first push
-    (test_a_twin_that_does_not_pay_is_killed checks that rule).
-    """
+    """Two usable cores here whatever the host's count: nothing in a session may fork."""
     monkeypatch.setattr(_fork, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(_fork.twin, "_pace", lambda self, own: None)
-
-
-def _one_core(monkeypatch):
-    monkeypatch.setattr(_fork, "_usable_cores", lambda: 1)
 
 
 def _log_forks(monkeypatch, path):
@@ -82,8 +70,8 @@ def _log_forks(monkeypatch, path):
     return forks
 
 
-def _solve(grids=G, law=LAW):
-    return solve_mfg(KIND, grids, B, PARAMS, COSTS, law, FP)
+def _solve(grids=G, law=LAW, reward_fn=None):
+    return solve_mfg(KIND, grids, B, PARAMS, COSTS, law, FP, reward_fn=reward_fn)
 
 
 def _same_solve(a, b):
@@ -94,42 +82,25 @@ def _same_solve(a, b):
         (b.residuals, b.post_residual, b.exit_fraction, b.value)
 
 
-@pytest.mark.parametrize("n", [129, 130, 1000, 9999, 10000, 10001, 123457])
-def test_numpy_sums_where_the_twin_splits(n):
-    # the twin's bits rest on numpy's pairwise sum of n > 128 float64 terms
-    # adding the sums of [0, n2) and [n2, n) last: a numpy that splits
-    # elsewhere fails here rather than as a drifted artifact
-    n2 = _fork.split(n)
-    assert 0 < n2 < n and n2 % 8 == 0
-    rng = np.random.default_rng(n)
-    for offset in (0, 1, 3):  # a misaligned view as well as an aligned one
-        for data in (rng.standard_normal(n + offset) * 1e3 + rng.random(),
-                     rng.choice([0.0, 0.5], n + offset) + 1e-9 * rng.random(n + offset)):
-            a = data[offset:]
-            assert a.mean() == (a[:n2].sum() + a[n2:].sum()) / n
-            # each process sums a fresh array of its own half
-            assert a.mean() == (a[:n2].copy().sum() + a[n2:].copy().sum()) / n
-
-
-def test_a_twin_opens_once_per_session_and_never_nests(monkeypatch, tmp_path):
+def test_a_picard_session_forks_nothing_and_a_sweep_only_its_level_workers(monkeypatch,
+                                                                          tmp_path):
     forks, me = _log_forks(monkeypatch, tmp_path / "forks"), os.getpid()
     phis = [0.95, 0.9]
-    # two level workers, forked here; a twin inside one would be forked by it
+    # two level workers, forked here; a session inside one forks nothing more
     phi_sweep(phis, G, B, PARAMS, COSTS, LAW, FP, workers=2)
     assert forks() == [me, me]
-    # one worker: the levels run here, each report with its twin
+    # one worker: the levels and their reports run here
     phi_sweep(phis, G, B, PARAMS, COSTS, LAW, FP, workers=1)
-    assert forks() == [me, me]
-    # a report's three solves share one twin; a lone solve opens its own
+    assert forks() == []
     rep = sandwich_report(G, B, PARAMS, COSTS, LAW, FP)
-    assert forks() == [me]
+    assert forks() == []
     _solve()
-    assert forks() == [me]
+    assert forks() == []
     propagate(rep.eq_orig.policy, G, B, PARAMS, LAW)
     assert forks() == []
 
 
-def test_each_walked_push_is_split_between_the_parent_and_its_twin(monkeypatch, tmp_path):
+def test_each_walked_push_walks_every_particle_here(monkeypatch, tmp_path):
     log, walk, me = tmp_path / "walks", solver._walk, os.getpid()
 
     def spy(policies, grids, x0, noise, step, rewards=None, record=None):
@@ -141,20 +112,17 @@ def test_each_walked_push_is_split_between_the_parent_and_its_twin(monkeypatch, 
     monkeypatch.setattr(solver, "_walk", spy)
     eq = _solve()
     rows = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-    n2 = _fork.split(G.n_particles)
-    assert [size for pid, size in rows if pid == me] == [n2] * (eq.iterations + 1)
-    assert [size for pid, size in rows if pid != me] == [G.n_particles - n2] * (eq.iterations + 1)
-    assert len({pid for pid, _ in rows}) == 2
+    assert rows == [(me, G.n_particles)] * (eq.iterations + 1)
 
 
 @pytest.mark.parametrize("off", ["one core", "no fork", "128 particles", "a second thread",
                                  "no shared memory"])
-def test_no_twin_where_it_cannot_open(monkeypatch, tmp_path, off):
+def test_a_solve_runs_here_and_its_bits_do_not_depend_on_the_host(monkeypatch, tmp_path, off):
     grids = dataclasses.replace(G, n_particles=128) if off == "128 particles" else G
-    twinned = _solve(grids)
+    before = _solve(grids)
     forks = _log_forks(monkeypatch, tmp_path / "forks")
     if off == "one core":
-        _one_core(monkeypatch)
+        monkeypatch.setattr(_fork, "_usable_cores", lambda: 1)
     elif off == "no fork":
         monkeypatch.delattr(os, "fork")
     elif off == "no shared memory":
@@ -166,237 +134,91 @@ def test_no_twin_where_it_cannot_open(monkeypatch, tmp_path, off):
         waiter = threading.Thread(target=done.wait)
         waiter.start()
         try:
-            alone = _solve(grids)
+            after = _solve(grids)
         finally:
             done.set()
             waiter.join()
     else:
-        alone = _solve(grids)
+        after = _solve(grids)
     if off != "no fork":
         assert forks() == []
-    _same_solve(twinned, alone)
+    _same_solve(before, after)
 
 
-@pytest.mark.parametrize("parent_step, twin_step", [(3, 5), (5, 3), (4, 4), (2, None), (None, 6)])
-def test_a_non_finite_control_in_either_half_is_refused_at_its_first_step(
-        monkeypatch, parent_step, twin_step):
-    me, control_at = os.getpid(), solver.Policy.control_at
+@pytest.mark.parametrize("first_step, last_step", [(3, 5), (5, 3), (4, 4), (2, None),
+                                                   (None, 6)])
+def test_a_non_finite_control_of_any_particle_is_refused_at_its_first_step(
+        monkeypatch, first_step, last_step):
+    # first_step spoils the first particle's control, last_step the last one's
+    control_at = solver.Policy.control_at
 
     def spoiled(self, k, x, record=None):
         a = control_at(self, k, x, record)
-        if k == (parent_step if os.getpid() == me else twin_step):
+        if k == first_step:
             a[0] = np.nan
+        if k == last_step:
+            a[-1] = np.nan
         return a
 
     monkeypatch.setattr(solver.Policy, "control_at", spoiled)
-    first = min(step for step in (parent_step, twin_step) if step is not None)
+    first = min(step for step in (first_step, last_step) if step is not None)
     with pytest.raises(NumericalError, match=f"^non-finite particle states at step {first}$"):
         _solve()
-    if parent_step is not None:  # the serial walk's refusal, word for word
-        _one_core(monkeypatch)
-        with pytest.raises(NumericalError,
-                           match=f"^non-finite particle states at step {parent_step}$"):
-            _solve()
 
 
-def _report_bits(rep):
-    return (rep.to_dict(), *(getattr(rep, eq).path.values.tobytes()
-                             for eq in ("eq_lower", "eq_upper", "eq_orig")))
-
-
-def test_a_lost_twin_leaves_the_parent_walking_its_half(monkeypatch):
-    me, walk, walks = os.getpid(), solver._walk, []
-
-    def dying(policies, grids, x0, noise, step, rewards=None, record=None):
-        if os.getpid() != me:
-            walks.append(record)
-            if len(walks) == 3:  # the twin's third push: it logs switch brackets
-                os._exit(7)
-        return walk(policies, grids, x0, noise, step, rewards, record)
-
-    monkeypatch.setattr(solver, "_walk", dying)
-    lost = sandwich_report(G, B, PARAMS, COSTS, LAW, FP)
-    monkeypatch.undo()
-    _one_core(monkeypatch)
-    assert _report_bits(lost) == _report_bits(sandwich_report(G, B, PARAMS, COSTS, LAW, FP))
-
-
-def test_a_twin_that_does_not_pay_is_killed(monkeypatch, tmp_path):
-    # a twin that lags far behind its parent (a busy second core) is killed
-    # at the end of its first push, and the parent walks every later push
-    # whole; the bits stay those of one process
-    log, walk, me = tmp_path / "walks", solver._walk, os.getpid()
-
-    def lagging(policies, grids, x0, noise, step, rewards=None, record=None):
-        if rewards is None:
-            if os.getpid() == me:
-                with open(log, "a") as fh:
-                    fh.write(f"{x0.size}\n")
-            else:
-                time.sleep(0.2)
-        return walk(policies, grids, x0, noise, step, rewards, record)
-
-    monkeypatch.undo()
-    monkeypatch.setattr(_fork, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(solver, "_walk", lagging)
-    lagged = _solve()
-    n2 = _fork.split(G.n_particles)
-    assert list(map(int, log.read_text().split())) == \
-        [n2] + [G.n_particles] * lagged.iterations
-    monkeypatch.undo()
-    _one_core(monkeypatch)
-    _same_solve(lagged, _solve())
-
-
-def test_a_twin_that_pays_stays_for_the_session(monkeypatch):
-    # the rule itself, on made-up clocks: rounds that took less wall time
-    # than this process alone would have spent keep the twin, and the first
-    # round that tips the session's totals over kills it
-    killed = []
-    monkeypatch.undo()
-    monkeypatch.setattr(_fork.twin, "_drop", lambda self: killed.append(self.pid))
-    ticks = iter([(0.0, 0.0), (1.0, 0.6), (2.0, 1.2), (5.0, 1.6)])
-    monkeypatch.setattr(_fork, "_clocks", lambda: next(ticks))
-    session = _fork.twin(G.n_particles)
-    session.pid, session.alive, session._fds = 1, True, ()
-    session._mark, session._wall, session._alone = _fork._clocks(), 0.0, 0.0
-    session._pace(0.5)  # wall 1.0 against 0.6 + 0.5 alone
-    session._pace(0.5)  # 2.0 against 2.2
-    assert session.alive and killed == []
-    session._pace(0.5)  # 5.0 against 3.1: the twin costs more than it saves
-    assert not session.alive and killed == [1]
-
-
-def test_the_twin_s_share_of_a_best_response_counts_as_time_it_saved(monkeypatch):
-    # the twin's CPU time on a round's best responses (twin.lend) adds to
-    # what this process would have spent alone, in that round only
-    killed = []
-    monkeypatch.undo()
-    monkeypatch.setattr(_fork.twin, "_drop", lambda self: killed.append(self.pid))
-    ticks = iter([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)])
-    monkeypatch.setattr(_fork, "_clocks", lambda: next(ticks))
-    session = _fork.twin(G.n_particles)
-    session.pid, session.alive, session._fds = 1, True, ()
-    session._mark, session._wall, session._alone = _fork._clocks(), 0.0, 0.0
-    session.lend(0.4)
-    session._pace(0.2)  # wall 1.0 against 0.5 + 0.2 + 0.4 lent
-    assert session.alive and killed == []
-    session._pace(0.2)  # 2.0 against 1.1 + 0.5 + 0.2, nothing lent: the twin is dropped
-    assert not session.alive and killed == [1]
-
-
-def test_a_twin_that_lags_in_its_best_responses_is_killed(monkeypatch, tmp_path):
-    # a twin slow to hand over its rewards (a busy second core) lends little
-    # CPU time while its parent waits: it is killed at the first push, and
-    # the bits stay those of one process
-    log, walk, me = tmp_path / "walks", solver._walk, os.getpid()
-    builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
-
-    def slow(t, x, a, path):
-        if os.getpid() != me:
-            time.sleep(0.05)
-        return builtin(t, x, a, path)
-
-    def logging(policies, grids, x0, noise, step, rewards=None, record=None):
-        if rewards is None and os.getpid() == me:
-            with open(log, "a") as fh:
-                fh.write(f"{x0.size}\n")
-        return walk(policies, grids, x0, noise, step, rewards, record)
-
-    monkeypatch.undo()
-    monkeypatch.setattr(_fork, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(solver, "_walk", logging)
-    lagged = solve_mfg(KIND, G, B, PARAMS, COSTS, LAW, FP, reward_fn=slow)
-    assert list(map(int, log.read_text().split())) == \
-        [_fork.split(G.n_particles)] + [G.n_particles] * lagged.iterations
-    monkeypatch.undo()
-    _one_core(monkeypatch)
-    _same_solve(lagged, solve_mfg(KIND, G, B, PARAMS, COSTS, LAW, FP, reward_fn=builtin))
-
-
-def test_a_twin_whose_policy_differs_is_dropped(monkeypatch):
-    me, solve_hjb, solves = os.getpid(), fixed_point.solve_hjb, []
-
-    def drifting(*args, **kwargs):
-        policy = solve_hjb(*args, **kwargs)
-        solves.append(policy)
-        if os.getpid() != me and len(solves) == 2:
-            return dataclasses.replace(policy, controls=policy.controls + 1e-3)
-        return policy
-
-    monkeypatch.setattr(fixed_point, "solve_hjb", drifting)
-    dropped = _solve()
-    monkeypatch.undo()
-    _one_core(monkeypatch)
-    _same_solve(dropped, _solve())
-
-
-def test_a_twin_whose_pushes_part_from_the_parent_s_is_dropped(monkeypatch):
-    # a twin that replays nothing walks pushes its parent replays: the first
-    # message whose length or policy differs from the parent's ends the
-    # sharing, where waiting for the rest of it would hang both sides
-    me, replay_or_walk = os.getpid(), solver._replay_or_walk
-
-    def walking(log, policy, walk):
-        return walk() if os.getpid() != me else replay_or_walk(log, policy, walk)
-
-    params = dataclasses.replace(PARAMS, phi=0.997)
-    monkeypatch.setattr(solver, "_replay_or_walk", walking)
-    parted = sandwich_report(G, B, params, COSTS, LAW, FP)
-    monkeypatch.undo()
-    _one_core(monkeypatch)
-    assert _report_bits(parted) == _report_bits(sandwich_report(G, B, params, COSTS, LAW, FP))
-
-
-def test_a_raising_parent_kills_and_reaps_its_twin(monkeypatch):
-    me, solve_hjb, calls = os.getpid(), fixed_point.solve_hjb, []
+def test_a_raising_solve_leaves_the_next_one_as_it_was(monkeypatch):
+    before = _solve()
+    solve_hjb, calls = fixed_point.solve_hjb, []
 
     def failing(*args, **kwargs):
         calls.append(None)
-        if os.getpid() == me and len(calls) == 3:
-            raise RuntimeError("parent fails mid-session")
+        if len(calls) == 3:
+            raise RuntimeError("fails mid-session")
         return solve_hjb(*args, **kwargs)
 
     monkeypatch.setattr(fixed_point, "solve_hjb", failing)
-    start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="parent fails mid-session"):
+    with pytest.raises(RuntimeError, match="fails mid-session"):
         _solve()
-    assert time.perf_counter() - start < 30.0
-    assert _fork._session is None  # the next solve opens a twin of its own
-    # the autouse fixture checks that the twin has been reaped
+    monkeypatch.setattr(fixed_point, "solve_hjb", solve_hjb)
+    _same_solve(before, _solve())
 
 
-def test_a_bracket_message_beyond_the_pipe_buffer_swaps_whole(monkeypatch, tmp_path):
-    # every cell a switch cell: each side sends 2 * n_t * (n_x - 1) bracket
-    # entries, 320 KB here, five times a pipe's usual 64 KB buffer
+def test_a_push_with_every_cell_a_switch_cell_logs_and_replays_bitwise(monkeypatch):
+    # every cell a switch cell: the push brackets 2 * n_t * (n_x - 1) switches
     grids = dataclasses.replace(G, n_t=50, n_x=401)
     row = np.where(np.arange(grids.n_x) % 2, B.a_max, B.a_min)
     policy = Policy(t_nodes=grids.t_nodes(), x_nodes=grids.x_nodes(),
                     controls=np.tile(row, (grids.n_t, 1)),
                     switches=np.full((grids.n_t, grids.n_x - 1), 0.5))
-    assert 2 * 8 * policy.switches.size == 5 * 64000
     noise = propagate_noise(grids.seed, grids, LAW)
-    forks = _log_forks(monkeypatch, tmp_path / "forks")
-    logs = [{"noise": noise}, {"noise": noise}]
-    with _fork.twin(grids.n_particles):
-        twinned = propagate(policy, grids, B, PARAMS, LAW, _log=logs[0])
-    assert forks() == [os.getpid()]
-    alone = propagate(policy, grids, B, PARAMS, LAW, _log=logs[1])
-    assert twinned[0].values.tobytes() == alone[0].values.tobytes()
-    assert twinned[1] == alone[1]
-    (a,), (b,) = ([v for k, v in log.items() if k != "noise"][0] for log in logs)
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(a[2:], b[2:]))
-    assert np.isfinite(a[2]).any() and np.isfinite(a[3]).any()
+    log = {"noise": noise}
+    logged = propagate(policy, grids, B, PARAMS, LAW, _log=log)
+    alone = propagate(policy, grids, B, PARAMS, LAW, noise=noise)
+    assert logged[0].values.tobytes() == alone[0].values.tobytes()
+    assert logged[1] == alone[1]
+    (record,), = (v for k, v in log.items() if k != "noise")
+    lo, hi = record[2:]
+    assert lo.size == hi.size == policy.switches.size
+    assert np.isfinite(lo).any() and np.isfinite(hi).any()
+    # the same policy again replays its record, unwalked
+    walks = []
+    walk = solver._walk
+    monkeypatch.setattr(solver, "_walk",
+                        lambda *args, **kwargs: walks.append(None) or walk(*args, **kwargs))
+    replayed = propagate(policy, grids, B, PARAMS, LAW, _log=log)
+    assert walks == []
+    assert replayed[0].values.tobytes() == alone[0].values.tobytes()
+    assert replayed[1] == alone[1]
 
 
-def test_the_twin_leaves_without_a_trace(tmp_path):
-    # it flushes no inherited stdout buffer, runs no exit hook and prints no
-    # warning: each of the parent's edge warnings shows once on stderr
+def test_a_solve_leaves_without_a_trace(tmp_path):
+    # on two cores it forks nothing, flushes stdout and runs an exit hook
+    # once, and each of its edge warnings shows once on stderr
     code = """if True:
-        import atexit, dataclasses, sys
+        import atexit, sys
         from ammfg import _fork
         from ammfg.fixed_point import FixedPointConfig, solve_mfg
-        from ammfg.grids import ControlBounds, Grids, InitialLaw, make_path
+        from ammfg.grids import ControlBounds, Grids, InitialLaw
         from ammfg.pool import PoolParams
         from ammfg.rewards import RewardKind, Variant, quadratic_costs
         _fork._usable_cores = lambda: 2
@@ -414,22 +236,13 @@ def test_the_twin_leaves_without_a_trace(tmp_path):
     src = os.path.dirname(os.path.dirname(ammfg.__file__))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert done.stdout == "buffered|1\nexit hook\n"
+    assert done.stdout == "buffered|0\nexit hook\n"
     # the pushes' location and the evaluation's, each printed once
     shown = [line for line in done.stderr.splitlines() if "hit the state-grid edges" in line]
     assert len(shown) == len(set(shown)) == 2
 
 
-def test_import_leaves_the_fork_machinery_out():
-    src = os.path.dirname(os.path.dirname(ammfg.__file__))
-    code = ("import sys, ammfg, ammfg.cli; "
-            "print(sorted({'multiprocessing', 'socket', 'signal'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
-
-
-# -- a best response split across the twin (solver._Hand) ---------------------
+# -- a best response, here and in a forked worker -----------------------------
 
 def _path(grids, bounds=B):
     top = min(bounds.a_max, 0.3)
@@ -442,17 +255,7 @@ def _same_policy(a, b):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
-def _split_solve(grids, bounds=B, params=PARAMS, kind=KIND, reward_fn=None):
-    """solve_hjb in a session of its own: (the policy, whether the twin lent it work)."""
-    with solver._twin(grids) as session:
-        assert session.alive
-        policy = solve_hjb(_path(grids, bounds), kind, grids, bounds, params, COSTS,
-                           reward_fn=reward_fn)
-        served = session._lent > 0
-    return policy, served
-
-
-SPLIT_CASES = [
+BEST_RESPONSE_CASES = [
     *(pytest.param(G, B, PARAMS, RewardKind(variant, 1.0, e), id=f"{variant.value}-e{e}")
       for variant in Variant for e in (1, 2)),
     pytest.param(dataclasses.replace(G, n_a=10), ControlBounds(-0.5, 0.5), PARAMS, KIND,
@@ -464,91 +267,44 @@ SPLIT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("grids, bounds, params, kind", SPLIT_CASES)
-def test_a_best_response_split_across_the_twin_is_bitwise_the_lone_one(grids, bounds, params,
-                                                                       kind):
-    split, served = _split_solve(grids, bounds, params, kind)
-    assert served
-    _same_policy(split, solve_hjb(_path(grids, bounds), kind, grids, bounds, params, COSTS))
+@pytest.mark.parametrize("grids, bounds, params, kind", BEST_RESPONSE_CASES)
+def test_a_best_response_in_a_forked_worker_is_bitwise_the_one_here(
+        monkeypatch, tmp_path, grids, bounds, params, kind):
+    forks = _log_forks(monkeypatch, tmp_path / "forks")
+    here = solve_hjb(_path(grids, bounds), kind, grids, bounds, params, COSTS)
+    assert forks() == []
+    forked = fork_map(lambda _: solve_hjb(_path(grids, bounds), kind, grids, bounds, params,
+                                          COSTS), [0, 1], 2)
+    assert forks() == [os.getpid()] * 2
+    for policy in forked:
+        _same_policy(policy, here)
 
 
-def test_a_custom_reward_runs_in_the_twin_and_solves_bitwise(monkeypatch):
+def test_a_custom_reward_is_called_here_once_per_block_and_solves_the_same_forked(
+        monkeypatch, tmp_path):
     builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
     me, calls = os.getpid(), []
 
-    def custom(t, x, a, path):
+    def custom(t, x, a, path):  # a closure: a forked worker inherits it, unpickled
         if os.getpid() == me:
             calls.append(t.size)
         return builtin(t, x, a, path) - 0.01 * a ** 2
 
-    twinned = solve_mfg(KIND, G, B, PARAMS, COSTS, LAW, FP, reward_fn=custom)
-    # the twin evaluates every block of every solve: the parent only the
-    # evaluation's steps, after the session
-    assert calls == [1] * G.n_t
-    _one_core(monkeypatch)
-    _same_solve(twinned, solve_mfg(KIND, G, B, PARAMS, COSTS, LAW, FP, reward_fn=custom))
+    here = _solve(reward_fn=custom)
+    # blocks of ceil(sqrt(n_t + 1)) = 5 nodes, latest first, for every best
+    # response; then one node per step for the evaluation
+    blocks = [5, 5, 5, 5, 1]
+    solves, rest = divmod(len(calls) - G.n_t, len(blocks))
+    assert rest == 0 and solves == here.iterations + 1
+    assert calls == blocks * solves + [1] * G.n_t
+    forks = _log_forks(monkeypatch, tmp_path / "forks")
+    forked = fork_map(lambda _: _solve(reward_fn=custom), [0, 1], 2)
+    assert forks() == [me] * 2
+    for eq in forked:
+        _same_solve(eq, here)
 
 
-def _dies_in_the_twin(me, at, calls):
-    """A hook that kills the twin at its at-th call; the parent's calls pass."""
-    def hook():
-        if os.getpid() != me:
-            calls.append(None)
-            if len(calls) == at:
-                os.kill(os.getpid(), signal.SIGKILL)
-    return hook
-
-
-@pytest.mark.parametrize("where, at", [("reward", 1), ("reward", 3), ("refine", 2)],
-                         ids=["before-the-first-block", "mid-lattice", "mid-refine"])
-def test_a_twin_killed_mid_solve_leaves_the_parent_solving_alone(monkeypatch, where, at):
-    grids = Grids()  # two chunks to a block: a kill lands between handoffs
-    builtin = solver._running_reward(None, KIND, grids, B, PARAMS, COSTS)
-    hook, refine = _dies_in_the_twin(os.getpid(), at, []), solver._refine
-
-    def reward(t, x, a, path):
-        if where == "reward":
-            hook()
-        return builtin(t, x, a, path)
-
-    def refining(*args):
-        if where == "refine":
-            hook()
-        return refine(*args)
-
-    monkeypatch.setattr(solver, "_refine", refining)
-    with solver._twin(grids) as session:
-        split = solve_hjb(_path(grids), KIND, grids, B, PARAMS, COSTS, reward_fn=reward)
-        alive = session.alive
-    assert not alive
-    _same_policy(split, solve_hjb(_path(grids), KIND, grids, B, PARAMS, COSTS,
-                                  reward_fn=builtin))
-
-
-def test_a_reward_that_fails_in_the_twin_alone_leaves_the_parent_solving(monkeypatch):
-    builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
-    me = os.getpid()
-
-    def raising(t, x, a, path):
-        if os.getpid() != me:
-            raise ZeroDivisionError("in the twin only")
-        return builtin(t, x, a, path)
-
-    def warning(t, x, a, path):
-        if os.getpid() != me:
-            warnings.warn("in the twin only")
-        return builtin(t, x, a, path)
-
-    alone = solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS)
-    for reward_fn in (raising, warning):
-        with warnings.catch_warnings(record=True) as shown:
-            warnings.simplefilter("always")
-            split, _ = _split_solve(G, reward_fn=reward_fn)
-        assert shown == []
-        _same_policy(split, alone)
-
-
-def test_a_reward_that_raises_or_warns_in_a_twin_block_does_so_in_the_parent():
+def test_a_reward_that_raises_or_warns_on_a_late_node_does_so_once():
     builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
     late = G.t_nodes()[8]  # a node of the third block
 
@@ -563,12 +319,12 @@ def test_a_reward_that_raises_or_warns_in_a_twin_block_does_so_in_the_parent():
         return builtin(t, x, a, path)
 
     with pytest.raises(ZeroDivisionError, match="a late node"):
-        _split_solve(G, reward_fn=raising)
+        solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS, reward_fn=raising)
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
-        split, _ = _split_solve(G, reward_fn=warning)
+        warned = solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS, reward_fn=warning)
     assert [str(w.message) for w in shown] == ["a late node"]
-    _same_policy(split, solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS))
+    _same_policy(warned, solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS))
 
 
 def _shared_mappings() -> int:
@@ -577,50 +333,98 @@ def _shared_mappings() -> int:
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
-@pytest.mark.parametrize("end", ["clean", "twin killed", "parent raises"])
-def test_no_shared_mapping_or_pipe_outlives_the_session(monkeypatch, end):
+@pytest.mark.parametrize("end", ["clean", "reward raises", "solve refuses"])
+def test_no_shared_mapping_or_descriptor_outlives_a_best_response(end):
     maps, fds = _shared_mappings(), sorted(os.listdir("/proc/self/fd"))
     builtin = solver._running_reward(None, KIND, G, B, PARAMS, COSTS)
-    me = os.getpid()
 
     def reward(t, x, a, path):
-        if os.getpid() != me and end == "twin killed":
-            os.kill(os.getpid(), signal.SIGKILL)
+        if end == "reward raises":
+            raise ZeroDivisionError("no reward")
         out = builtin(t, x, a, path)
-        if end == "parent raises":  # the parent's loop refuses step n_t - 2
+        if end == "solve refuses":  # the backward loop refuses step n_t - 2
             out = np.where(t == G.t_nodes()[G.n_t - 2], np.inf, out)
         return out
 
+    raised = None
     with contextlib.ExitStack() as stack:
-        if end == "parent raises":
-            raised = stack.enter_context(pytest.raises(NumericalError))
-        with solver._twin(G) as session:
-            assert session.buf is not None and _shared_mappings() == maps + 1
-            for _ in range(2):
-                solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS, reward_fn=reward)
-    if end == "parent raises":  # its traceback, which holds solve_hjb's frame, lives on
+        if end != "clean":
+            raised = stack.enter_context(pytest.raises(
+                ZeroDivisionError if end == "reward raises" else NumericalError))
+        for _ in range(2):
+            solve_hjb(_path(G), KIND, G, B, PARAMS, COSTS, reward_fn=reward)
+    if raised is not None:  # its traceback, which holds solve_hjb's frame, lives on
         assert raised.value.__traceback__ is not None
-    assert session.buf is None and session.views is None
     assert _shared_mappings() == maps
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
-def test_a_twin_s_policy_reads_the_thresholds_of_its_own_solve(tmp_path):
-    # the twin's policies wrap the same shared rows, which each solve rewrites:
-    # a threshold built at one solve's first lookup must not serve the next
-    # solve's policy, whose switches sit elsewhere
+def test_a_policy_reads_the_thresholds_of_its_own_solve():
+    # each policy builds its thresholds at its first lookup: one solve's
+    # must not serve the next solve's policy, whose switches sit elsewhere
     paths = [_path(G), make_path(np.full(G.n_t + 1, 0.1), G, B, PARAMS.x0)]
     noise = propagate_noise(G.seed, G, LAW)
-    with solver._twin(G) as session:
-        pushed = []
-        for path in paths:
-            policy = solve_hjb(path, KIND, G, B, PARAMS, COSTS)
-            pushed.append((policy, propagate(policy, G, B, PARAMS, LAW, noise=noise)))
-        assert session.alive  # the twin walked the second half of both pushes
+    pushed = []
+    for path in paths:
+        policy = solve_hjb(path, KIND, G, B, PARAMS, COSTS)
+        pushed.append((policy, propagate(policy, G, B, PARAMS, LAW, noise=noise)))
     first, second = (policy for policy, _ in pushed)
     assert first.switches.tobytes() != second.switches.tobytes()
     assert all(cut is not None for policy in (first, second)
                for cut in solver._thresholds(policy))
     for policy, (path, exit_fraction) in pushed:
-        alone, alone_exit = propagate(policy, G, B, PARAMS, LAW, noise=noise)
+        fresh = dataclasses.replace(policy)  # no thresholds built yet
+        alone, alone_exit = propagate(fresh, G, B, PARAMS, LAW, noise=noise)
         assert (path.values.tobytes(), exit_fraction) == (alone.values.tobytes(), alone_exit)
+
+
+# -- fork_map -----------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_fork_map_returns_results_in_item_order_on_as_many_workers_as_it_needs(
+        monkeypatch, tmp_path, workers, n):
+    forks, me = _log_forks(monkeypatch, tmp_path / "forks"), os.getpid()
+    results = fork_map(lambda i: (i * i, os.getpid()), range(n), workers)
+    assert [value for value, _ in results] == [i * i for i in range(n)]
+    forked = min(workers, n) if workers > 1 and n > 1 else 0
+    assert forks() == [me] * forked
+    pids = {pid for _, pid in results}
+    if forked:
+        assert me not in pids and len(pids) <= forked
+    else:
+        assert pids <= {me}
+
+
+def test_fork_map_raises_a_worker_s_error_with_its_type_and_message():
+    def one(i):
+        if i == 2:
+            raise NumericalError("non-finite particle states at step 3")
+        return i
+
+    with pytest.raises(NumericalError, match="^non-finite particle states at step 3$"):
+        fork_map(one, range(4), 2)
+    # the autouse fixture checks that every worker has been joined
+
+
+def test_fork_map_runs_the_items_here_without_fork(monkeypatch, tmp_path):
+    forks, me = _log_forks(monkeypatch, tmp_path / "forks"), os.getpid()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    seen = []
+    # a closure that no spawned worker could unpickle
+    assert fork_map(lambda i: seen.append(i) or (i, os.getpid()), range(3), 4) == \
+        [(0, me), (1, me), (2, me)]
+    assert seen == [0, 1, 2]
+    assert forks() == []
+
+
+@pytest.mark.parametrize("host", ["affinity", "no affinity", "no count"])
+def test_usable_cores_reads_the_affinity_else_the_cpu_count(monkeypatch, host):
+    monkeypatch.undo()  # the real _usable_cores
+    if host == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert _fork._usable_cores() == 3
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None if host == "no count" else 6)
+        assert _fork._usable_cores() == (1 if host == "no count" else 6)

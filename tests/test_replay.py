@@ -288,9 +288,7 @@ def test_a_desk_report_walks_and_logs_as_many_pushes_as_before(monkeypatch):
     # the threshold lookup hands the push log and the evaluation followers only
     # the queries next to each switch; the brackets they fold are those of
     # every query, so the same pushes replay and the same followers stay.
-    # One core: a twin's lost half would add walks.
-    from ammfg import _fork, config
-    monkeypatch.setattr(_fork, "_usable_cores", lambda: 1)
+    from ammfg import config
     walks, logs, walk, replay = [], [], solver._walk, solver._replay_or_walk
 
     def walking(*args, **kwargs):
